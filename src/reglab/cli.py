@@ -493,12 +493,13 @@ def cmd_verify_main(args):
 # -- parser ---------------------------------------------------------------------------
 
 
-def _add_common(p, quad=False, rule_default="gauss_legendre_tensor"):
-    p.add_argument("--prec", type=int, default=15)
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--threads", type=int, default=1)
+def _add_common(p, prec=True, quad=False, rule_default="gauss_legendre_tensor"):
+    """Register only the shared options the subcommand reads."""
+    if prec:
+        p.add_argument("--prec", type=int, default=15)
     p.add_argument("--json-indent", type=int, default=None, dest="json_indent")
     if quad:
+        p.add_argument("--seed", type=int, default=12345)
         p.add_argument("--level", type=int, default=64)
         p.add_argument("--depth", type=int, default=0)
         p.add_argument(
@@ -536,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decomp-check", help="verify the Steinberg decomposition exactly")
     p.add_argument("--n", type=int, default=4, choices=[3, 4])
     p.add_argument("--file", default=None)
-    _add_common(p)
+    _add_common(p, prec=False)
     p.set_defaults(fn=cmd_decomp_check)
 
     p = sub.add_parser("residues", help="tame-symbol residue certificates")
@@ -544,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", default=None)
     p.add_argument("--divisors", default=None)
     p.add_argument("--trace", action="store_true")
-    _add_common(p)
+    _add_common(p, prec=False)
     p.set_defaults(fn=cmd_residues)
 
     p = sub.add_parser("dilog", help="Bloch-Wigner dilogarithm D(z)")
@@ -592,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, default=0)
     p.add_argument("--torsion", type=int, default=1)
     p.add_argument("--no-k3", action="store_true", dest="no_k3")
-    _add_common(p)
+    _add_common(p, prec=False)
     p.set_defaults(fn=cmd_k3)
 
     p = sub.add_parser("verify-main", help="one-shot verification pipeline")
@@ -610,8 +611,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else 0
-    if args.threads:
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     try:
         return args.fn(args)
     except RootFindingError as e:

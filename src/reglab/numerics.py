@@ -389,10 +389,3 @@ def bloch_wigner(z, prec: int = 15) -> HPReal:
             sign = -1
         val = _li2_mpc(zv).imag + mpmath.arg(1 - zv) * mpmath.log(abs(zv))
         return HPReal(sign * val, prec)
-
-
-def bloch_wigner_c128(z: complex) -> float:
-    """Double-precision D(z) for scalar use (delegates to the kernels)."""
-    from . import kernels
-
-    return float(kernels.bloch_wigner(complex(z)))

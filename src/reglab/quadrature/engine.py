@@ -11,12 +11,11 @@ for a fixed (rule, level, depth, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
-from typing import Callable, Sequence, Tuple
+from dataclasses import dataclass, asdict
+from typing import Callable, Tuple
 
 import numpy as np
 from scipy import integrate
-from scipy.stats import qmc
 
 from ..numerics import HPReal
 
@@ -143,6 +142,8 @@ def _adaptive(f, lo, hi, dims, cfg):
 
 
 def _qmc(f, lo, hi, dims, cfg):
+    from scipy.stats import qmc  # slow to import; only this rule needs it
+
     replicates = 8
     rng = np.random.default_rng(cfg.seed)
     means = []

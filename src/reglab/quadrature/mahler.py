@@ -10,12 +10,12 @@ in the last variable.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import Sequence
 
 import mpmath
 import numpy as np
 
-from ..forms import Dual, Parametrization, eta_eval
+from ..forms import Dual, eta_eval
 from ..numerics import HPReal, _bits
 from ..symbolic import MultiPoly
 from .engine import QuadratureConfig, QuadratureResult, integrate_box, make_result

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from reglab import kernels
 from reglab.forms import (
     Dual,
     Parametrization,
@@ -93,8 +94,6 @@ def test_rho_matches_explicit_display_n4():
     # rho({f}_2 (x) g1 ^ g2) = i D(f) (diarg g1 ^ diarg g2
     #   + 1/3 dlog|g1| ^ dlog|g2|)
     #   + 1/3 theta(1-f, f) ^ (log|g1| diarg g2 - log|g2| diarg g1)
-    from reglab.numerics import bloch_wigner_c128
-
     rng = np.random.default_rng(4)
     for _ in range(20):
         f = _random_duals(rng, 1, 3)[0]
@@ -107,7 +106,7 @@ def test_rho_matches_explicit_display_n4():
         def theta(a, b):
             return lambda v: log_abs(a) * dlog_abs(b, v) - log_abs(b) * dlog_abs(a, v)
 
-        D = bloch_wigner_c128(f.val)
+        D = kernels.bloch_wigner(f.val)
         term1 = 1j * D * (
             wedge_value([lambda v: diarg(g1, v), lambda v: diarg(g2, v)], t)
             + wedge_value(

@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reglab import kernels
-from reglab import _slowmath
 from reglab.numerics import (
     HPReal,
     HPComplex,
     bloch_wigner,
-    bloch_wigner_c128,
     gamma_upper,
     hp_const,
     hp_eval,
@@ -97,18 +95,41 @@ def test_kernels_match_high_precision():
         assert abs(fi - want) < 5e-14 * max(1, abs(want))
 
 
-def test_kernels_backends_agree():
+def test_kernels_wide_magnitude_match_mpmath():
+    # |z| from e^-3 to e^3 exercises every branch: the power series, the
+    # reflection near 1, the Debye series and the inversion outside the disk
     rng = np.random.default_rng(5)
     z = (rng.normal(size=500) + 1j * rng.normal(size=500)) * np.exp(
         rng.uniform(-3, 3, 500)
     )
-    assert np.max(np.abs(_slowmath.li2_flat(z) - kernels.li2(z))) < 1e-12
-    assert np.max(np.abs(_slowmath.bw_flat(z) - kernels.bloch_wigner(z))) < 1e-12
+    L, D = kernels.li2(z), kernels.bloch_wigner(z)
+    assert L.shape == D.shape == z.shape
+    with mpmath.workdps(30):
+        for zi, li, di in zip(z, L, D):
+            want_l = mpmath.polylog(2, mpmath.mpc(zi))
+            want_d = float(bloch_wigner(complex(zi), 25))
+            assert abs(li - complex(want_l)) < 5e-14 * max(1, abs(want_l))
+            assert abs(di - want_d) < 5e-14
+
+    # 2-d input keeps its shape and matches the flat evaluation elementwise
+    # (array_equal also compares shapes)
+    grid = z[:60].reshape(6, 10)
+    assert np.array_equal(kernels.li2(grid), L[:60].reshape(6, 10))
+    assert np.array_equal(kernels.bloch_wigner(grid), D[:60].reshape(6, 10))
+
+    # a Python scalar gives a NumPy scalar with the same value as the batch
+    for i in (0, 7, 123):
+        zi = complex(z[i])
+        li, di = kernels.li2(zi), kernels.bloch_wigner(zi)
+        assert isinstance(li, np.complex128) and li == L[i]
+        assert isinstance(di, np.float64) and di == D[i]
+    assert isinstance(kernels.li2(0.5), np.complex128)
+    assert isinstance(kernels.bloch_wigner(2), np.float64)
 
 
-def test_bloch_wigner_c128_matches_mp():
+def test_kernel_bloch_wigner_matches_mp():
     for z in (0.4 + 0.9j, -1.3 + 0.2j, 2.5 - 1.5j):
-        assert abs(bloch_wigner_c128(z) - float(bloch_wigner(z, 25))) < 5e-14
+        assert abs(kernels.bloch_wigner(z) - float(bloch_wigner(z, 25))) < 5e-14
 
 
 @given(
