@@ -2,8 +2,9 @@
 
 JSON results go to stdout, human-readable diagnostics to stderr. Exit codes:
 0 success, 2 input error, 3 numeric non-convergence. Every run carries a
-manifest (command, config, library versions, seed, wall time, input hashes)
-so outputs are reproducible byte-for-byte from the manifest alone.
+manifest (command, config, library versions, seed, input hashes), so outputs
+are reproducible byte-for-byte from the manifest alone; the wall time goes to
+stderr.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def _hash_file(path: str) -> str:
     return h.hexdigest()[:16]
 
 
-def _manifest(args, t0: float, inputs=()):
+def _manifest(args, inputs=()):
     return {
         "command": args.command,
         "config": {
@@ -86,7 +87,6 @@ def _manifest(args, t0: float, inputs=()):
             "mpmath": mpmath.__version__,
         },
         "seed": getattr(args, "seed", None),
-        "wall_time_s": round(time.time() - t0, 3),
         "input_hashes": {os.path.basename(p): _hash_file(p) for p in inputs},
     }
 
@@ -154,7 +154,6 @@ def _num(value: HPReal, prec: int, error=None) -> dict:
 
 
 def cmd_mahler(args):
-    t0 = time.time()
     variables = args.vars.split(",") if args.vars else _infer_vars(args.poly)
     P = parse_poly(args.poly, variables)
     if args.rule is None:
@@ -168,7 +167,7 @@ def cmd_mahler(args):
             "variables": variables,
             **_num(res.value, args.prec, res.error_estimate),
             "evaluations": res.evaluations,
-            "manifest": _manifest(args, t0),
+            "manifest": _manifest(args),
         },
         args,
     )
@@ -176,7 +175,6 @@ def cmd_mahler(args):
 
 
 def cmd_deninger_check(args):
-    t0 = time.time()
     variables = args.vars.split(",") if args.vars else _infer_vars(args.poly)
     P = parse_poly(args.poly, variables)
     cfg = _quad_config(args)
@@ -193,7 +191,7 @@ def cmd_deninger_check(args):
             "chain": _num(chain.value, args.prec, chain.error_estimate),
             "difference": delta,
             "consistent": delta <= max(budget, 1e-6),
-            "manifest": _manifest(args, t0),
+            "manifest": _manifest(args),
         },
         args,
     )
@@ -208,7 +206,6 @@ def _load_xi(args):
 
 
 def cmd_boundary_integral(args):
-    t0 = time.time()
     doc, path = _load_xi(args)
     xi, xi_star, lam = build_xi(doc)
     res = regulator_boundary_integral(lam, _quad_config(args))
@@ -217,7 +214,7 @@ def cmd_boundary_integral(args):
             "n": doc.n,
             **_num(res.value, args.prec, res.error_estimate),
             "evaluations": res.evaluations,
-            "manifest": _manifest(args, t0, [path]),
+            "manifest": _manifest(args, [path]),
         },
         args,
     )
@@ -225,7 +222,6 @@ def cmd_boundary_integral(args):
 
 
 def cmd_decomp_check(args):
-    t0 = time.time()
     doc, path = _load_xi(args)
     equal, diff = check_decomposition(doc)
     payload = {
@@ -233,14 +229,13 @@ def cmd_decomp_check(args):
         "exact": True,
         "holds": equal,
         "difference": str(diff) if not equal else "0",
-        "manifest": _manifest(args, t0, [path]),
+        "manifest": _manifest(args, [path]),
     }
     _emit(payload, args)
     return EXIT_OK if equal else EXIT_INPUT
 
 
 def cmd_residues(args):
-    t0 = time.time()
     doc, dpath = _load_xi(args)
     xi, _, _ = build_xi(doc)
     div_path = args.divisors or os.path.join(data_dir(), "divisors_n4.json")
@@ -249,13 +244,12 @@ def cmd_residues(args):
     if not args.trace:
         for cert in report["divisors"]:
             cert.pop("terms", None)
-    report["manifest"] = _manifest(args, t0, [dpath, div_path])
+    report["manifest"] = _manifest(args, [dpath, div_path])
     _emit(report, args)
     return EXIT_OK if report["overall"] == "trivial" else EXIT_INPUT
 
 
 def cmd_dilog(args):
-    t0 = time.time()
     z = _parse_complex(args.z)
     D = bloch_wigner(complex(z), args.prec)
     L = li2(complex(z), args.prec)
@@ -265,7 +259,7 @@ def cmd_dilog(args):
             **_num(D, args.prec, 10.0 ** (2 - args.prec)),
             "li2_re": L.re.to_decimal(),
             "li2_im": L.im.to_decimal(),
-            "manifest": _manifest(args, t0),
+            "manifest": _manifest(args),
         },
         args,
     )
@@ -273,7 +267,6 @@ def cmd_dilog(args):
 
 
 def cmd_lvalue(args):
-    t0 = time.time()
     f = _parse_newform(args)
     lam = completed_lambda(f, args.s, args.prec, A=args.split)
     L = lvalue(f, args.s, args.prec)
@@ -286,7 +279,7 @@ def cmd_lvalue(args):
             "s": args.s,
             **_num(L, args.prec, 10.0 ** (5 - args.prec)),
             "completed_lambda": lam.to_decimal(),
-            "manifest": _manifest(args, t0),
+            "manifest": _manifest(args),
         },
         args,
     )
@@ -294,7 +287,6 @@ def cmd_lvalue(args):
 
 
 def cmd_lprime_minus1(args):
-    t0 = time.time()
     f = _parse_newform(args)
     val = lprime_minus1(f, args.prec)
     _emit(
@@ -303,7 +295,7 @@ def cmd_lprime_minus1(args):
             "level": f.level,
             "weight": f.weight,
             **_num(val, args.prec, 10.0 ** (5 - args.prec)),
-            "manifest": _manifest(args, t0),
+            "manifest": _manifest(args),
         },
         args,
     )
@@ -311,14 +303,12 @@ def cmd_lprime_minus1(args):
 
 
 def cmd_zeta_prime_minus2(args):
-    t0 = time.time()
     val = zeta_prime_minus2(args.prec)
-    _emit({**_num(val, args.prec, 10.0 ** (2 - args.prec)), "manifest": _manifest(args, t0)}, args)
+    _emit({**_num(val, args.prec, 10.0 ** (2 - args.prec)), "manifest": _manifest(args)}, args)
     return EXIT_OK
 
 
 def cmd_dirichlet(args):
-    t0 = time.time()
     chi = DirichletChar.quadratic(args.d)
     payload = {"d": args.d, "modulus": chi.modulus, "parity": chi.parity}
     if args.deriv_neg1:
@@ -328,13 +318,12 @@ def cmd_dirichlet(args):
         val = dirichlet_L(chi, args.s, args.prec)
         payload["quantity"] = f"L(chi, {args.s})"
     payload.update(_num(val, args.prec, 10.0 ** (2 - args.prec)))
-    payload["manifest"] = _manifest(args, t0)
+    payload["manifest"] = _manifest(args)
     _emit(payload, args)
     return EXIT_OK
 
 
 def cmd_detect(args):
-    t0 = time.time()
     inputs = []
     if args.values:
         with open(args.values) as fh:
@@ -351,14 +340,13 @@ def cmd_detect(args):
         "prec": args.prec,
         "relation": rep.to_dict() if rep else None,
         "note": "numerical evidence only, not a proof" if rep else "no relation found",
-        "manifest": _manifest(args, t0, inputs),
+        "manifest": _manifest(args, inputs),
     }
     _emit(payload, args)
     return EXIT_OK
 
 
 def cmd_k3(args):
-    t0 = time.time()
     inputs = []
     if args.curve:
         curve = WeierstrassCurveQt.from_string(args.curve)
@@ -372,13 +360,12 @@ def cmd_k3(args):
     payload = inv.to_dict()
     payload["delta"] = sympy.sstr(sympy.factor(disc))
     payload["exact"] = True
-    payload["manifest"] = _manifest(args, t0, inputs)
+    payload["manifest"] = _manifest(args, inputs)
     _emit(payload, args)
     return EXIT_OK
 
 
 def cmd_verify_main(args):
-    t0 = time.time()
     diag = lambda *a: print(*a, file=sys.stderr)
     report = {"stages": {}}
     inputs = []
@@ -485,7 +472,7 @@ def cmd_verify_main(args):
         rep is None or rep.coefficients in ([7, 42, 48], [-7, -42, -48])
     )
     report["verdict"] = "consistent" if ok else "inconsistent"
-    report["manifest"] = _manifest(args, t0, inputs)
+    report["manifest"] = _manifest(args, inputs)
     _emit(report, args)
     return EXIT_OK if ok else EXIT_NUMERIC
 
@@ -611,6 +598,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else 0
+    t0 = time.time()
     try:
         return args.fn(args)
     except RootFindingError as e:
@@ -619,6 +607,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        print(f"wall time: {time.time() - t0:.3f} s", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -1,168 +1,161 @@
-"""Pointwise evaluation of the regulator differential forms.
+"""Batched evaluation of the regulator differential forms.
 
 Forms are built from log|g|, dlog|g|, d arg g and the Bloch-Wigner
-dilogarithm, pulled back through a parametrization of (C*)^n by an open box
-in R^k. First derivatives come from forward-mode dual numbers, so the only
-numerical error at a point is double-precision roundoff. A k-form is
-evaluated on an ordered k-tuple of tangent vectors as a determinant of
-1-form values; d arg is computed as Im(dg/g), which never crosses a branch
-cut. The alternation operator carries a leading minus sign:
+dilogarithm. Each function g enters as a ``Jet``: its complex values at N
+points and their gradients with respect to k real parameters (for instance
+the coordinates of a chart), carried by forward-mode arithmetic, so the only
+numerical error at a point is double-precision roundoff. Every form is
+evaluated at all N points at once and returns N values.
+
+A k-form is evaluated on an ordered k-tuple of tangent vectors in parameter
+space as the determinant of the k x k matrix of 1-form values, written out in
+closed form for k <= 3; d arg is computed as Im(dg/g), which never crosses a
+branch cut. The alternation operator carries a leading minus sign:
 Alt_n G = -sum_sigma sgn(sigma) G(sigma).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from fractions import Fraction
 from itertools import permutations
-from typing import Callable, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .kernels import bloch_wigner
 
 
-class Dual:
-    """Complex value plus gradient with respect to the box parameters."""
+def _const(c):
+    """A non-jet operand as a complex scalar or an array of N values."""
+    return c if isinstance(c, np.ndarray) else complex(c)
+
+
+def _col(c):
+    """Broadcast a per-point factor against an (N, k) gradient."""
+    return c[:, None] if np.ndim(c) else c
+
+
+class Jet:
+    """Complex values at N points plus their gradients in k parameters.
+
+    ``val`` has shape (N,) and ``grad`` shape (N, k). A scalar value with a
+    (k,) gradient is a batch of one; a (k,) gradient with N values is shared
+    by all N points. Operands that are not jets (numbers, or arrays of N
+    values) have zero gradient.
+    """
 
     __slots__ = ("val", "grad")
+    __array_ufunc__ = None  # numpy operands defer to the reflected operators
 
     def __init__(self, val, grad):
-        self.val = complex(val)
-        self.grad = np.asarray(grad, dtype=np.complex128)
-
-    @staticmethod
-    def _lift(other, k):
-        if isinstance(other, Dual):
-            return other
-        return Dual(complex(other), np.zeros(k, dtype=np.complex128))
+        self.val = np.atleast_1d(np.asarray(val, dtype=np.complex128))
+        grad = np.asarray(grad, dtype=np.complex128)
+        if grad.ndim == 1:
+            grad = np.broadcast_to(grad, self.val.shape + grad.shape)
+        self.grad = grad
 
     def __add__(self, other):
-        o = Dual._lift(other, len(self.grad))
-        return Dual(self.val + o.val, self.grad + o.grad)
+        if isinstance(other, Jet):
+            return Jet(self.val + other.val, self.grad + other.grad)
+        return Jet(self.val + _const(other), self.grad)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Dual(-self.val, -self.grad)
+        return Jet(-self.val, -self.grad)
 
     def __sub__(self, other):
-        return self + (-Dual._lift(other, len(self.grad)))
+        if isinstance(other, Jet):
+            return self + (-other)
+        return Jet(self.val - _const(other), self.grad)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = Dual._lift(other, len(self.grad))
-        return Dual(self.val * o.val, self.val * o.grad + o.val * self.grad)
+        if isinstance(other, Jet):
+            return Jet(
+                self.val * other.val,
+                self.val[:, None] * other.grad + other.val[:, None] * self.grad,
+            )
+        c = _const(other)
+        return Jet(self.val * c, _col(c) * self.grad)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = Dual._lift(other, len(self.grad))
-        inv = 1.0 / o.val
-        return Dual(self.val * inv, (self.grad - self.val * inv * o.grad) * inv)
+        if isinstance(other, Jet):
+            inv = 1.0 / other.val
+            q = self.val * inv
+            return Jet(q, (self.grad - q[:, None] * other.grad) * inv[:, None])
+        inv = 1.0 / _const(other)
+        return Jet(self.val * inv, self.grad * _col(inv))
 
     def __rtruediv__(self, other):
-        return Dual._lift(other, len(self.grad)) / self
+        inv = 1.0 / self.val
+        q = _const(other) * inv
+        return Jet(q, -(q[:, None] * self.grad) * inv[:, None])
 
     def __pow__(self, n: int):
         if n == 0:
-            return Dual(1.0, np.zeros_like(self.grad))
+            return Jet(np.ones_like(self.val), np.zeros_like(self.grad))
         if n < 0:
-            return (Dual(1.0, np.zeros_like(self.grad)) / self) ** (-n)
+            return (1.0 / self) ** (-n)
         out = self
         for _ in range(n - 1):
             out = out * self
         return out
 
-    def exp(self):
-        e = cmath.exp(self.val)
-        return Dual(e, e * self.grad)
-
-
-class Parametrization:
-    """Map from an open box in R^k to (C*)^n with exact first derivatives.
-
-    ``coords`` is a sequence of n callables; each receives the k box
-    parameters as Dual numbers and returns a Dual.
-    """
-
-    def __init__(self, n: int, k: int, coords: Sequence[Callable]):
-        if len(coords) != n:
-            raise ValueError("need one coordinate function per ambient dimension")
-        self.n = n
-        self.k = k
-        self.coords = list(coords)
-
-    def seeds(self, u: Sequence[float]) -> List[Dual]:
-        if len(u) != self.k:
-            raise ValueError("parameter point has wrong dimension")
-        eye = np.eye(self.k, dtype=np.complex128)
-        return [Dual(u[i], eye[i]) for i in range(self.k)]
-
-    def point(self, u: Sequence[float]) -> List[Dual]:
-        seeds = self.seeds(u)
-        pt = [c(*seeds) for c in self.coords]
-        for x in pt:
-            if x.val == 0:
-                raise ValueError("parametrization hit a coordinate zero")
-        return pt
-
-
-def coordinate(i: int) -> Callable:
-    """The i-th ambient coordinate as a function of the point."""
-    return lambda *xs: xs[i]
-
 
 # -- 1-form ingredients ---------------------------------------------------------------
+# A 1-form is given by its values on the tangents: an (N, m) array whose column j
+# is the form on tangent j at each point.
 
 
-def _dg(g: Dual, v) -> complex:
-    return complex(np.dot(g.grad, np.asarray(v, dtype=np.complex128)))
+def _dlog(g: Jet, tangents) -> np.ndarray:
+    """dg/g on each (real) tangent: shape (N, m)."""
+    k = g.grad.shape[1]
+    t = np.asarray(tangents, dtype=np.float64).reshape(-1, k)
+    # k <= 3 terms written out: faster than a complex matmul of shape (N, k) x (k, m)
+    dg = sum(g.grad[:, i, None] * t[:, i] for i in range(k))
+    return dg / g.val[:, None]
 
 
-def dlog_abs(g: Dual, v) -> float:
-    """dlog|g| on the tangent vector v."""
-    return (_dg(g, v) / g.val).real
+def dlog_abs(g: Jet, tangents) -> np.ndarray:
+    """dlog|g| on each tangent."""
+    return _dlog(g, tangents).real
 
 
-def darg(g: Dual, v) -> float:
-    """d arg g on v, via Im(dg/g) (no branch cut)."""
-    return (_dg(g, v) / g.val).imag
+def diarg(g: Jet, tangents) -> np.ndarray:
+    """i d arg g on each tangent, via Im(dg/g) (no branch cut)."""
+    return 1j * _dlog(g, tangents).imag
 
 
-def diarg(g: Dual, v) -> complex:
-    return 1j * darg(g, v)
+def log_abs(g: Jet) -> np.ndarray:
+    return np.log(np.abs(g.val))
 
 
-def holo_dlog_abs(g: Dual, v) -> complex:
-    """The (1,0) part of dlog|g| on v: (dg/g)/2."""
-    return _dg(g, v) / (2.0 * g.val)
-
-
-def antiholo_dlog_abs(g: Dual, v) -> complex:
-    """The (0,1) part of dlog|g| on v (real tangents assumed)."""
-    return (_dg(g, v) / (2.0 * g.val)).conjugate()
-
-
-def log_abs(g: Dual) -> float:
-    return math.log(abs(g.val))
-
-
-def wedge_value(one_forms: Sequence[Callable], tangents) -> complex:
-    """Evaluate omega_1 ^ ... ^ omega_k on (v_1, ..., v_k)."""
-    k = len(one_forms)
-    if k != len(tangents):
+def wedge_value(rows: Sequence[np.ndarray]):
+    """omega_1 ^ ... ^ omega_m on (v_1, ..., v_m), where rows[i][:, j] is
+    omega_i(v_j) at each point; m <= 3."""
+    m = len(rows)
+    if any(r.shape[-1] != m for r in rows):
         raise ValueError("wedge degree must match number of tangents")
-    if k == 0:
+    if m == 0:
         return 1.0 + 0j
-    m = np.array(
-        [[one_forms[i](tangents[j]) for j in range(k)] for i in range(k)],
-        dtype=np.complex128,
-    )
-    return complex(np.linalg.det(m))
+    if m == 1:
+        return rows[0][:, 0]
+    if m == 2:
+        a, b = rows
+        return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    if m == 3:
+        a, b, c = rows
+        return (
+            a[:, 0] * (b[:, 1] * c[:, 2] - b[:, 2] * c[:, 1])
+            - a[:, 1] * (b[:, 0] * c[:, 2] - b[:, 2] * c[:, 0])
+            + a[:, 2] * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+        )
+    raise ValueError("wedges of degree above 3 are not supported")
 
 
 def _perms_with_sign(n: int):
@@ -182,152 +175,96 @@ def _c(j: int, n: int) -> float:
     return 1.0 / (math.factorial(2 * j + 1) * math.factorial(n - 2 * j - 1))
 
 
+def _require_nonzero(gs: Sequence[Jet], what: str) -> None:
+    for g in gs:
+        if np.any(g.val == 0):
+            raise ValueError(f"{what} vanishes at the point")
+
+
 # -- the forms --------------------------------------------------------------------------
 
 
-def eta_eval(xs: Sequence[Dual], tangents) -> complex:
-    """eta on explicit coordinate Duals (see eta_form)."""
+def eta_eval(xs: Sequence[Jet], tangents) -> np.ndarray:
+    """eta(x_1, ..., x_n), an (n-1)-form, on n-1 tangents at every point."""
     n = len(xs)
     if len(tangents) != n - 1:
         raise ValueError("eta is an (n-1)-form")
+    _require_nonzero(xs, "a coordinate")
     eps = [log_abs(x) for x in xs]
+    dl = [_dlog(x, tangents) / 2.0 for x in xs]
+    holo, antiholo = dl, [np.conj(d) for d in dl]  # (1,0) and (0,1) parts of dlog|x|
     pre = 2.0 ** (n - 1) / math.factorial(n)
     total = 0.0 + 0j
     for p, sign in _perms_with_sign(n):
         for j in range(1, n + 1):
-            scalar = eps[p[0]]
-            if scalar == 0.0:
-                continue
-            forms = []
-            for idx in p[1:j]:
-                x = xs[idx]
-                forms.append(lambda v, x=x: antiholo_dlog_abs(x, v))
-            for idx in p[j:]:
-                x = xs[idx]
-                forms.append(lambda v, x=x: holo_dlog_abs(x, v))
-            total += sign * (-1) ** (j - 1) * scalar * wedge_value(forms, tangents)
+            rows = [antiholo[i] for i in p[1:j]] + [holo[i] for i in p[j:]]
+            total = total + sign * (-1) ** (j - 1) * eps[p[0]] * wedge_value(rows)
     return pre * total
 
 
-def eta_form(param: Parametrization, u, tangents) -> complex:
-    """The (n-1)-form eta(x_1, ..., x_n) on n-1 tangent vectors."""
-    return eta_eval(param.point(u), tangents)
-
-
-def rnn_eval(gs: Sequence[Dual], tangents) -> complex:
-    """r_n(n) on explicit Dual values of g_1, ..., g_n (see rnn_form)."""
+def rnn_eval(gs: Sequence[Jet], tangents) -> np.ndarray:
+    """r_n(n)(g_1 ^ ... ^ g_n), an (n-1)-form, on n-1 tangents at every point."""
     n = len(gs)
     if len(tangents) != n - 1:
         raise ValueError("r_n(n) is an (n-1)-form")
-    for g in gs:
-        if g.val == 0:
-            raise ValueError("a wedge entry vanishes at the point")
+    _require_nonzero(gs, "a wedge entry")
+    eps = [log_abs(g) for g in gs]
+    dl = [_dlog(g, tangents) for g in gs]
+    dabs, iarg = [d.real for d in dl], [1j * d.imag for d in dl]
     total = 0.0 + 0j
     for p, sign in _perms_with_sign(n):
         inner = 0.0 + 0j
-        scalar = log_abs(gs[p[0]])
-        if scalar != 0.0:
-            for j in range((n - 1) // 2 + 1):
-                forms = []
-                for idx in p[1 : 2 * j + 1]:
-                    g = gs[idx]
-                    forms.append(lambda v, g=g: dlog_abs(g, v))
-                for idx in p[2 * j + 1 :]:
-                    g = gs[idx]
-                    forms.append(lambda v, g=g: diarg(g, v))
-                inner += _c(j, n) * wedge_value(forms, tangents)
-        total += sign * scalar * inner
+        for j in range((n - 1) // 2 + 1):
+            rows = [dabs[i] for i in p[1 : 2 * j + 1]] + [iarg[i] for i in p[2 * j + 1 :]]
+            inner = inner + _c(j, n) * wedge_value(rows)
+        total = total + sign * eps[p[0]] * inner
     return -total  # Alt_n carries a leading minus
 
 
-def rnn_form(param: Parametrization, g_list: Sequence[Callable], u, tangents) -> complex:
-    """r_n(n)(g_1 ^ ... ^ g_n) on n-1 tangent vectors."""
-    xs = param.point(u)
-    return rnn_eval([g(*xs) for g in g_list], tangents)
-
-
-def rho_eval(fv: Dual, gs: Sequence[Dual], tangents) -> complex:
-    """rho on explicit Dual values of f and the g's (see rho_form)."""
+def rho_eval(fv: Jet, gs: Sequence[Jet], tangents) -> np.ndarray:
+    """r_n(n-1)({f}_2 (x) g_1 ^ ... ^ g_(n-2)), an (n-2)-form, on n-2 tangents
+    at every point."""
     n = len(gs) + 2
     if len(tangents) != n - 2:
         raise ValueError("r_n(n-1) is an (n-2)-form")
-    if fv.val in (0.0, 1.0):
+    if np.any((fv.val == 0.0) | (fv.val == 1.0)):
         raise ValueError("Steinberg degeneracy: f in {0, 1} at the point")
-    for g in gs:
-        if g.val == 0:
-            raise ValueError("a wedge entry vanishes at the point")
+    _require_nonzero(gs, "a wedge entry")
     m2 = n - 2
+    eps = [log_abs(g) for g in gs]
+    dl = [_dlog(g, tangents) for g in gs]
+    dabs, iarg = [d.real for d in dl], [1j * d.imag for d in dl]
 
     d_part = 0.0 + 0j
     for p, sign in _perms_with_sign(m2):
         for q in range(m2 // 2 + 1):
-            forms = []
-            for idx in p[: 2 * q]:
-                g = gs[idx]
-                forms.append(lambda v, g=g: dlog_abs(g, v))
-            for idx in p[2 * q :]:
-                g = gs[idx]
-                forms.append(lambda v, g=g: diarg(g, v))
-            d_part += sign * _c(q, n - 1) * wedge_value(forms, tangents)
+            rows = [dabs[i] for i in p[: 2 * q]] + [iarg[i] for i in p[2 * q :]]
+            d_part = d_part + sign * _c(q, n - 1) * wedge_value(rows)
     d_part = -d_part  # Alt_(n-2)
     total = 1j * bloch_wigner(fv.val) * d_part
 
     # theta(1-f, f) = log|1-f| dlog|f| - log|f| dlog|1-f|, wedged in front
     one_minus = 1 - fv
     la, lb = log_abs(one_minus), log_abs(fv)
-
-    def theta(v):
-        return la * dlog_abs(fv, v) - lb * dlog_abs(one_minus, v)
+    theta = la[:, None] * dlog_abs(fv, tangents) - lb[:, None] * dlog_abs(one_minus, tangents)
 
     t_part = 0.0 + 0j
     for p, sign in _perms_with_sign(m2):
-        scalar = log_abs(gs[p[0]])
-        if scalar == 0.0:
-            continue
         for m in range(1, (n - 1) // 2 + 1):
-            forms = [theta]
-            for idx in p[1 : 2 * m - 1]:
-                g = gs[idx]
-                forms.append(lambda v, g=g: dlog_abs(g, v))
-            for idx in p[2 * m - 1 :]:
-                g = gs[idx]
-                forms.append(lambda v, g=g: diarg(g, v))
+            rows = [theta] + [dabs[i] for i in p[1 : 2 * m - 1]]
+            rows += [iarg[i] for i in p[2 * m - 1 :]]
             coef = _c(m - 1, n - 2) / (2 * m + 1)
-            t_part += sign * coef * scalar * wedge_value(forms, tangents)
-    total += -t_part  # Alt_(n-2) again
+            t_part = t_part + sign * coef * eps[p[0]] * wedge_value(rows)
+    total = total - t_part  # Alt_(n-2) again
     # Global sign fixed so that d(rho({f}_2 (x) g...)) = r_n(n)(f ^ (1-f) ^ g...),
     # i.e. the n = 4 value is iD(f)(diarg g1 ^ diarg g2 + (1/3) dlog|g1| ^ dlog|g2|)
     # + (1/3) theta(1-f,f) ^ (log|g1| diarg g2 - log|g2| diarg g1).
     return -total
 
 
-def rho_form(
-    param: Parametrization, f: Callable, g_list: Sequence[Callable], u, tangents
-) -> complex:
-    """r_n(n-1)({f}_2 (x) g_1 ^ ... ^ g_(n-2)) on n-2 tangent vectors."""
-    xs = param.point(u)
-    return rho_eval(f(*xs), [g(*xs) for g in g_list], tangents)
-
-
-# -- bridging the exact layer -------------------------------------------------------
-
-
-def factored_callable(fe) -> Callable:
-    """Turn a FactoredElement into a point function for the forms above."""
-
-    def fn(*xs):
-        values = dict(zip(fe.basis.vars, xs))
-        out = fe.evaluate(values)
-        if not isinstance(out, Dual):
-            out = Dual(complex(out), np.zeros_like(xs[0].grad))
-        return out
-
-    return fn
-
-
-def rho_of_element_at(xi, xs: Sequence[Dual], tangents) -> complex:
-    """rho applied termwise to a B2WedgeElement at explicit coordinate Duals
-    (one Dual per basis variable; wedge labels must be basis polynomials)."""
+def rho_of_element_at(xi, xs: Sequence[Jet], tangents) -> np.ndarray:
+    """rho applied termwise to a B2WedgeElement at explicit coordinate jets
+    (one jet per basis variable; wedge labels must be basis polynomials)."""
     values = dict(zip(xi.basis.vars, xs))
     total = 0.0 + 0j
     for c, f, labels in xi.terms_list():
@@ -337,12 +274,7 @@ def rho_of_element_at(xi, xs: Sequence[Dual], tangents) -> complex:
                 raise ValueError("prime labels have no pointwise value")
             gs.append(xi.basis.polys[key].eval(values))
         fv = f.evaluate(values)
-        if not isinstance(fv, Dual):
-            fv = Dual(complex(fv), np.zeros_like(xs[0].grad))
-        total += float(c) * rho_eval(fv, gs, tangents)
+        if not isinstance(fv, Jet):
+            fv = Jet(np.broadcast_to(fv, xs[0].val.shape), np.zeros_like(xs[0].grad))
+        total = total + float(c) * rho_eval(fv, gs, tangents)
     return total
-
-
-def rho_of_element(param: Parametrization, xi, u, tangents) -> complex:
-    """rho applied termwise to a B2WedgeElement through a parametrization."""
-    return rho_of_element_at(xi, param.point(u), tangents)

@@ -42,9 +42,11 @@ def _bernoulli(z):
 def _li2_disk(z):
     """Li2 on |z| <= 1 (no inversion step)."""
     out = np.empty_like(z)
+    one = z == 1.0  # log(w) log(1-w) would be 0 * inf there
     near0 = np.abs(z) <= 0.6
-    near1 = (~near0) & (np.abs(1.0 - z) <= 0.5)
-    rest = ~(near0 | near1)
+    near1 = ~(near0 | one) & (np.abs(1.0 - z) <= 0.5)
+    rest = ~(near0 | near1 | one)
+    out[one] = PI2_6
     if near0.any():
         out[near0] = _series(z[near0])
     if near1.any():
@@ -70,9 +72,6 @@ def li2(z):
         out[big] = -_li2_disk(w) - PI2_6 - 0.5 * np.log(-z[big]) ** 2
     if (~big).any():
         out[~big] = _li2_disk(z[~big])
-    # exact special points
-    out[z == 0] = 0.0
-    out[z == 1] = PI2_6
     return _scalar_out(z, out)
 
 

@@ -27,7 +27,7 @@ from typing import List
 
 import numpy as np
 
-from ..forms import Dual, rho_of_element_at
+from ..forms import Jet, rho_of_element_at
 from .engine import QuadratureConfig, QuadratureResult, integrate_box, make_result
 
 # Orientation constant pinned by the flagship cross-check (see module docstring).
@@ -72,33 +72,35 @@ class BoundaryChart:
         return 2.0 * math.acos(1.0 / (8.0 * ca))
 
 
-# -- Dual helpers for the chart maps -------------------------------------------------
+# -- jet maps for the charts: parameter arrays in, coordinate jets out ----------------
 
 
-def _dsin(x: Dual) -> Dual:
-    return Dual(math.sin(x.val.real), math.cos(x.val.real) * x.grad)
+def _dsin(x: Jet) -> Jet:
+    v = x.val.real
+    return Jet(np.sin(v), np.cos(v)[:, None] * x.grad)
 
 
-def _dcos(x: Dual) -> Dual:
-    return Dual(math.cos(x.val.real), -math.sin(x.val.real) * x.grad)
+def _dcos(x: Jet) -> Jet:
+    v = x.val.real
+    return Jet(np.cos(v), -np.sin(v)[:, None] * x.grad)
 
 
-def _darccos(x: Dual) -> Dual:
-    v = min(max(x.val.real, -1.0), 1.0 - 1e-15)
-    return Dual(math.acos(v), -x.grad / math.sqrt(1.0 - v * v))
+def _darccos(x: Jet) -> Jet:
+    v = np.clip(x.val.real, -1.0, 1.0 - 1e-15)
+    return Jet(np.arccos(v), -x.grad / np.sqrt(1.0 - v * v)[:, None])
 
 
-def _dexp_i(x: Dual) -> Dual:
-    e = complex(math.cos(x.val.real), math.sin(x.val.real))
-    return Dual(e, 1j * e * x.grad)
+def _dexp_i(x: Jet) -> Jet:
+    v = x.val.real
+    e = np.cos(v) + 1j * np.sin(v)
+    return Jet(e, 1j * e[:, None] * x.grad)
 
 
-def _chart_point_n4(phi: float, psi: float, branch: int):
-    """Coordinate Duals (x, y, z) on one sheet, parameters (phi, psi)."""
+def _chart_point_n4(phi: np.ndarray, psi: np.ndarray, branch: int):
+    """Coordinate jets (x, y, z) on one sheet at parameter arrays (phi, psi)."""
     a_star = 2.0 * math.acos(1.0 / 8.0)
-    e = np.eye(2)
-    phi_d = Dual(phi, e[0])
-    psi_d = Dual(psi, e[1])
+    phi_d = Jet(phi, [1.0, 0.0])
+    psi_d = Jet(psi, [0.0, 1.0])
     a = a_star * _dsin(phi_d)
     ca = _dcos(a * 0.5)
     b_star = 2.0 * _darccos(1.0 / (8.0 * ca))
@@ -108,9 +110,10 @@ def _chart_point_n4(phi: float, psi: float, branch: int):
     return [_dexp_i(a), _dexp_i(b), _dexp_i(v)]
 
 
-def _chart_point_n3(phi: float, branch: int):
+def _chart_point_n3(phi: np.ndarray, branch: int):
+    """Coordinate jets (x, z) on one branch at the parameter array phi."""
     a_star = 2.0 * math.acos(1.0 / 4.0)
-    phi_d = Dual(phi, np.ones(1))
+    phi_d = Jet(phi, [1.0])
     a = a_star * _dsin(phi_d)
     ca = _dcos(a * 0.5)
     v = 2.0 * _darccos(1.0 / (4.0 * ca)) * branch
@@ -133,13 +136,11 @@ def regulator_boundary_integral(
         tangents = [np.eye(2)[0], np.eye(2)[1]]
 
         def f(points):
-            out = np.empty(len(points))
-            for i, (phi, psi) in enumerate(points):
-                up = rho_of_element_at(xi, _chart_point_n4(phi, psi, +1), tangents)
-                dn = rho_of_element_at(xi, _chart_point_n4(phi, psi, -1), tangents)
-                # rho is valued in i R; opposite sheet orientations
-                out[i] = (up - dn).imag
-            return out
+            phi, psi = points[:, 0], points[:, 1]
+            up = rho_of_element_at(xi, _chart_point_n4(phi, psi, +1), tangents)
+            dn = rho_of_element_at(xi, _chart_point_n4(phi, psi, -1), tangents)
+            # rho is valued in i R; opposite sheet orientations
+            return (up - dn).imag
 
         raw, err, evals = integrate_box(f, -math.pi / 2, math.pi / 2, 2, cfg)
         # (-1)^3/(2 pi i)^3 = -i/(8 pi^3) applied to an iR-valued integral
@@ -149,13 +150,11 @@ def regulator_boundary_integral(
         tangents = [np.ones(1)]
 
         def f(points):
-            out = np.empty(len(points))
-            for i, (phi,) in enumerate(points):
-                up = rho_of_element_at(xi, _chart_point_n3(phi, +1), tangents)
-                dn = rho_of_element_at(xi, _chart_point_n3(phi, -1), tangents)
-                # for n = 3 the rho values are real (R(2)-valued)
-                out[i] = (up - dn).real
-            return out
+            phi = points[:, 0]
+            up = rho_of_element_at(xi, _chart_point_n3(phi, +1), tangents)
+            dn = rho_of_element_at(xi, _chart_point_n3(phi, -1), tangents)
+            # for n = 3 the rho values are real (R(2)-valued)
+            return (up - dn).real
 
         raw, err, evals = integrate_box(f, -math.pi / 2, math.pi / 2, 1, cfg)
         # |(-1)^2/(2 pi i)^2| = 1/(4 pi^2); the induced boundary orientation

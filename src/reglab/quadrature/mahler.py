@@ -15,7 +15,7 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from ..forms import Dual, eta_eval
+from ..forms import Jet, eta_eval
 from ..numerics import HPReal, _bits
 from ..symbolic import MultiPoly
 from .engine import QuadratureConfig, QuadratureResult, integrate_box, make_result
@@ -110,8 +110,24 @@ def _horner_batch(C, z):
     return acc
 
 
+def _aberth_step(C, Cd, z):
+    """One simultaneous Aberth correction for every root of every row."""
+    p = _horner_batch(C, z)
+    dp = _horner_batch(Cd, z)
+    w = p / np.where(dp == 0, 1e-300, dp)
+    diff = z[:, :, None] - z[:, None, :]
+    inv = 1.0 / np.where(diff == 0, np.inf, diff)  # diagonal contributes 0
+    s = inv.sum(axis=2)
+    denom = 1 - w * s
+    return w / np.where(np.abs(denom) < 1e-300, 1e-300, denom)
+
+
 def _aberth_batch(C: np.ndarray) -> np.ndarray:
-    """Roots of many same-degree polynomials; C ascending, shape (N, d+1)."""
+    """Roots of many same-degree polynomials; C ascending, shape (N, d+1).
+
+    Rows whose last Aberth step is still above 1e-14 times their root radius
+    bound are solved again with ``np.roots``; RootFindingError if that fails too.
+    """
     N, d1 = C.shape
     d = d1 - 1
     lead = C[:, -1]
@@ -119,19 +135,39 @@ def _aberth_batch(C: np.ndarray) -> np.ndarray:
     ang = 2 * np.pi * (np.arange(d) + 0.25) / d
     z = 0.9 * radius[:, None] * np.exp(1j * ang)[None, :]
     Cd = C[:, 1:] * np.arange(1, d + 1)[None, :]
+    tol_max = 1e-14 * np.max(radius)
     for _ in range(80):
-        p = _horner_batch(C, z)
-        dp = _horner_batch(Cd, z)
-        w = p / np.where(dp == 0, 1e-300, dp)
-        diff = z[:, :, None] - z[:, None, :]
-        inv = 1.0 / np.where(diff == 0, np.inf, diff)  # diagonal contributes 0
-        s = inv.sum(axis=2)
-        denom = 1 - w * s
-        step = w / np.where(np.abs(denom) < 1e-300, 1e-300, denom)
+        step = _aberth_step(C, Cd, z)
         z = z - step
-        if np.max(np.abs(step)) < 1e-14 * np.max(radius):
+        moved = np.max(np.abs(step))
+        if moved < tol_max:
             break
+    # rows can only be stuck if the largest step exceeds the smallest tolerance
+    # (or is NaN); then find them from the last step, with no extra Horner pass
+    if not moved < 1e-14 * np.min(radius):
+        stuck = ~(np.max(np.abs(step), axis=1) <= 1e-14 * radius)
+        if stuck.any():
+            z[stuck] = _roots_checked(C[stuck])
     return z
+
+
+# Largest accepted backward error |p(r)| / sum_k |c_k| |r|^k of a root (half the
+# double-precision mantissa, as in _aberth_mp).
+_ROOT_RESIDUAL_TOL = 2.0**-26
+
+
+def _roots_checked(C: np.ndarray) -> np.ndarray:
+    """Roots of each row of C (ascending) by ``np.roots``, residual-checked."""
+    Z = np.full((C.shape[0], C.shape[1] - 1), np.nan + 0j)
+    for i, c in enumerate(C):
+        if np.all(np.isfinite(c)):
+            Z[i] = np.roots(c[::-1])
+    scale = _horner_batch(np.abs(C), np.abs(Z))
+    residual = np.abs(_horner_batch(C, Z)) / np.maximum(scale, np.finfo(float).tiny)
+    worst = np.max(residual, axis=1)
+    if not np.all(worst <= _ROOT_RESIDUAL_TOL):
+        raise RootFindingError("batched root iteration did not converge", worst.tolist())
+    return Z
 
 
 def _inner_mahler_batch(C: np.ndarray) -> np.ndarray:
@@ -245,46 +281,49 @@ def deninger_gamma_check(P: MultiPoly, cfg: QuadratureConfig | None = None) -> Q
         math.log(abs(float(lead_poly.constant_value())))
     )
 
-    tangents = [np.eye(dims)[i] for i in range(dims)]
+    tangents = np.eye(dims)
+    # coefficients of dP/dtheta_j, as polynomials in the last variable
+    dslices = [
+        [{e: c * 1j * e[j] for e, c in terms.items() if e[j]} for terms in slices]
+        for j in range(dims)
+    ]
+    powers = np.arange(degree + 1)
 
     def f(points):
         C = _eval_slices(slices, points)
         out = np.zeros(len(points))
-        for idx in range(len(points)):
-            c = np.trim_zeros(C[idx], "b")
-            if len(c) <= 1:
-                continue
-            roots = np.roots(c[::-1])
-            theta = points[idx]
-            total = 0.0
-            for r in roots:
-                if abs(r) < 1.0:
-                    continue
-                # implicit derivative of the root sheet: dr = -P_theta_j / P_y
-                y_pows = r ** np.arange(len(C[idx]))
-                dPdy = np.sum(C[idx][1:] * np.arange(1, len(C[idx])) * y_pows[:-1])
-                grads = []
-                for j in range(dims):
-                    dCj = np.zeros_like(C[idx])
-                    for k, terms in enumerate(slices):
-                        acc = 0j
-                        for exps, cc in terms.items():
-                            if exps[j]:
-                                mono = complex(cc) * 1j * exps[j]
-                                for jj, e in enumerate(exps):
-                                    if e:
-                                        mono *= np.exp(1j * e * theta[jj])
-                                acc += mono
-                        dCj[k] = acc
-                    grads.append(-np.sum(dCj * y_pows) / dPdy)
-                xs = [
-                    Dual(np.exp(1j * theta[j]), 1j * np.exp(1j * theta[j]) * np.eye(dims)[j])
-                    for j in range(dims)
-                ]
-                xs.append(Dual(r, np.array(grads)))
-                val = eta_eval(xs, tangents)
-                total += val.imag if dims % 2 else val.real
-            out[idx] = total
+        # (node, root) pairs with |root| >= 1, grouped by the node's true degree
+        nonzero = C != 0
+        top = degree - np.argmax(nonzero[:, ::-1], axis=1)
+        top[~nonzero.any(axis=1)] = 0
+        rows, roots = [], []
+        for deg in np.unique(top[top >= 1]):
+            idx = np.flatnonzero(top == deg)
+            c = C[idx, : deg + 1]
+            companion = np.zeros((len(idx), deg, deg), dtype=np.complex128)
+            companion[:, 0, :] = -c[:, -2::-1] / c[:, -1:]
+            companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+            r = np.linalg.eigvals(companion)
+            keep = np.abs(r) >= 1.0
+            rows.append(np.repeat(idx, keep.sum(axis=1)))
+            roots.append(r[keep])
+        if not rows:
+            return out
+        rows, r = np.concatenate(rows), np.concatenate(roots)
+        order = np.argsort(rows, kind="stable")
+        rows, r = rows[order], r[order]
+        theta = points[rows]
+        # implicit derivative of the root sheet: dr/dtheta_j = -P_theta_j / P_y
+        y_pows = r[:, None] ** powers
+        dPdy = np.sum(C[rows, 1:] * powers[1:] * y_pows[:, :-1], axis=1)
+        grads = np.stack(
+            [-np.sum(_eval_slices(ds, theta) * y_pows, axis=1) / dPdy for ds in dslices], axis=1
+        )
+        e = np.exp(1j * theta)
+        xs = [Jet(e[:, j], 1j * e[:, j, None] * tangents[j]) for j in range(dims)]
+        xs.append(Jet(r, grads))
+        val = eta_eval(xs, tangents)
+        np.add.at(out, rows, val.imag if dims % 2 else val.real)
         return out
 
     value, err, evals = integrate_box(f, -math.pi, math.pi, dims, cfg)

@@ -6,14 +6,10 @@ import pytest
 
 from reglab import kernels
 from reglab.forms import (
-    Dual,
-    Parametrization,
-    coordinate,
+    Jet,
     diarg,
     dlog_abs,
     eta_eval,
-    eta_form,
-    factored_callable,
     log_abs,
     rho_eval,
     rho_of_element_at,
@@ -24,14 +20,21 @@ from reglab.k3 import data_dir
 from reglab.symbolic import build_xi, load_decomposition
 
 
-def _random_duals(rng, n, k):
-    """Coordinates with well-conditioned random gradients."""
+def _random_jets(rng, n, k, size=None):
+    """Coordinates with well-conditioned random gradients; one point, or a
+    batch of ``size`` points."""
     out = []
+    shape = () if size is None else (size,)
     for _ in range(n):
-        val = complex(rng.normal(), rng.normal()) + 0.3
-        grad = rng.normal(size=k) + 1j * rng.normal(size=k)
-        out.append(Dual(val, grad))
+        val = rng.normal(size=shape) + 1j * rng.normal(size=shape) + 0.3
+        grad = rng.normal(size=shape + (k,)) + 1j * rng.normal(size=shape + (k,))
+        out.append(Jet(val, grad))
     return out
+
+
+def _point(jet, i):
+    """Point i of a batch as a batch of one."""
+    return Jet(jet.val[i], jet.grad[i])
 
 
 def _frame(rng, k):
@@ -40,52 +43,63 @@ def _frame(rng, k):
 
 def test_dual_arithmetic():
     e = np.eye(1)
-    x = Dual(2.0 + 1.0j, e[0])
+    x = Jet(2.0 + 1.0j, e[0])
+    assert x.val.shape == (1,) and x.grad.shape == (1, 1)
     y = x * x
-    assert abs(y.val - (2 + 1j) ** 2) < 1e-14
-    assert abs(y.grad[0] - 2 * (2 + 1j)) < 1e-14
+    assert abs(y.val[0] - (2 + 1j) ** 2) < 1e-14
+    assert abs(y.grad[0, 0] - 2 * (2 + 1j)) < 1e-14
     z = 1 / x
-    assert abs(z.grad[0] + 1 / (2 + 1j) ** 2) < 1e-14
+    assert abs(z.grad[0, 0] + 1 / (2 + 1j) ** 2) < 1e-14
     w = x**-2
-    assert abs(w.val - (2 + 1j) ** -2) < 1e-14
+    assert abs(w.val[0] - (2 + 1j) ** -2) < 1e-14
+    # a batch with a shared gradient, mixed with numbers and per-point arrays
+    v = np.array([1.0, 2.0, 3.0])
+    c = np.array([1.0, 1.0, 2.0])
+    b = Jet(v, [1.0, 0.0])
+    assert b.grad.shape == (3, 2)
+    u = (c * b - 1) / (b + 1.5) ** 2
+    assert np.allclose(u.val, (c * v - 1) / (v + 1.5) ** 2, rtol=1e-14)
+    du = c / (v + 1.5) ** 2 - 2 * (c * v - 1) / (v + 1.5) ** 3
+    assert np.allclose(u.grad[:, 0], du, rtol=1e-14)
+    assert np.all(u.grad[:, 1] == 0)
 
 
 def test_eta_two_variables_closed_form():
     # n = 2: eta(x, y) = i (log|x| d arg y - log|y| d arg x)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        xs = _random_duals(rng, 2, 1)
+        xs = _random_jets(rng, 2, 1)
         t = _frame(rng, 1)
-        got = eta_eval(xs, t)
+        got = eta_eval(xs, t)[0]
         x, y = xs
-        want = log_abs(x) * diarg(y, t[0]) - log_abs(y) * diarg(x, t[0])
+        want = (log_abs(x) * diarg(y, t)[:, 0] - log_abs(y) * diarg(x, t)[:, 0])[0]
         assert abs(got - want) < 1e-12 * max(1, abs(want))
 
 
 def test_eta_antisymmetric_in_arguments():
     rng = np.random.default_rng(1)
-    xs = _random_duals(rng, 3, 2)
+    xs = _random_jets(rng, 3, 2)
     t = _frame(rng, 2)
-    a = eta_eval(xs, t)
-    b = eta_eval([xs[1], xs[0], xs[2]], t)
+    a = eta_eval(xs, t)[0]
+    b = eta_eval([xs[1], xs[0], xs[2]], t)[0]
     assert abs(a + b) < 1e-12 * max(1, abs(a))
 
 
 def test_eta_vanishes_on_repeated_argument():
     rng = np.random.default_rng(2)
-    xs = _random_duals(rng, 2, 2)
+    xs = _random_jets(rng, 2, 2)
     t = _frame(rng, 2)
-    assert abs(eta_eval([xs[0], xs[0], xs[1]], t)) < 1e-12
+    assert abs(eta_eval([xs[0], xs[0], xs[1]], t)[0]) < 1e-12
 
 
 def test_eta_equals_minus_rnn():
     rng = np.random.default_rng(3)
     for n in (2, 3, 4):
         for _ in range(30):
-            xs = _random_duals(rng, n, n - 1)
+            xs = _random_jets(rng, n, n - 1)
             t = _frame(rng, n - 1)
-            a = eta_eval(xs, t)
-            b = rnn_eval(xs, t)
+            a = eta_eval(xs, t)[0]
+            b = rnn_eval(xs, t)[0]
             scale = max(abs(a), abs(b), 1e-8)
             assert abs(a + b) < 1e-10 * scale, (n, a, b)
 
@@ -96,47 +110,76 @@ def test_rho_matches_explicit_display_n4():
     #   + 1/3 theta(1-f, f) ^ (log|g1| diarg g2 - log|g2| diarg g1)
     rng = np.random.default_rng(4)
     for _ in range(20):
-        f = _random_duals(rng, 1, 3)[0]
-        g1, g2 = _random_duals(rng, 2, 3)
+        f = _random_jets(rng, 1, 3)[0]
+        g1, g2 = _random_jets(rng, 2, 3)
         t = [rng.normal(size=3) for _ in range(2)]
-        got = rho_eval(f, [g1, g2], t)
+        got = rho_eval(f, [g1, g2], t)[0]
 
         one_minus_f = 1 - f
 
         def theta(a, b):
-            return lambda v: log_abs(a) * dlog_abs(b, v) - log_abs(b) * dlog_abs(a, v)
+            return log_abs(a)[:, None] * dlog_abs(b, t) - log_abs(b)[:, None] * dlog_abs(a, t)
 
         D = kernels.bloch_wigner(f.val)
         term1 = 1j * D * (
-            wedge_value([lambda v: diarg(g1, v), lambda v: diarg(g2, v)], t)
-            + wedge_value(
-                [lambda v: dlog_abs(g1, v) / 3, lambda v: dlog_abs(g2, v)], t
-            )
+            wedge_value([diarg(g1, t), diarg(g2, t)])
+            + wedge_value([dlog_abs(g1, t) / 3, dlog_abs(g2, t)])
         )
         term2 = wedge_value(
             [
                 theta(one_minus_f, f),
-                lambda v: (log_abs(g1) * diarg(g2, v) - log_abs(g2) * diarg(g1, v))
-                / 3,
-            ],
-            t,
+                (log_abs(g1)[:, None] * diarg(g2, t) - log_abs(g2)[:, None] * diarg(g1, t)) / 3,
+            ]
         )
-        want = term1 + term2
+        want = (term1 + term2)[0]
         assert abs(got - want) < 1e-11 * max(1, abs(want))
 
 
-def _flagship_points(rng, count):
-    """Random points on the zero locus of (1+x)(1+y)(1+z)+t with coordinate
-    Duals carrying the tangent frame of (x, y, z)."""
-    pts = []
-    for _ in range(count):
-        e = np.eye(3)
-        vals = [complex(rng.normal(), rng.normal()) + 0.4 for _ in range(3)]
-        xs = [Dual(vals[i], e[i]) for i in range(3)]
-        prod = (1 + xs[0]) * (1 + xs[1]) * (1 + xs[2])
-        tv = -prod  # t is determined by the surface equation
-        pts.append(xs + [tv])
-    return pts
+def test_batched_forms_match_pointwise():
+    """eta, r_n(n) and rho on a batch equal the same forms point by point."""
+    rng = np.random.default_rng(11)
+    N = 16
+    for k in (1, 2, 3):
+        t = _frame(rng, k)
+        xs = _random_jets(rng, k + 1, k, N)
+        f = _random_jets(rng, 1, k, N)[0]
+        gs = _random_jets(rng, k, k, N)
+        batched = {
+            "eta": eta_eval(xs, t),
+            "rnn": rnn_eval(xs, t),
+            "rho": rho_eval(f, gs, t),
+        }
+        for name, got in batched.items():
+            assert got.shape == (N,), (name, k)
+        for i in range(N):
+            single = {
+                "eta": eta_eval([_point(x, i) for x in xs], t),
+                "rnn": rnn_eval([_point(x, i) for x in xs], t),
+                "rho": rho_eval(_point(f, i), [_point(g, i) for g in gs], t),
+            }
+            for name, want in single.items():
+                assert want.shape == (1,)
+                scale = max(abs(want[0]), 1e-300)
+                assert abs(batched[name][i] - want[0]) <= 1e-14 * scale, (name, k, i)
+
+
+def test_degenerate_point_in_batch_raises():
+    rng = np.random.default_rng(12)
+    t = _frame(rng, 2)
+    xs = _random_jets(rng, 3, 2, 5)
+    f = _random_jets(rng, 1, 2, 5)[0]
+    gs = _random_jets(rng, 2, 2, 5)
+    for bad in (0.0, 1.0):
+        fv = Jet(np.where(np.arange(5) == 3, bad, f.val), f.grad)
+        with pytest.raises(ValueError, match="Steinberg degeneracy"):
+            rho_eval(fv, gs, t)
+    zero = Jet(np.where(np.arange(5) == 1, 0.0, gs[0].val), gs[0].grad)
+    with pytest.raises(ValueError, match="wedge entry vanishes"):
+        rho_eval(f, [zero, gs[1]], t)
+    with pytest.raises(ValueError, match="wedge entry vanishes"):
+        rnn_eval([xs[0], zero, xs[2]], t)
+    with pytest.raises(ValueError, match="coordinate vanishes"):
+        eta_eval([xs[0], zero, xs[2]], t)
 
 
 def test_d_rho_xi_equals_eta_finite_difference():
@@ -148,7 +191,7 @@ def test_d_rho_xi_equals_eta_finite_difference():
     def surface_coords(u):
         # chart: x, y, z free; t = -(1+x)(1+y)(1+z)
         e = np.eye(3)
-        xs = [Dual(u[i], e[i]) for i in range(3)]
+        xs = [Jet(u[i], e[i]) for i in range(3)]
         t = -((1 + xs[0]) * (1 + xs[1]) * (1 + xs[2]))
         return xs, t
 
@@ -161,11 +204,11 @@ def test_d_rho_xi_equals_eta_finite_difference():
 
         def eta_at(u):
             xs, t = surface_coords(u)
-            return eta_eval(xs + [t], t3)
+            return eta_eval(xs + [t], t3)[0]
 
         def rho_pair(u, ta, tb):
             xs, _ = surface_coords(u)
-            return rho_of_element_at(xi, xs, [ta, tb])
+            return rho_of_element_at(xi, xs, [ta, tb])[0]
 
         def d_rho(u, h):
             total = 0.0

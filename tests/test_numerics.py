@@ -160,3 +160,20 @@ def test_five_term_relation_double():
             + kernels.bloch_wigner((1 - y) / (1 - x * y))
         )
         assert abs(total) < 1e-12
+
+
+def test_kernels_exact_at_special_points():
+    # no 0 * log(0) on the way: every floating-point warning is an error here
+    with np.errstate(all="raise"):
+        assert kernels.li2(1.0) == kernels.PI2_6
+        assert abs(kernels.PI2_6 - math.pi**2 / 6) < 1e-15
+        assert kernels.li2(0.0) == 0
+        assert abs(kernels.li2(-1.0) + math.pi**2 / 12) < 1e-15
+        arr = kernels.li2(np.array([1.0, 0.0, -1.0]))
+        assert arr[0] == kernels.PI2_6 and arr[1] == 0
+        assert abs(arr[2] + math.pi**2 / 12) < 1e-15
+        real_axis = np.array([0.0, 1.0, -3.0, -1.0, 0.5, 2.0, 7.5])
+        for z in real_axis:
+            assert kernels.bloch_wigner(z) == 0.0
+        assert np.all(kernels.bloch_wigner(real_axis) == 0.0)
+        assert np.all(kernels.bloch_wigner(real_axis + 0j) == 0.0)

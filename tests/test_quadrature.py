@@ -18,7 +18,9 @@ from reglab.quadrature import (
     regulator_boundary_integral,
     univariate_mahler,
 )
-from reglab.symbolic import build_xi, load_decomposition, parse_poly
+from reglab.forms import Jet, eta_eval
+from reglab.quadrature.mahler import _coeff_table, _eval_slices, _inner_mahler_batch
+from reglab.symbolic import MultiPoly, build_xi, load_decomposition, parse_poly
 
 
 def test_config_validation():
@@ -119,6 +121,60 @@ def test_deninger_check_two_variables():
     assert abs(float(direct.value) - float(chain.value)) < 1e-7
 
 
+@pytest.mark.parametrize("poly", ["(2+x)*z^2+y*z+1", "1+x+y+z"])
+def test_deninger_check_matches_mahler_on_same_grid(poly):
+    # on one Gauss-Legendre grid the Gamma-chain integrand (one or two roots
+    # per node outside the unit disk) reproduces the direct measure
+    P = parse_poly(poly, ["x", "y", "z"])
+    cfg = QuadratureConfig(level=12)
+    chain = deninger_gamma_check(P, cfg)
+    direct = mahler_measure(P, cfg)
+    assert abs(float(chain.value) - float(direct.value)) < 1e-13
+
+
+def _deninger_reference(P, cfg):
+    """deninger_gamma_check for two variables, one node and one root at a time."""
+    slices, degree = _coeff_table(P)
+    lead = MultiPoly(P.vars[:-1], slices[-1])
+    m_lead = float(mahler_measure(lead, cfg).value)
+
+    def f(points):
+        out = np.zeros(len(points))
+        for i, theta in enumerate(points[:, 0]):
+            row = _eval_slices(slices, np.array([[theta]]))[0]
+            drow = _eval_slices(
+                [{e: c * 1j * e[0] for e, c in t.items() if e[0]} for t in slices],
+                np.array([[theta]]),
+            )[0]
+            x = np.exp(1j * theta)
+            for r in np.roots(np.trim_zeros(row, "b")[::-1]):
+                if abs(r) < 1.0:
+                    continue
+                pows = r ** np.arange(degree + 1)
+                dr = -np.sum(drow * pows) / np.sum(row[1:] * np.arange(1, degree + 1) * pows[:-1])
+                eta = eta_eval([Jet(x, [1j * x]), Jet(r, [dr])], [[1.0]])[0]
+                out[i] += eta.imag
+        return out
+
+    value, _, _ = integrate_box(f, -math.pi, math.pi, 1, cfg)
+    return m_lead - value / (2 * math.pi)
+
+
+@pytest.mark.parametrize(
+    "poly, level",
+    [
+        ("2*y^2+(1+x)*y+1", 32),
+        # the leading coefficient x - 1 vanishes at the middle node of the odd rule
+        ("(x-1)*y^2+(x+3)*y+1", 33),
+    ],
+)
+def test_deninger_check_matches_pointwise_reference(poly, level):
+    P = parse_poly(poly, ["x", "y"])
+    cfg = QuadratureConfig(level=level)
+    got = float(deninger_gamma_check(P, cfg).value)
+    assert abs(got - _deninger_reference(P, cfg)) < 1e-13
+
+
 def test_boundary_chart_solve():
     assert boundary_chart_solve(0.0, 0.0) == [2 * math.acos(1 / 8.0), -2 * math.acos(1 / 8.0)]
     # outside the admissible region
@@ -160,6 +216,13 @@ def test_boundary_integral_n4_flagship_quick():
     assert abs(float(res.value) - 0.604165831102477) < 1e-6
 
 
+def test_boundary_integral_n4_level40_pinned():
+    # the value verify-main reports at --level 40
+    res = regulator_boundary_integral(_xi(4), QuadratureConfig(level=40))
+    assert res.evaluations == 2000
+    assert abs(float(res.value) - 0.6041658311024739) < 1e-13
+
+
 def test_boundary_integral_zero_element():
     lam = _xi(4)
     zero = lam - lam
@@ -173,3 +236,25 @@ def test_root_finding_error_is_raised_for_horrible_conditioning():
     coeffs = [1, 1e200, 1]
     val = float(univariate_mahler(coeffs, 15))
     assert abs(val - math.log(1e200)) < 1e-6
+
+
+def test_batched_roots_flag_and_resolve_unconverged_rows():
+    rng = np.random.default_rng(21)
+    good = rng.normal(size=(6, 13)) + 1j * rng.normal(size=(6, 13))
+    # z^12 - 20^12: Aberth started on the radius bound 20^12 is still far out
+    # after its 80 iterations
+    slow = np.zeros(13, dtype=complex)
+    slow[0], slow[-1] = -(20.0**12), 1.0
+    C = np.vstack([good[:3], slow, good[3:]])
+    got = _inner_mahler_batch(C)
+    assert abs(got[3] - 12 * math.log(20)) < 1e-12
+    for i, c in enumerate(C):
+        r = np.roots(c[::-1])
+        want = math.log(abs(c[-1])) + np.sum(np.log(np.maximum(np.abs(r), 1.0)))
+        assert abs(got[i] - want) < 1e-12
+
+    broken = C.copy()
+    broken[5, 4] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(RootFindingError) as info:
+        _inner_mahler_batch(broken)
+    assert info.value.residuals is not None
