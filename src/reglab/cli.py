@@ -17,7 +17,6 @@ import os
 import re
 import sys
 import time
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -25,7 +24,6 @@ import scipy
 import sympy
 
 from . import __version__
-from . import lfunctions
 from .k3 import (
     WeierstrassCurveQt,
     data_dir,
@@ -34,9 +32,6 @@ from .k3 import (
 )
 from .lattice import find_integer_relation
 from .lfunctions import (
-    CHI_M3,
-    CHI_M4,
-    CHI_M7,
     DirichletChar,
     EtaProduct,
     NewformSpec,

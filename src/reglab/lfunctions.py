@@ -16,13 +16,13 @@ L'(f, -1) = -(sqrt(N)/2pi) Lambda(-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import mpmath
 from mpmath import mp
 
-from .numerics import HPReal, _bits, gamma_upper
+from .numerics import HPReal, _bits
 
 
 # -- Dirichlet characters --------------------------------------------------------------

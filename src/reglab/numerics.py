@@ -10,7 +10,6 @@ and the incomplete gamma for positive first argument.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Union
 

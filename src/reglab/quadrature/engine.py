@@ -87,8 +87,7 @@ def _gl_pass(f, lo, hi, level, depth, dims):
     pts, wt = gl_grid(lo, hi, level, depth, dims)
     vals = np.asarray(f(pts), dtype=np.float64)
     # fixed-order pairwise summation for bit-stable accumulation
-    order = np.arange(len(wt))
-    terms = (vals * wt)[order]
+    terms = vals * wt
     while len(terms) > 1:
         if len(terms) % 2:
             terms = np.concatenate([terms, [0.0]])

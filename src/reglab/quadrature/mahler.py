@@ -1,6 +1,8 @@
-"""Mahler measures: exact-precision univariate values via Aberth-Ehrlich
+"""Mahler measures: arbitrary-precision univariate values via Aberth-Ehrlich
 root finding, and multivariate values as iterated torus integrals with the
-univariate measure as the inner integral (Jensen's formula).
+univariate measure as the inner integral (Jensen's formula). The inner
+integrand finds the double-precision roots of all nodes at once, as
+eigenvalues of stacked companion matrices.
 
 m(p) = log|lead(p)| + sum over roots of log max(1, |root|);
 m(P) = (2*pi)^-(n-1) times the integral over the torus of the inner measure
@@ -103,97 +105,76 @@ def univariate_mahler(p: Sequence[complex], prec: int = 15) -> HPReal:
 # -- batched double-precision roots ---------------------------------------------------
 
 
-def _horner_batch(C, z):
-    acc = np.zeros_like(z)
-    for k in range(C.shape[1] - 1, -1, -1):
-        acc = acc * z + C[:, k][:, None]
-    return acc
-
-
-def _aberth_step(C, Cd, z):
-    """One simultaneous Aberth correction for every root of every row."""
-    p = _horner_batch(C, z)
-    dp = _horner_batch(Cd, z)
-    w = p / np.where(dp == 0, 1e-300, dp)
-    diff = z[:, :, None] - z[:, None, :]
-    inv = 1.0 / np.where(diff == 0, np.inf, diff)  # diagonal contributes 0
-    s = inv.sum(axis=2)
-    denom = 1 - w * s
-    return w / np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-
-
-def _aberth_batch(C: np.ndarray) -> np.ndarray:
-    """Roots of many same-degree polynomials; C ascending, shape (N, d+1).
-
-    Rows whose last Aberth step is still above 1e-14 times their root radius
-    bound are solved again with ``np.roots``; RootFindingError if that fails too.
-    """
-    N, d1 = C.shape
-    d = d1 - 1
-    lead = C[:, -1]
-    radius = 1 + np.max(np.abs(C[:, :-1] / lead[:, None]), axis=1)
-    ang = 2 * np.pi * (np.arange(d) + 0.25) / d
-    z = 0.9 * radius[:, None] * np.exp(1j * ang)[None, :]
-    Cd = C[:, 1:] * np.arange(1, d + 1)[None, :]
-    tol_max = 1e-14 * np.max(radius)
-    for _ in range(80):
-        step = _aberth_step(C, Cd, z)
-        z = z - step
-        moved = np.max(np.abs(step))
-        if moved < tol_max:
-            break
-    # rows can only be stuck if the largest step exceeds the smallest tolerance
-    # (or is NaN); then find them from the last step, with no extra Horner pass
-    if not moved < 1e-14 * np.min(radius):
-        stuck = ~(np.max(np.abs(step), axis=1) <= 1e-14 * radius)
-        if stuck.any():
-            z[stuck] = _roots_checked(C[stuck])
-    return z
-
-
 # Largest accepted backward error |p(r)| / sum_k |c_k| |r|^k of a root (half the
 # double-precision mantissa, as in _aberth_mp).
 _ROOT_RESIDUAL_TOL = 2.0**-26
 
 
-def _roots_checked(C: np.ndarray) -> np.ndarray:
-    """Roots of each row of C (ascending) by ``np.roots``, residual-checked."""
-    Z = np.full((C.shape[0], C.shape[1] - 1), np.nan + 0j)
-    for i, c in enumerate(C):
-        if np.all(np.isfinite(c)):
-            Z[i] = np.roots(c[::-1])
-    scale = _horner_batch(np.abs(C), np.abs(Z))
-    residual = np.abs(_horner_batch(C, Z)) / np.maximum(scale, np.finfo(float).tiny)
-    worst = np.max(residual, axis=1)
-    if not np.all(worst <= _ROOT_RESIDUAL_TOL):
-        raise RootFindingError("batched root iteration did not converge", worst.tolist())
-    return Z
+def _backward_error(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Largest |p(r)| / sum_k |c_k| |r|^k over the roots r of each row of c."""
+    p = np.zeros_like(r)
+    scale = np.zeros(r.shape)
+    a = np.abs(r)
+    for k in range(c.shape[1] - 1, -1, -1):
+        p *= r
+        p += c[:, k, None]
+        scale *= a
+        scale += np.abs(c[:, k, None])
+    return (np.abs(p) / np.maximum(scale, np.finfo(float).tiny)).max(axis=1)
+
+
+def _roots_by_degree(C: np.ndarray):
+    """Roots of each row of C (ascending coefficients), grouped by true degree.
+
+    Returns (top, groups): top[i] is the index of row i's last nonzero
+    coefficient, and groups holds one (rows, roots) pair per degree d >= 1
+    that occurs, roots of shape (len(rows), d). The roots are the eigenvalues
+    of the companion matrices, stacked per degree (numpy's ``roots`` solves
+    one row the same way); a 1x1 companion matrix is its own eigenvalue.
+    RootFindingError if a root fails the backward-error test or a
+    coefficient is NaN or inf.
+    """
+    nonzero = C != 0
+    if not nonzero.any(axis=1).all():
+        raise ValueError("P vanishes identically in its last variable at a node")
+    top = C.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
+    worst = np.zeros(len(C))
+    groups = []
+    for deg in range(1, C.shape[1]):
+        rows = np.flatnonzero(top == deg)
+        if not len(rows):
+            continue
+        # a view, not a copy, when every row has this degree
+        c = C[:, : deg + 1] if len(rows) == len(C) else C[rows, : deg + 1]
+        first = -c[:, -2::-1] / c[:, -1:]
+        if deg == 1:
+            r = first
+        else:
+            ok = np.isfinite(first).all(axis=1)
+            companion = np.zeros((np.count_nonzero(ok), deg, deg), dtype=np.complex128)
+            companion[:, 0, :] = first[ok]
+            companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+            r = np.full((len(rows), deg), np.nan + 0j)
+            try:
+                r[ok] = np.linalg.eigvals(companion)
+            except np.linalg.LinAlgError:  # QR iteration failed: NaN roots, flagged below
+                pass
+        worst[rows] = _backward_error(c, r)
+        groups.append((rows, r))
+    worst[~np.isfinite(C).all(axis=1)] = np.nan
+    if not (worst <= _ROOT_RESIDUAL_TOL).all():
+        raise RootFindingError(
+            "double-precision roots failed the backward-error test", worst.tolist()
+        )
+    return top, groups
 
 
 def _inner_mahler_batch(C: np.ndarray) -> np.ndarray:
     """log|lead| + sum log+ |root| for each row of ascending coefficients."""
-    N, d1 = C.shape
-    out = np.zeros(N)
-    scale = np.max(np.abs(C), axis=1)
-    lead = C[:, -1]
-    degenerate = np.abs(lead) < 1e-12 * scale
-    good = ~degenerate
-    if d1 == 1:
-        return np.log(np.abs(lead))
-    if np.any(good):
-        z = _aberth_batch(C[good])
-        a = np.abs(z)
-        out[good] = np.log(np.abs(lead[good])) + np.sum(
-            np.where(a > 1, np.log(a), 0.0), axis=1
-        )
-    for idx in np.nonzero(degenerate)[0]:
-        # leading coefficient vanished at this node: trim and use numpy
-        c = np.trim_zeros(C[idx], "b")
-        if len(c) <= 1:
-            out[idx] = np.log(max(np.abs(C[idx]).max(), 1e-300))
-            continue
-        r = np.roots(c[::-1])
-        out[idx] = np.log(np.abs(c[-1])) + np.sum(np.log(np.maximum(np.abs(r), 1.0)))
+    top, groups = _roots_by_degree(C)
+    out = np.log(np.abs(C[np.arange(len(C)), top]))
+    for rows, r in groups:
+        out[rows] += np.log(np.maximum(np.abs(r), 1.0)).sum(axis=1)
     return out
 
 
@@ -233,8 +214,7 @@ def mahler_measure(P: MultiPoly, cfg: QuadratureConfig | None = None) -> Quadrat
     if P.is_zero():
         raise ValueError("zero polynomial")
     if nv == 0 or P.is_constant():
-        v = math.log(abs(float(P.constant_value()))) if not P.is_zero() else 0.0
-        return make_result(v, 0.0, 0, cfg)
+        return make_result(math.log(abs(float(P.constant_value()))), 0.0, 0, cfg)
     if nv > 4:
         raise ValueError("at most 4 variables supported")
     slices, degree = _coeff_table(P)
@@ -265,21 +245,14 @@ def deninger_gamma_check(P: MultiPoly, cfg: QuadratureConfig | None = None) -> Q
     """
     cfg = cfg or QuadratureConfig()
     nv = len(P.vars)
-    slices, degree = _coeff_table(P)
     if nv == 1:
-        coeffs = [complex(terms.get((), 0)) for terms in slices]
-        val = univariate_mahler(coeffs, cfg.prec)
-        return QuadratureResult(val, HPReal(10.0 ** (1 - cfg.prec), cfg.prec), degree, cfg)
+        return mahler_measure(P, cfg)
     if nv > 3:
         raise ValueError("the Gamma-chain check supports n <= 3")
     dims = nv - 1
-
+    slices, degree = _coeff_table(P)
     # m of the leading coefficient (a polynomial in the other variables)
-    lead_terms = slices[-1]
-    lead_poly = MultiPoly(P.vars[:-1], lead_terms)
-    m_lead = float(mahler_measure(lead_poly, cfg).value) if not lead_poly.is_constant() else (
-        math.log(abs(float(lead_poly.constant_value())))
-    )
+    m_lead = float(mahler_measure(MultiPoly(P.vars[:-1], slices[-1]), cfg).value)
 
     tangents = np.eye(dims)
     # coefficients of dP/dtheta_j, as polynomials in the last variable
@@ -292,18 +265,9 @@ def deninger_gamma_check(P: MultiPoly, cfg: QuadratureConfig | None = None) -> Q
     def f(points):
         C = _eval_slices(slices, points)
         out = np.zeros(len(points))
-        # (node, root) pairs with |root| >= 1, grouped by the node's true degree
-        nonzero = C != 0
-        top = degree - np.argmax(nonzero[:, ::-1], axis=1)
-        top[~nonzero.any(axis=1)] = 0
+        # (node, root) pairs with |root| >= 1
         rows, roots = [], []
-        for deg in np.unique(top[top >= 1]):
-            idx = np.flatnonzero(top == deg)
-            c = C[idx, : deg + 1]
-            companion = np.zeros((len(idx), deg, deg), dtype=np.complex128)
-            companion[:, 0, :] = -c[:, -2::-1] / c[:, -1:]
-            companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-            r = np.linalg.eigvals(companion)
+        for idx, r in _roots_by_degree(C)[1]:
             keep = np.abs(r) >= 1.0
             rows.append(np.repeat(idx, keep.sum(axis=1)))
             roots.append(r[keep])

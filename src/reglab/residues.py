@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import sympy
 
-from .symbolic import B2WedgeElement, FactoredElement, MultiPoly, parse_poly
+from .symbolic import B2WedgeElement, FactoredElement
 
 UNKNOWN_POSITIVE = "unknown_positive"
 UNKNOWN_NEGATIVE = "unknown_negative"

@@ -16,7 +16,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import sympy
 
-from .poly import LaurentError, MultiPoly, parse_poly
+from .poly import MultiPoly, parse_poly
 
 Label = Tuple[str, object]  # ("b", basis index) or ("p", prime)
 

@@ -241,8 +241,8 @@ def test_root_finding_error_is_raised_for_horrible_conditioning():
 def test_batched_roots_flag_and_resolve_unconverged_rows():
     rng = np.random.default_rng(21)
     good = rng.normal(size=(6, 13)) + 1j * rng.normal(size=(6, 13))
-    # z^12 - 20^12: Aberth started on the radius bound 20^12 is still far out
-    # after its 80 iterations
+    # z^12 - 20^12: an Aberth iteration started on the radius bound 20^12 is
+    # still far out after 80 steps; companion eigenvalues have no such start
     slow = np.zeros(13, dtype=complex)
     slow[0], slow[-1] = -(20.0**12), 1.0
     C = np.vstack([good[:3], slow, good[3:]])
@@ -258,3 +258,48 @@ def test_batched_roots_flag_and_resolve_unconverged_rows():
     with np.errstate(invalid="ignore"), pytest.raises(RootFindingError) as info:
         _inner_mahler_batch(broken)
     assert info.value.residuals is not None
+
+    broken = C.copy()
+    broken[1, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(RootFindingError) as info:
+        _inner_mahler_batch(broken)
+    assert info.value.residuals is not None
+
+
+def test_inner_mahler_mixed_batch_matches_per_row_roots():
+    C = np.array(
+        [
+            [1, 2, 3, 0],  # leading coefficient exactly 0
+            [2, 3, 0, 0],  # top two coefficients 0
+            [0.5, 3, 0, 0],  # degree 1, root inside the disk
+            [5, 0, 0, 0],  # degree 0
+            [0, 1, -3, 1],  # zero constant term
+            [1, 1, 1, 1e-14],
+            [2, -1, 1, 1e-11],
+            [-(20.0**3), 0, 0, 1],  # z^3 - 20^3
+            [1 + 2j, -0.5j, 3, 1 - 1j],
+        ],
+        dtype=np.complex128,
+    )
+    got = _inner_mahler_batch(C)
+    for i, c in enumerate(C):
+        c = np.trim_zeros(c, "b")
+        r = np.roots(c[::-1])
+        want = np.log(np.abs(c[-1])) + np.sum(np.log(np.maximum(np.abs(r), 1.0)))
+        assert abs(got[i] - want) < 1e-12, i
+        if len(c) == 2:
+            exact = np.log(np.abs(c[1])) + np.log(np.maximum(np.abs(-c[0] / c[1]), 1.0))
+            assert got[i] == exact, i
+    assert abs(got[7] - 3 * math.log(20)) < 1e-12
+
+    with pytest.raises(ValueError, match="vanishes identically"):
+        _inner_mahler_batch(np.vstack([C, np.zeros(4)]))
+
+
+@pytest.mark.parametrize("poly", ["(x-1)*(y+2)", "x-1"])
+def test_polynomial_vanishing_at_a_node_raises(poly):
+    # the odd rule has a node at theta = 0, where x - 1 vanishes
+    P = parse_poly(poly, ["x", "y"])
+    with pytest.raises(ValueError, match="vanishes identically"):
+        mahler_measure(P, QuadratureConfig(level=33))
+    assert math.isfinite(float(mahler_measure(P, QuadratureConfig(level=32)).value))
