@@ -39,9 +39,8 @@ def _to_mpf(x, prec: int):
 class HPReal:
     """An immutable arbitrary-precision real with explicit decimal precision.
 
-    The value is stored as an mpmath float; ``sign``, ``mantissa`` and
-    ``exponent`` expose the underlying binary representation. Arithmetic
-    carries the minimum precision of the operands.
+    The value is stored as an mpmath float. Arithmetic carries the minimum
+    precision of the operands.
     """
 
     __slots__ = ("_v", "prec")
@@ -61,23 +60,6 @@ class HPReal:
         else:
             with mp.workprec(_bits(self.prec)):
                 self._v = mpmath.mpf(value)
-
-    # -- binary representation ------------------------------------------------
-    @property
-    def sign(self) -> int:
-        if self._v == 0:
-            return 0
-        return -1 if self._v < 0 else 1
-
-    @property
-    def mantissa(self) -> int:
-        s, man, _exp, _bc = self._v._mpf_
-        return -man if s else man
-
-    @property
-    def exponent(self) -> int:
-        _s, _man, exp, _bc = self._v._mpf_
-        return exp
 
     # -- conversions ----------------------------------------------------------
     def __float__(self) -> float:

@@ -7,11 +7,7 @@ from .mahler import (
     mahler_measure,
     univariate_mahler,
 )
-from .boundary import (
-    BoundaryChart,
-    boundary_chart_solve,
-    regulator_boundary_integral,
-)
+from .boundary import regulator_boundary_integral
 
 __all__ = [
     "QuadratureConfig",
@@ -21,7 +17,5 @@ __all__ = [
     "mahler_measure",
     "deninger_gamma_check",
     "RootFindingError",
-    "BoundaryChart",
-    "boundary_chart_solve",
     "regulator_boundary_integral",
 ]

@@ -22,8 +22,6 @@ measure of the flagship polynomial; it is never tuned per input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -32,44 +30,6 @@ from .engine import QuadratureConfig, QuadratureResult, integrate_box, make_resu
 
 # Orientation constant pinned by the flagship cross-check (see module docstring).
 _ORIENT = 1.0
-
-
-def boundary_chart_solve(t: float, s: float) -> List[float]:
-    """All v in (-pi, pi) with 8 cos(t/2) cos(s/2) cos(v/2) = 1."""
-    if not (-math.pi < t < math.pi and -math.pi < s < math.pi):
-        raise ValueError("chart parameters must lie in (-pi, pi)")
-    c = 8.0 * math.cos(t / 2) * math.cos(s / 2)
-    if c < 1.0:
-        return []
-    v = 2.0 * math.acos(1.0 / c)
-    if v == 0.0:
-        return [0.0]
-    return [v, -v]
-
-
-@dataclass
-class BoundaryChart:
-    """Graph chart of one sheet of the boundary surface."""
-
-    branch: int = +1  # sign of v
-    orientation: float = _ORIENT
-
-    a_star: float = 2.0 * math.acos(1.0 / 8.0)
-
-    def admissible(self, a: float, b: float) -> bool:
-        return 8.0 * math.cos(a / 2) * math.cos(b / 2) >= 1.0
-
-    def v(self, a: float, b: float) -> float:
-        sols = boundary_chart_solve(a, b)
-        if not sols:
-            raise ValueError("point outside the admissible region")
-        return self.branch * abs(sols[0])
-
-    def b_star(self, a: float) -> float:
-        ca = math.cos(a / 2)
-        if 8.0 * ca < 1.0:
-            return 0.0
-        return 2.0 * math.acos(1.0 / (8.0 * ca))
 
 
 # -- jet maps for the charts: parameter arrays in, coordinate jets out ----------------

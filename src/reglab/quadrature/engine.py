@@ -1,16 +1,18 @@
-"""Deterministic quadrature over boxes: tensor Gauss-Legendre, nested
-adaptive Gauss-Kronrod, and scrambled Sobol QMC.
+"""Deterministic quadrature over boxes: tensor Gauss-Legendre, adaptive
+Gauss-Kronrod cubature, and scrambled Sobol QMC.
 
 All rules take a batch integrand f(points) -> values with points of shape
 (N, dims), and return (value, error_estimate, evaluations). Error estimates
 are heuristic: the Gauss-Legendre estimate is the delta against a half-level
-run, the adaptive estimate comes from QUADPACK, and the QMC estimate is
-three standard errors over scrambled replicates. Results are deterministic
-for a fixed (rule, level, depth, seed).
+run, the adaptive estimate is the global Gauss-Kronrod error summed over
+all regions of the subdivision, and the QMC estimate is three standard
+errors over scrambled replicates. Results are deterministic for a fixed
+(rule, level, depth, seed).
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, asdict
 from typing import Callable, Tuple
 
@@ -111,33 +113,25 @@ def integrate_box(
 
 
 def _adaptive(f, lo, hi, dims, cfg):
-    evals = [0]
+    evals = 0
     tol = 10.0 ** (-min(cfg.prec, 12))
-    if dims > 3:
-        raise ValueError("adaptive rule supports up to 3 dimensions")
 
-    def scalar(point):
-        evals[0] += 1
-        return float(f(np.array([point], dtype=np.float64))[0])
+    def counted(points):
+        nonlocal evals
+        evals += len(points)
+        return f(points)
 
-    def nest(fixed, d):
-        if d == dims:
-            return scalar(fixed)
-        val, err = integrate.quad(
-            lambda t: nest(fixed + [t], d + 1),
-            lo,
-            hi,
-            epsabs=tol,
-            epsrel=tol,
-            limit=200 * (cfg.depth + 1),
+    res = integrate.cubature(
+        counted, [lo] * dims, [hi] * dims, rule="gk21", rtol=tol, atol=tol,
+        max_subdivisions=10000 * (cfg.depth + 1),
+    )
+    if res.status != "converged" or not np.isfinite([res.estimate, res.error]).all():
+        warnings.warn(
+            f"adaptive_gk: status {res.status}, estimate {res.estimate}, error {res.error}",
+            integrate.IntegrationWarning,
+            stacklevel=3,
         )
-        if d == 0:
-            nest.top_err = err
-        return val
-
-    nest.top_err = 0.0
-    value = nest([], 0)
-    return value, nest.top_err, evals[0]
+    return float(res.estimate), float(res.error), evals
 
 
 def _qmc(f, lo, hi, dims, cfg):

@@ -77,13 +77,6 @@ class MultiplicativeBasis:
     def __len__(self):
         return len(self.polys)
 
-    def index_of(self, p: MultiPoly) -> Optional[int]:
-        p = p.extend(self.vars)
-        for i, b in enumerate(self.polys):
-            if b == p:
-                return i
-        return None
-
     def label_name(self, label: Label) -> str:
         kind, key = label
         if kind == "b":

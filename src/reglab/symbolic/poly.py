@@ -79,11 +79,6 @@ class MultiPoly:
             return -1
         return max(exps[i] for exps in self.terms)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(exps) for exps in self.terms)
-
     # -- arithmetic --------------------------------------------------------------
     def _unify(self, other: "MultiPoly"):
         if self.vars == other.vars:

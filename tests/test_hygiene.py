@@ -1,9 +1,12 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import collections
 import pathlib
+import re
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "reglab"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "reglab"
 
 
 def _unused_imports(tree):
@@ -41,3 +44,37 @@ def test_unused_import_scan_sees_names_and_all():
         "__all__ = ['d']\nos.sep\n"
     )
     assert _unused_imports(tree) == [(2, "b")]
+
+
+def _definitions(tree):
+    """(line, name) of every function, class and method, dunders excluded."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        (node.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, kinds) and not re.fullmatch(r"__\w+__", node.name)
+    ]
+
+
+def test_no_unreferenced_definitions():
+    words = collections.Counter(
+        word
+        for top in ("src", "tests", "perfbench")
+        for path in (ROOT / top).rglob("*.py")
+        for word in re.findall(r"\w+", path.read_text())
+    )
+    unreferenced = [
+        f"{path.relative_to(SRC.parent)}:{line}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, name in _definitions(ast.parse(path.read_text(), str(path)))
+        if words[name] <= 1
+    ]
+    assert not unreferenced, "definitions never referenced:\n" + "\n".join(unreferenced)
+
+
+def test_definition_scan_sees_functions_classes_and_methods():
+    tree = ast.parse(
+        "class A:\n    def m(self): pass\n    def __init__(self): pass\n"
+        "def f():\n    def g(): pass\nasync def h(): pass\n"
+    )
+    assert sorted(_definitions(tree)) == [(1, "A"), (2, "m"), (4, "f"), (5, "g"), (6, "h")]

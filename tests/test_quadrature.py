@@ -1,18 +1,19 @@
 import math
 import os
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from reglab.k3 import data_dir
 from reglab.quadrature import (
-    BoundaryChart,
     QuadratureConfig,
     QuadratureResult,
     RootFindingError,
-    boundary_chart_solve,
     deninger_gamma_check,
+    engine,
     integrate_box,
     mahler_measure,
     regulator_boundary_integral,
@@ -84,26 +85,56 @@ def test_univariate_mahler_laurent_shift_invariance():
     assert abs(a - b) < 1e-22
 
 
+# m(1 + x + y) = (3 sqrt(3) / 4 pi) L(chi_-3, 2)
+SMITH2 = float(
+    3 * mpmath.sqrt(3) / (4 * mpmath.pi) * (
+        mpmath.zeta(2, mpmath.mpf(1) / 3) - mpmath.zeta(2, mpmath.mpf(2) / 3)
+    ) / 9
+)
+# m(1 + x + y + z) = 7 zeta(3) / (2 pi^2)
+SMITH3 = float(7 * mpmath.zeta(3) / (2 * mpmath.pi**2))
+
+
 def test_mahler_two_variables_smith():
-    # m(1 + x + y) = (3 sqrt(3) / 4 pi) L(chi_-3, 2)
-    want = float(
-        3 * mpmath.sqrt(3) / (4 * mpmath.pi) * (
-            mpmath.zeta(2, mpmath.mpf(1) / 3) - mpmath.zeta(2, mpmath.mpf(2) / 3)
-        ) / 9
-    )
     P = parse_poly("1+x+y", ["x", "y"])
     cfg = QuadratureConfig(rule="adaptive_gk", prec=12)
-    res = mahler_measure(P, cfg)
-    assert abs(float(res.value) - want) < 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # converges without an IntegrationWarning
+        res = mahler_measure(P, cfg)
+    assert abs(float(res.value) - SMITH2) < 1e-9
 
 
 def test_mahler_three_variables_smith():
-    # m(1 + x + y + z) = 7 zeta(3) / (2 pi^2)
-    want = float(7 * mpmath.zeta(3) / (2 * mpmath.pi**2))
     P = parse_poly("1+x+y+z", ["x", "y", "z"])
     cfg = QuadratureConfig(rule="adaptive_gk", prec=8)
     res = mahler_measure(P, cfg)
-    assert abs(float(res.value) - want) < 1e-6
+    assert abs(float(res.value) - SMITH3) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "poly, prec", [("1+x+y", p) for p in (6, 8, 10, 12)] + [("1+x+y+z", p) for p in (5, 6, 7, 8)]
+)
+def test_adaptive_error_estimate_bounds_true_error(poly, prec):
+    variables, want = {"1+x+y": ("xy", SMITH2), "1+x+y+z": ("xyz", SMITH3)}[poly]
+    P = parse_poly(poly, list(variables))
+    res = mahler_measure(P, QuadratureConfig(rule="adaptive_gk", prec=prec))
+    assert float(res.error_estimate) >= abs(float(res.value) - want)
+
+
+def test_adaptive_warns_on_nan_integrand():
+    cfg = QuadratureConfig(rule="adaptive_gk")
+    with pytest.warns(IntegrationWarning, match="nan"):
+        integrate_box(lambda p: np.where(p[:, 0] < 0.5, np.nan, 1.0), 0.0, 1.0, 1, cfg)
+
+
+def test_adaptive_warns_when_not_converged(monkeypatch):
+    cubature = engine.integrate.cubature
+    monkeypatch.setattr(
+        engine.integrate, "cubature", lambda *a, **k: cubature(*a, **{**k, "max_subdivisions": 1})
+    )
+    cfg = QuadratureConfig(rule="adaptive_gk")
+    with pytest.warns(IntegrationWarning, match="not_converged"):
+        integrate_box(lambda p: np.abs(p[:, 0] - 1 / 3), 0.0, 1.0, 1, cfg)
 
 
 def test_mahler_constant_and_monomial():
@@ -173,24 +204,6 @@ def test_deninger_check_matches_pointwise_reference(poly, level):
     cfg = QuadratureConfig(level=level)
     got = float(deninger_gamma_check(P, cfg).value)
     assert abs(got - _deninger_reference(P, cfg)) < 1e-13
-
-
-def test_boundary_chart_solve():
-    assert boundary_chart_solve(0.0, 0.0) == [2 * math.acos(1 / 8.0), -2 * math.acos(1 / 8.0)]
-    # outside the admissible region
-    assert boundary_chart_solve(3.0, 3.0) == []
-    with pytest.raises(ValueError):
-        boundary_chart_solve(4.0, 0.0)
-
-
-def test_boundary_chart_edges():
-    chart = BoundaryChart()
-    a_star = chart.a_star
-    assert chart.admissible(0.0, 0.0)
-    assert not chart.admissible(3.1, 3.1)
-    assert abs(chart.b_star(0.0) - a_star) < 1e-14
-    # on the fold the two sheets merge
-    assert abs(chart.v(a_star * 0.9999999, 0.0)) < 1e-2
 
 
 def _xi(n):
