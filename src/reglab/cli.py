@@ -395,16 +395,10 @@ def cmd_verify_main(args):
         return EXIT_INPUT
     diag(f"stage 2: all {len(cert['divisors'])} residue certificates trivial")
 
-    # stage 3: direct Mahler measure
+    # stage 3: direct Mahler measure (the kink chart for this P)
+    cfg = _quad_config(args)
     P = parse_poly("(1+x)*(1+y)*(1+z)+t", ["x", "y", "z", "t"])
-    cfg3 = QuadratureConfig(
-        rule="gauss_legendre_tensor",
-        level=max(8, args.level // 4),
-        depth=max(3, args.depth),
-        seed=args.seed,
-        prec=args.prec,
-    )
-    direct = mahler_measure(P, cfg3)
+    direct = mahler_measure(P, cfg)
     report["stages"]["direct_measure"] = _num(direct.value, args.prec, direct.error_estimate)
     diag(f"stage 3: m(P) = {float(direct.value):.10f} (direct)")
 
@@ -413,8 +407,7 @@ def cmd_verify_main(args):
         boundary = None
         diag("stage 4: skipped")
     else:
-        cfg4 = _quad_config(args)
-        boundary = regulator_boundary_integral(lam, cfg4)
+        boundary = regulator_boundary_integral(lam, cfg)
         report["stages"]["boundary_integral"] = _num(
             boundary.value, args.prec, boundary.error_estimate
         )
@@ -437,7 +430,7 @@ def cmd_verify_main(args):
         "predicted": predicted,
         "residual": residual,
         "budget": budget,
-        "within_budget": residual <= max(budget, 1e-4),
+        "within_budget": residual <= budget,
     }
     diag(f"stage 6: residual = {residual:.3e}")
     if boundary is not None:
@@ -445,13 +438,18 @@ def cmd_verify_main(args):
         report["stages"]["pairing_delta"] = pairing_delta
         diag(f"          |direct - boundary| = {pairing_delta:.3e}")
 
-    # stage 7: relation detection at the achieved precision
-    best = boundary if boundary is not None else direct
-    err = float(best.error_estimate) + 1e-300
-    achieved = max(4, min(13, int(-math.log10(err))))
+    # stage 7: relation detection at the precision of the oracle with the
+    # smallest reported error
+    oracles = [("direct", direct), ("boundary", boundary)]
+    name, best = min(
+        ((n, r) for n, r in oracles if r is not None), key=lambda o: float(o[1].error_estimate)
+    )
+    value = float(best.value)
+    err = max(float(best.error_estimate), np.finfo(float).eps * abs(value))
+    achieved = math.floor(-math.log10(err))
     try:
         rep = find_integer_relation(
-            [mpmath.mpf(float(best.value)), Lp.mpf(), zp.mpf()],
+            [mpmath.mpf(value), Lp.mpf(), zp.mpf()],
             max_height=args.height,
             prec=achieved,
         )
@@ -459,9 +457,12 @@ def cmd_verify_main(args):
         rep = None
     report["stages"]["relation"] = rep.to_dict() if rep else "insufficient precision"
     if rep:
-        diag(f"stage 7: relation {rep.coefficients} (confidence {rep.confidence:.1f})")
+        diag(
+            f"stage 7: relation {rep.coefficients} (confidence {rep.confidence:.1f}; "
+            f"{name} value at {achieved} digits)"
+        )
     else:
-        diag(f"stage 7: no relation at achieved precision ({achieved} digits)")
+        diag(f"stage 7: no relation at achieved precision ({name} value, {achieved} digits)")
 
     ok = report["stages"]["residual"]["within_budget"] and (
         rep is None or rep.coefficients in ([7, 42, 48], [-7, -42, -48])

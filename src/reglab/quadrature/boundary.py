@@ -30,6 +30,8 @@ from .engine import QuadratureConfig, QuadratureResult, integrate_box, make_resu
 
 # Orientation constant pinned by the flagship cross-check (see module docstring).
 _ORIENT = 1.0
+# arccos arguments are clipped below 1, where the derivative of arccos blows up
+_ACOS_MAX = 1.0 - 1e-15
 
 
 # -- jet maps for the charts: parameter arrays in, coordinate jets out ----------------
@@ -46,7 +48,7 @@ def _dcos(x: Jet) -> Jet:
 
 
 def _darccos(x: Jet) -> Jet:
-    v = np.clip(x.val.real, -1.0, 1.0 - 1e-15)
+    v = np.clip(x.val.real, -1.0, _ACOS_MAX)
     return Jet(np.arccos(v), -x.grad / np.sqrt(1.0 - v * v)[:, None])
 
 

@@ -7,19 +7,32 @@ eigenvalues of stacked companion matrices.
 m(p) = log|lead(p)| + sum over roots of log max(1, |root|);
 m(P) = (2*pi)^-(n-1) times the integral over the torus of the inner measure
 in the last variable.
+
+For P = (1+x_1)...(1+x_k) + t with k = 2 or 3 and t the last variable (the
+flagship polynomial and its n = 3 analogue), recognised from its exact
+terms, Jensen's formula gives the integral of log+ prod 2cos(theta_i/2)
+over [0, pi]^k, whose kink on prod 2cos(theta_i/2) = 1 is the boundary of
+the Deninger chain. That integral is taken over the region inside the kink
+instead: the outer k - 1 axes through the sine substitutions of
+boundary.py, the innermost axis in closed form with Clausen's function, so
+the rule sees an integrand without a kink on [0, pi/2]^(k-1). Every other polynomial,
+including this one written with t not last, takes the torus integral.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
 import mpmath
 import numpy as np
 
+from .. import kernels
 from ..forms import Jet, eta_eval
 from ..numerics import HPReal, _bits
 from ..symbolic import MultiPoly
+from .boundary import _ACOS_MAX
 from .engine import QuadratureConfig, QuadratureResult, integrate_box, make_result
 
 
@@ -207,8 +220,48 @@ def _eval_slices(slices, thetas: np.ndarray) -> np.ndarray:
     return C
 
 
+def _is_kink_product(P: MultiPoly) -> bool:
+    """Whether P is (1+x_1)...(1+x_k) + t, k = 2 or 3, t its last variable."""
+    k = len(P.vars) - 1
+    if k not in (2, 3):
+        return False
+    want = {e + (0,): 1 for e in itertools.product((0, 1), repeat=k)}
+    want[(0,) * k + (1,)] = 1
+    return P.terms == want
+
+
+def _kink_chart(k: int):
+    """Integrand on [0, pi/2]^(k-1) whose integral is pi^k m((1+x_1)...(1+x_k) + t).
+
+    Axis j runs over [0, theta_j*] through theta_j = theta_j* sin(u_j), where
+    theta_j* = 2 arccos(1 / (2^(k-j) c)) and c is the product of 2cos(theta/2)
+    over the earlier axes; the innermost axis is the closed form
+    int_0^V log(c 2cos(v/2)) dv = V log c + Cl2(pi - V), V = 2 arccos(1/(2c)).
+    """
+
+    def f(points):
+        c = np.ones(len(points))
+        jac = np.ones(len(points))
+        for j in range(k - 1):
+            top = 2.0 * np.arccos(np.clip(1.0 / (2.0 ** (k - j) * c), -1.0, _ACOS_MAX))
+            theta = top * np.sin(points[:, j])
+            jac *= top * np.cos(points[:, j])
+            c *= 2.0 * np.cos(0.5 * theta)
+        V = 2.0 * np.arccos(np.clip(0.5 / c, -1.0, _ACOS_MAX))
+        clausen = kernels.li2(-np.exp(-1j * V)).imag  # Cl2(pi - V)
+        return jac * (V * np.log(c) + clausen)
+
+    return f
+
+
 def mahler_measure(P: MultiPoly, cfg: QuadratureConfig | None = None) -> QuadratureResult:
-    """Logarithmic Mahler measure of a (Laurent) polynomial in <= 4 variables."""
+    """Logarithmic Mahler measure of a (Laurent) polynomial in <= 4 variables.
+
+    (1+x_1)...(1+x_k) + t with k = 2 or 3, t last, is integrated over the
+    kink chart (see the module docstring) with a (k-1)-dimensional rule;
+    every other polynomial over the torus in all but its last variable.
+    Either way the rule, level, depth and precision of cfg apply.
+    """
     cfg = cfg or QuadratureConfig()
     nv = len(P.vars)
     if P.is_zero():
@@ -217,6 +270,11 @@ def mahler_measure(P: MultiPoly, cfg: QuadratureConfig | None = None) -> Quadrat
         return make_result(math.log(abs(float(P.constant_value()))), 0.0, 0, cfg)
     if nv > 4:
         raise ValueError("at most 4 variables supported")
+    if _is_kink_product(P):
+        # m = pi^-k times the integral over [0, pi]^k, by the symmetry theta -> -theta
+        k = nv - 1
+        value, err, evals = integrate_box(_kink_chart(k), 0.0, math.pi / 2, k - 1, cfg)
+        return make_result(value / math.pi**k, err / math.pi**k, evals, cfg)
     slices, degree = _coeff_table(P)
     if nv == 1:
         coeffs = [complex(terms.get((), 0)) for terms in slices]

@@ -93,8 +93,8 @@ def test_ac03_pairing_cross_oracle(capsys):
     elapsed = time.time() - t0
     report(
         capsys,
-        "AC3 direct m(P) vs boundary regulator integral, tol 5e-4, < 30 min",
-        delta <= 5e-4 and elapsed < 1800,
+        "AC3 direct m(P) vs boundary regulator integral, tol 1e-12, < 30 min",
+        delta <= 1e-12 and elapsed < 1800,
         f"delta={delta:.2e}, err_direct={float(direct.error_estimate):.1e}, "
         f"err_boundary={float(boundary.error_estimate):.1e}, {elapsed:.1f}s",
     )
@@ -125,8 +125,8 @@ def test_ac05_n3_cross_oracle(capsys):
     delta = abs(float(direct.value) - float(boundary.value))
     report(
         capsys,
-        "AC5 m((1+x)(1+y)+z) vs boundary curve integral, tol 1e-6",
-        delta <= 1e-6,
+        "AC5 m((1+x)(1+y)+z) vs boundary curve integral, tol 1e-12",
+        delta <= 1e-12,
         f"delta={delta:.2e}",
     )
 

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from reglab import cli
 from reglab.cli import main
+from reglab.numerics import HPReal
 
 
 def run(capsys, *argv):
@@ -137,3 +139,47 @@ def test_verify_main_skip_boundary(capsys):
     assert doc["stages"]["decomposition"]["holds"] is True
     assert doc["stages"]["residual"]["within_budget"] is True
     assert code == 0
+
+
+def test_verify_main_level40_finds_relation(capsys):
+    code, out, _ = run(capsys, "verify-main", "--level", "40")
+    doc = json.loads(out)
+    stages = doc["stages"]
+    assert abs(float(stages["direct_measure"]["value"]) - 0.604165831102476807) < 1e-14
+    assert stages["residual"]["within_budget"] is True
+    assert stages["relation"]["coefficients"] == [7, 42, 48]
+    assert doc["verdict"] == "consistent"
+    assert code == 0
+
+
+def test_verify_main_refuses_perturbed_direct_value(capsys, monkeypatch):
+    # a direct value moved by 1e-9, far beyond its reported error
+    measure = cli.mahler_measure
+
+    def bent(P, cfg):
+        res = measure(P, cfg)
+        res.value = HPReal(float(res.value) + 1e-9, cfg.prec)
+        return res
+
+    monkeypatch.setattr(cli, "mahler_measure", bent)
+    code, out, _ = run(capsys, "verify-main", "--level", "40")
+    doc = json.loads(out)
+    assert doc["stages"]["residual"]["within_budget"] is False
+    assert doc["stages"]["relation"] == "insufficient precision"  # no relation found
+    assert doc["verdict"] == "inconsistent"
+    assert code == 3
+
+
+def test_verify_main_aborts_on_corrupted_decomposition(capsys, monkeypatch):
+    load = cli.load_decomposition
+
+    def corrupted(path):
+        with open(path) as fh:
+            raw = json.load(fh)
+        raw["terms"][0][0] = 2  # corrupt one coefficient
+        return load(raw)
+
+    monkeypatch.setattr(cli, "load_decomposition", corrupted)
+    code, out, _ = run(capsys, "verify-main", "--level", "40")
+    assert json.loads(out)["verdict"] == "abort: decomposition"
+    assert code == 2

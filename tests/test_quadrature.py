@@ -206,6 +206,65 @@ def test_deninger_check_matches_pointwise_reference(poly, level):
     assert abs(got - _deninger_reference(P, cfg)) < 1e-13
 
 
+# m((1+x)(1+y)(1+z)+t) = -6 L'(f7,-1) - (48/7) zeta'(-2)
+M_P = 0.604165831102476806712691
+FLAGSHIP = "(1+x)*(1+y)*(1+z)+t"
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [dict(level=L) for L in (8, 12, 16, 24, 32, 40, 48, 64)]
+    + [dict(level=16, depth=3)]
+    + [dict(rule="adaptive_gk", prec=p) for p in (8, 12)],
+    ids=lambda cfg: ",".join(f"{k}={v}" for k, v in cfg.items()),
+)
+def test_kink_chart_error_estimate_bounds_true_error(cfg):
+    res = mahler_measure(parse_poly(FLAGSHIP, list("xyzt")), QuadratureConfig(**cfg))
+    assert float(res.error_estimate) >= abs(float(res.value) - M_P)
+
+
+def test_kink_chart_n3_matches_boundary_integral():
+    cfg = QuadratureConfig(level=48)
+    direct = mahler_measure(parse_poly("(1+x)*(1+y)+z", list("xyz")), cfg)
+    assert direct.evaluations == 48 + 24  # a 1-D rule: the chart
+    boundary = regulator_boundary_integral(_xi(3), cfg)
+    assert abs(float(direct.value) - float(boundary.value)) < 1e-13
+
+
+def test_kink_chart_matches_generic_path_flagship():
+    # the same polynomial with t first is not recognised and takes the torus integral
+    cfg = QuadratureConfig(level=10, depth=3)
+    chart = mahler_measure(parse_poly(FLAGSHIP, list("xyzt")), cfg)
+    generic = mahler_measure(parse_poly(FLAGSHIP, list("txyz")), cfg)
+    assert chart.evaluations == 80**2 + 40**2
+    assert generic.evaluations == 80**3 + 40**3
+    assert abs(float(chart.value) - float(generic.value)) <= float(generic.error_estimate)
+
+
+def test_kink_chart_matches_generic_path_n3():
+    cfg = QuadratureConfig(rule="adaptive_gk", prec=8)
+    chart = mahler_measure(parse_poly("(1+x)*(1+y)+z", list("xyz")), cfg)
+    generic = mahler_measure(parse_poly("(1+x)*(1+y)+z", list("zxy")), cfg)
+    assert abs(float(chart.value) - float(generic.value)) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "poly, variables, chart",
+    [
+        (FLAGSHIP, "xyzt", True),
+        ("(1+x)*(1+y)+z", "xyz", True),
+        ("(1+x)*(1+y)*(1+z)+2*t", "xyzt", False),
+        ("(1+x)*(1+y)+z^2", "xyz", False),
+        ("(1+x)*(1-y)+z", "xyz", False),
+    ],
+)
+def test_kink_chart_recogniser(poly, variables, chart):
+    # a 1-D rule fewer on the chart: evaluations tell the two paths apart
+    dims = len(variables) - 1 - chart
+    res = mahler_measure(parse_poly(poly, list(variables)), QuadratureConfig(level=8))
+    assert res.evaluations == 8**dims + 4**dims
+
+
 def _xi(n):
     doc = load_decomposition(os.path.join(data_dir(), f"decomposition_n{n}.json"))
     xi, _, lam = build_xi(doc)
