@@ -15,8 +15,9 @@ over [0, pi]^k, whose kink on prod 2cos(theta_i/2) = 1 is the boundary of
 the Deninger chain. That integral is taken over the region inside the kink
 instead: the outer k - 1 axes through the sine substitutions of
 boundary.py, the innermost axis in closed form with Clausen's function, so
-the rule sees an integrand without a kink on [0, pi/2]^(k-1). Every other polynomial,
-including this one written with t not last, takes the torus integral.
+the rule sees an integrand without a kink on [0, pi/2]^(k-1). Every other
+polynomial, including this one written with t not last, takes the torus
+integral.
 """
 
 from __future__ import annotations
