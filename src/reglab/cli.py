@@ -51,6 +51,7 @@ from .quadrature import (
     mahler_measure,
     regulator_boundary_integral,
 )
+from .quadrature.engine import RULES
 from .residues import certify_all_residues, load_divisors
 from .symbolic import build_xi, check_decomposition, load_decomposition, parse_poly
 
@@ -252,8 +253,8 @@ def cmd_dilog(args):
         {
             "z": args.z,
             **_num(D, args.prec, 10.0 ** (2 - args.prec)),
-            "li2_re": L.re.to_decimal(),
-            "li2_im": L.im.to_decimal(),
+            "li2_re": HPReal(L.real, args.prec).to_decimal(),
+            "li2_im": HPReal(L.imag, args.prec).to_decimal(),
             "manifest": _manifest(args),
         },
         args,
@@ -454,15 +455,17 @@ def cmd_verify_main(args):
             prec=achieved,
         )
     except ValueError:
-        rep = None
-    report["stages"]["relation"] = rep.to_dict() if rep else "insufficient precision"
+        rep, relation = None, "insufficient precision"
+    else:
+        relation = rep.to_dict() if rep else "no relation"
+    report["stages"]["relation"] = relation
     if rep:
         diag(
             f"stage 7: relation {rep.coefficients} (confidence {rep.confidence:.1f}; "
             f"{name} value at {achieved} digits)"
         )
     else:
-        diag(f"stage 7: no relation at achieved precision ({name} value, {achieved} digits)")
+        diag(f"stage 7: {relation} ({name} value, {achieved} digits)")
 
     ok = report["stages"]["residual"]["within_budget"] and (
         rep is None or rep.coefficients in ([7, 42, 48], [-7, -42, -48])
@@ -482,14 +485,12 @@ def _add_common(p, prec=True, quad=False, rule_default="gauss_legendre_tensor"):
         p.add_argument("--prec", type=int, default=15)
     p.add_argument("--json-indent", type=int, default=None, dest="json_indent")
     if quad:
-        p.add_argument("--seed", type=int, default=12345)
+        p.add_argument(
+            "--seed", type=int, default=12345, help="recorded in the manifest; no rule reads it"
+        )
         p.add_argument("--level", type=int, default=64)
         p.add_argument("--depth", type=int, default=0)
-        p.add_argument(
-            "--rule",
-            default=rule_default,
-            choices=["gauss_legendre_tensor", "adaptive_gk", "qmc_sobol"],
-        )
+        p.add_argument("--rule", default=rule_default, choices=RULES)
 
 
 def build_parser() -> argparse.ArgumentParser:

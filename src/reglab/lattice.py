@@ -41,9 +41,6 @@ class IntMatrix:
     def __repr__(self):
         return f"IntMatrix({self.rows!r})"
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix([r[:] for r in self.rows])
-
 
 def _gram_schmidt(rows: List[List[int]]):
     """Exact GS: returns (B* as Fractions, mu lower-triangular)."""
@@ -216,19 +213,3 @@ def find_integer_relation(
             c = [-x for x in c]
         return RelationReport(list(c), float(resid), conf)
 
-
-def shortest_vector_bruteforce(B: IntMatrix, box: int = 10) -> Tuple[int, List[int]]:
-    """Exhaustive lambda_1^2 over integer combinations with |c_i| <= box."""
-    import itertools
-
-    n, w = B.shape
-    best = None
-    bestv: List[int] = []
-    for coeffs in itertools.product(range(-box, box + 1), repeat=n):
-        if all(c == 0 for c in coeffs):
-            continue
-        v = [sum(coeffs[i] * B.rows[i][j] for i in range(n)) for j in range(w)]
-        norm = sum(x * x for x in v)
-        if best is None or norm < best:
-            best, bestv = norm, v
-    return best, bestv

@@ -1,22 +1,21 @@
-"""Deterministic quadrature over boxes: tensor Gauss-Legendre, adaptive
-Gauss-Kronrod cubature, and scrambled Sobol QMC.
+"""Deterministic quadrature over boxes: tensor Gauss-Legendre and adaptive
+Gauss-Kronrod cubature.
 
-All rules take a batch integrand f(points) -> values with points of shape
+Both rules take a batch integrand f(points) -> values with points of shape
 (N, dims), and return (value, error_estimate, evaluations). Error estimates
 are heuristic: the Gauss-Legendre estimate is the delta against a half-level
 run, but no less than the rounding error log2(N) eps sum |f w| of the N-node
 sum (at high levels the delta alone can fall below the true error); the
 adaptive estimate is the global Gauss-Kronrod error summed over all regions
-of the subdivision; and the QMC estimate is three standard errors over
-scrambled replicates. Results are deterministic for a fixed
-(rule, level, depth, seed).
+of the subdivision. Results are deterministic for a fixed
+(rule, level, depth, prec).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
@@ -24,11 +23,16 @@ from scipy import integrate
 
 from ..numerics import HPReal
 
-RULES = ("gauss_legendre_tensor", "adaptive_gk", "qmc_sobol")
+RULES = ("gauss_legendre_tensor", "adaptive_gk")
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Rule, Gauss-Legendre level, panel depth and target digits of a run.
+
+    ``seed`` is recorded in the CLI manifest only; no rule reads it.
+    """
+
     rule: str = "gauss_legendre_tensor"
     level: int = 64
     depth: int = 0
@@ -50,14 +54,6 @@ class QuadratureResult:
     error_estimate: HPReal
     evaluations: int
     config: QuadratureConfig
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value.to_decimal(),
-            "error_estimate": self.error_estimate.to_decimal(),
-            "evaluations": self.evaluations,
-            "config": asdict(self.config),
-        }
 
 
 def make_result(value: float, err: float, evals: int, cfg: QuadratureConfig) -> QuadratureResult:
@@ -112,8 +108,6 @@ def integrate_box(
         return fine, max(abs(fine - coarse), floor), n1 + n2
     if cfg.rule == "adaptive_gk":
         return _adaptive(f, lo, hi, dims, cfg)
-    if cfg.rule == "qmc_sobol":
-        return _qmc(f, lo, hi, dims, cfg)
     raise ValueError(cfg.rule)
 
 
@@ -138,22 +132,3 @@ def _adaptive(f, lo, hi, dims, cfg):
         )
     return float(res.estimate), float(res.error), evals
 
-
-def _qmc(f, lo, hi, dims, cfg):
-    from scipy.stats import qmc  # slow to import; only this rule needs it
-
-    replicates = 8
-    rng = np.random.default_rng(cfg.seed)
-    means = []
-    # for the QMC rule, level is log2 of the points per replicate
-    n = 2 ** min(max(cfg.level, 8), 24)
-    for _ in range(replicates):
-        eng = qmc.Sobol(d=dims, scramble=True, seed=rng)
-        u = eng.random(n)
-        pts = lo + (hi - lo) * u
-        means.append(float(np.mean(np.asarray(f(pts), dtype=np.float64))))
-    means = np.array(means)
-    vol = (hi - lo) ** dims
-    value = vol * means.mean()
-    err = vol * 3.0 * means.std(ddof=1) / np.sqrt(replicates)
-    return value, err, replicates * n

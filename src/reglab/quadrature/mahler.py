@@ -1,8 +1,8 @@
-"""Mahler measures: arbitrary-precision univariate values via Aberth-Ehrlich
-root finding, and multivariate values as iterated torus integrals with the
-univariate measure as the inner integral (Jensen's formula). The inner
-integrand finds the double-precision roots of all nodes at once, as
-eigenvalues of stacked companion matrices.
+"""Mahler measures: arbitrary-precision univariate values from the exact
+square-free factors and mpmath's polyroots, and multivariate values as
+iterated torus integrals with the univariate measure as the inner integral
+(Jensen's formula). The inner integrand finds the double-precision roots of
+all nodes at once, as eigenvalues of stacked companion matrices.
 
 m(p) = log|lead(p)| + sum over roots of log max(1, |root|);
 m(P) = (2*pi)^-(n-1) times the integral over the torus of the inner measure
@@ -24,10 +24,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import mpmath
 import numpy as np
+import sympy
+from mpmath.libmp import NoConvergence
 
 from .. import kernels
 from ..forms import Jet, eta_eval
@@ -43,76 +46,34 @@ class RootFindingError(RuntimeError):
         self.residuals = residuals
 
 
-# -- Aberth-Ehrlich, arbitrary precision ----------------------------------------------
+# -- univariate, arbitrary precision ------------------------------------------------
+
+_X = sympy.Symbol("x")
 
 
-def _aberth_mp(coeffs, prec_bits: int):
-    """Simultaneous root iteration; coeffs ascending, lead nonzero, deg >= 1."""
-    d = len(coeffs) - 1
-    with mpmath.mp.workprec(prec_bits + 20):
-        c = [mpmath.mpc(x) for x in coeffs]
-        lead = c[-1]
-        radius = 1 + max(abs(x / lead) for x in c[:-1])
-        z = [
-            radius * mpmath.exp(2j * mpmath.pi * (k + mpmath.mpf(1) / 4) / d) * mpmath.mpf("0.9")
-            for k in range(d)
-        ]
-        dc = [c[k] * k for k in range(1, d + 1)]
+def univariate_mahler(p: Sequence[Fraction | float], prec: int = 15) -> HPReal:
+    """Mahler measure of a univariate polynomial (ascending rational coefficients).
 
-        def horner(cs, x):
-            acc = mpmath.mpc(0)
-            for a in reversed(cs):
-                acc = acc * x + a
-            return acc
-
-        tol = mpmath.mpf(2) ** (-prec_bits)
-        for _ in range(200):
-            moved = mpmath.mpf(0)
-            for i in range(d):
-                p = horner(c, z[i])
-                dp = horner(dc, z[i])
-                if dp == 0:
-                    z[i] = z[i] * (1 + tol) + tol
-                    continue
-                w = p / dp
-                s = mpmath.mpc(0)
-                for j in range(d):
-                    if j != i:
-                        s += 1 / (z[i] - z[j])
-                denom = 1 - w * s
-                step = w if denom == 0 else w / denom
-                z[i] = z[i] - step
-                moved = max(moved, abs(step))
-            if moved < tol * max(1, radius):
-                break
-        scale = max(abs(x) for x in c)
-        residuals = [abs(horner(c, zi)) / scale for zi in z]
-        if max(residuals) > mpmath.mpf(2) ** (-prec_bits // 2):
-            raise RootFindingError(
-                "root iteration did not converge", [float(r) for r in residuals]
-            )
-        return z
-
-
-def univariate_mahler(p: Sequence[complex], prec: int = 15) -> HPReal:
-    """Mahler measure of a univariate polynomial (ascending coefficients)."""
-    coeffs = list(p)
-    if all(c == 0 for c in coeffs):
+    A float coefficient is taken at its exact binary value. The polynomial is
+    split exactly into square-free factors, content * prod f_j^k_j, and the
+    roots of each f_j come from mpmath.polyroots. The split comes first
+    because root iterations reach a k-fold root only to about eps^(1/k).
+    RootFindingError if polyroots does not converge.
+    """
+    coeffs = [Fraction(c) for c in p]
+    if not any(coeffs):
         raise ValueError("zero polynomial has no Mahler measure")
-    while coeffs and coeffs[0] == 0:  # m(x^k q) = m(q)
-        coeffs.pop(0)
-    while coeffs[-1] == 0:
-        coeffs.pop()
-    bits = _bits(prec)
-    with mpmath.mp.workprec(bits + 20):
-        if len(coeffs) == 1:
-            return HPReal(mpmath.log(abs(mpmath.mpc(coeffs[0]))), prec)
-        roots = _aberth_mp(coeffs, bits)
-        total = mpmath.log(abs(mpmath.mpc(coeffs[-1])))
-        for r in roots:
-            a = abs(r)
-            if a > 1:
-                total += mpmath.log(a)
+    content, factors = sympy.Poly(coeffs[::-1], _X).sqf_list()
+    with mpmath.mp.workprec(_bits(prec) + 20):
+        total = mpmath.log(abs(mpmath.mpf(content)))
+        for f, mult in factors:
+            c = [mpmath.mpf(a) for a in f.all_coeffs()]
+            try:
+                roots = mpmath.polyroots(c)
+            except NoConvergence as e:
+                raise RootFindingError(f"root iteration did not converge: {e}") from e
+            outside = sum(mpmath.log(abs(r)) for r in roots if abs(r) > 1)
+            total += mult * (mpmath.log(abs(c[0])) + outside)
         return HPReal(total, prec)
 
 
@@ -120,7 +81,7 @@ def univariate_mahler(p: Sequence[complex], prec: int = 15) -> HPReal:
 
 
 # Largest accepted backward error |p(r)| / sum_k |c_k| |r|^k of a root (half the
-# double-precision mantissa, as in _aberth_mp).
+# double-precision mantissa).
 _ROOT_RESIDUAL_TOL = 2.0**-26
 
 
@@ -278,8 +239,7 @@ def mahler_measure(P: MultiPoly, cfg: QuadratureConfig | None = None) -> Quadrat
         return make_result(value / math.pi**k, err / math.pi**k, evals, cfg)
     slices, degree = _coeff_table(P)
     if nv == 1:
-        coeffs = [complex(terms.get((), 0)) for terms in slices]
-        val = univariate_mahler(coeffs, cfg.prec)
+        val = univariate_mahler([terms.get((), 0) for terms in slices], cfg.prec)
         return QuadratureResult(val, HPReal(10.0 ** (1 - cfg.prec), cfg.prec), degree, cfg)
 
     def f(points):

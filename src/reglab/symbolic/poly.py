@@ -196,20 +196,7 @@ class MultiPoly:
         mono = MultiPoly(self.vars, {tuple(shifts): Fraction(1)})
         return num, mono
 
-    # -- substitution / evaluation ------------------------------------------------------
-    def substitute(self, name: str, value: "MultiPoly") -> "MultiPoly":
-        """Substitute a polynomial for a variable (exponents must be >= 0)."""
-        i = self.vars.index(name)
-        out = MultiPoly(self.vars, {})
-        for exps, c in self.terms.items():
-            if exps[i] < 0:
-                raise LaurentError("cannot substitute into a negative power")
-            rest = list(exps)
-            rest[i] = 0
-            term = MultiPoly(self.vars, {tuple(rest): c})
-            out = out + term * (value.extend(self.vars) ** exps[i] if exps[i] else 1)
-        return out
-
+    # -- evaluation -------------------------------------------------------------------
     def eval(self, values: dict):
         """Numerically evaluate; values maps each variable to a number-like."""
         out = None

@@ -23,6 +23,18 @@ def test_mahler_smith_example(capsys):
     assert doc["manifest"]["command"] == "mahler"
 
 
+def test_deninger_check_smith_example(capsys):
+    code, out, _ = run(
+        capsys, "deninger-check", "--poly", "1+x+y", "--rule", "adaptive_gk", "--prec", "8"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["consistent"] is True
+    # m(1 + x + y) = L'(chi_-3, -1) (Smith)
+    direct = doc["direct"]
+    assert abs(float(direct["value"]) - 0.3230659472194505) <= float(direct["error_estimate"])
+
+
 def test_dilog_example(capsys):
     code, out, _ = run(capsys, "dilog", "--z", "i", "--prec", "15")
     assert code == 0
@@ -165,7 +177,7 @@ def test_verify_main_refuses_perturbed_direct_value(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify-main", "--level", "40")
     doc = json.loads(out)
     assert doc["stages"]["residual"]["within_budget"] is False
-    assert doc["stages"]["relation"] == "insufficient precision"  # no relation found
+    assert doc["stages"]["relation"] == "no relation"  # the finder ran and found none
     assert doc["verdict"] == "inconsistent"
     assert code == 3
 

@@ -2,8 +2,10 @@
 
 import ast
 import collections
+import io
 import pathlib
 import re
+import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "reglab"
@@ -56,20 +58,33 @@ def _definitions(tree):
     ]
 
 
+def _names(source):
+    """Identifier tokens of Python source; words in strings and comments do not count."""
+    return [
+        tok.string
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type == tokenize.NAME
+    ]
+
+
 def test_no_unreferenced_definitions():
-    words = collections.Counter(
-        word
+    names = collections.Counter(
+        name
         for top in ("src", "tests", "perfbench")
         for path in (ROOT / top).rglob("*.py")
-        for word in re.findall(r"\w+", path.read_text())
+        for name in _names(path.read_text())
     )
     unreferenced = [
         f"{path.relative_to(SRC.parent)}:{line}: {name}"
         for path in sorted(SRC.rglob("*.py"))
         for line, name in _definitions(ast.parse(path.read_text(), str(path)))
-        if words[name] <= 1
+        if names[name] <= 1
     ]
     assert not unreferenced, "definitions never referenced:\n" + "\n".join(unreferenced)
+
+
+def test_name_scan_skips_strings_and_comments():
+    assert _names("f(x)  # g\ns = 'h'\n") == ["f", "x", "s"]
 
 
 def test_definition_scan_sees_functions_classes_and_methods():

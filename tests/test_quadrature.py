@@ -40,12 +40,8 @@ def test_integrate_box_rules_on_smooth_function():
     def f(pts):
         return np.exp(pts[:, 0] + pts[:, 1])
 
-    for rule, tol in (
-        ("gauss_legendre_tensor", 1e-12),
-        ("adaptive_gk", 1e-9),
-        ("qmc_sobol", 1e-3),
-    ):
-        cfg = QuadratureConfig(rule=rule, level=16 if rule != "qmc_sobol" else 14)
+    for rule, tol in (("gauss_legendre_tensor", 1e-12), ("adaptive_gk", 1e-9)):
+        cfg = QuadratureConfig(rule=rule, level=16)
         val, err, evals = integrate_box(f, 0.0, 1.0, 2, cfg)
         assert abs(val - want) < tol, rule
         assert evals > 0
@@ -69,6 +65,14 @@ def test_univariate_mahler_exact_cases():
     assert abs(float(univariate_mahler([0, 2], 30)) - math.log(2)) < 1e-28
     # m(x^2 - 4) = log 4: both roots outside the disk, lead 1
     assert abs(float(univariate_mahler([-4, 0, 1], 30)) - math.log(4)) < 1e-28
+
+
+@pytest.mark.parametrize("prec", [15, 30])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_repeated_unit_circle_roots(k, prec):
+    # a k-fold root on |x| = 1: m((1+x)^k) = 0 within the reported error
+    res = mahler_measure(parse_poly(f"(1+x)^{k}", ["x"]), QuadratureConfig(prec=prec))
+    assert abs(float(res.value)) <= float(res.error_estimate)
 
 
 def test_univariate_mahler_lehmer():
@@ -272,13 +276,12 @@ def _xi(n):
 
 
 def test_boundary_integral_n3_matches_mahler():
-    # cheap cross-check; the tight 1e-6 comparison runs in the acceptance suite
     lam = _xi(3)
     cfg = QuadratureConfig(level=48, prec=12)
     res = regulator_boundary_integral(lam, cfg)
     P = parse_poly("(1+x)*(1+y)+z", ["x", "y", "z"])
-    direct = mahler_measure(P, QuadratureConfig(rule="qmc_sobol", level=17))
-    assert abs(float(res.value) - float(direct.value)) < 2e-3
+    direct = mahler_measure(P, QuadratureConfig(level=24))  # the kink chart
+    assert abs(float(res.value) - float(direct.value)) < 1e-10
 
 
 def test_boundary_integral_n4_flagship_quick():
