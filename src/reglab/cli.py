@@ -186,7 +186,7 @@ def cmd_deninger_check(args):
             "direct": _num(direct.value, args.prec, direct.error_estimate),
             "chain": _num(chain.value, args.prec, chain.error_estimate),
             "difference": delta,
-            "consistent": delta <= max(budget, 1e-6),
+            "consistent": delta <= budget,
             "manifest": _manifest(args),
         },
         args,

@@ -1,22 +1,27 @@
-"""The boundary surface of the Deninger chain and the regulator integral.
+"""The boundary of the Deninger chain and the regulator integral over it.
 
-For P = (1+x)(1+y)(1+z) + t the boundary of the chain Gamma lives on
-|x| = |y| = |z| = |t| = 1. Writing x = e^{ia}, y = e^{ib}, z = e^{iv} and
-using |1 + e^{i s}| = 2 cos(s/2) on (-pi, pi), the surface is
+For P = (1+x_1)...(1+x_k) + t on the torus, write x_j = e^{i theta_j} and
+use |1 + e^{i s}| = 2 cos(s/2) on (-pi, pi). The boundary of the chain
+Gamma is the kink
 
-    8 cos(a/2) cos(b/2) cos(v/2) = 1,
+    prod_j 2 cos(theta_j/2) = 1,
 
-a two-sheeted graph v = +/- v(a, b) over the admissible region
-cos(a/2) cos(b/2) >= 1/8. The n = 3 analogue (1+x)(1+y) + z gives the curve
-4 cos(a/2) cos(v/2) = 1. The fold at cos(v/2) = 1 produces square-root
-derivative blowups, cured by the substitutions a = a* sin(phi),
-b = b*(a) sin(psi) whose Jacobians vanish at the edge.
+a two-sheeted graph theta_k = +/- V over the region where the product c of
+2cos(theta_j/2) over the outer angles theta_1..theta_(k-1) is at least 1/2,
+with the fold angle V = 2 arccos(1/(2c)). The flagship polynomial has k = 3
+(a surface, n = 4 variables) and its analogue (1+x)(1+y) + z has k = 2 (a
+curve, n = 3). At the fold, where V = 0, the derivatives blow up like a
+square root; ``kink_chart`` cures this with the sine substitutions
+theta_j = theta_j* sin(u_j), whose Jacobians vanish at the edge. The same
+chart parametrises the region inside the kink for the direct measure
+(``mahler._kink_chart``).
 
 The regulator integral evaluates (-1)^(n-1)/(2 pi i)^(n-1) times the
 integral over the boundary of rho applied to the Steinberg decomposition,
-both sheets with opposite orientation. The sheet orientation constant is
-pinned once by requiring agreement (not up to sign) with the direct Mahler
-measure of the flagship polynomial; it is never tuned per input.
+both sheets with opposite orientation. For even n rho is valued in i R and
+for odd n in R; either way the result is the real integral of the sheet
+difference divided by (2 pi)^(n-1), its sign pinned by agreement with the
+direct Mahler measure.
 """
 
 from __future__ import annotations
@@ -28,13 +33,11 @@ import numpy as np
 from ..forms import Jet, rho_of_element_at
 from .engine import QuadratureConfig, QuadratureResult, integrate_box, make_result
 
-# Orientation constant pinned by the flagship cross-check (see module docstring).
-_ORIENT = 1.0
 # arccos arguments are clipped below 1, where the derivative of arccos blows up
 _ACOS_MAX = 1.0 - 1e-15
 
 
-# -- jet maps for the charts: parameter arrays in, coordinate jets out ----------------
+# -- jet maps for the chart: parameter arrays in, coordinate jets out ----------------
 
 
 def _dsin(x: Jet) -> Jet:
@@ -58,28 +61,26 @@ def _dexp_i(x: Jet) -> Jet:
     return Jet(e, 1j * e[:, None] * x.grad)
 
 
-def _chart_point_n4(phi: np.ndarray, psi: np.ndarray, branch: int):
-    """Coordinate jets (x, y, z) on one sheet at parameter arrays (phi, psi)."""
-    a_star = 2.0 * math.acos(1.0 / 8.0)
-    phi_d = Jet(phi, [1.0, 0.0])
-    psi_d = Jet(psi, [0.0, 1.0])
-    a = a_star * _dsin(phi_d)
-    ca = _dcos(a * 0.5)
-    b_star = 2.0 * _darccos(1.0 / (8.0 * ca))
-    b = b_star * _dsin(psi_d)
-    cb = _dcos(b * 0.5)
-    v = 2.0 * _darccos(1.0 / ((8.0 * ca) * cb)) * branch
-    return [_dexp_i(a), _dexp_i(b), _dexp_i(v)]
+def kink_chart(u: np.ndarray):
+    """The region inside the kink of (1+x_1)...(1+x_k) + t, k = m + 1, at points u.
 
-
-def _chart_point_n3(phi: np.ndarray, branch: int):
-    """Coordinate jets (x, z) on one branch at the parameter array phi."""
-    a_star = 2.0 * math.acos(1.0 / 4.0)
-    phi_d = Jet(phi, [1.0])
-    a = a_star * _dsin(phi_d)
-    ca = _dcos(a * 0.5)
-    v = 2.0 * _darccos(1.0 / (4.0 * ca)) * branch
-    return [_dexp_i(a), _dexp_i(v)]
+    For u of shape (N, m) returns (thetas, c, V) as jets in u: the outer
+    angles theta_j = theta_j* sin(u_j), j = 1..m, where
+    theta_j* = 2 arccos(1 / (2^(k+1-j) c_(j-1))) and c_(j-1) is the product
+    of 2cos(theta_i/2) over i < j; the product c = c_m; and the fold angle
+    V = 2 arccos(1/(2c)). theta_j depends on u_1..u_j only, so the chart's
+    Jacobian is the product of the diagonal gradients d theta_j / d u_j.
+    """
+    m = u.shape[1]
+    eye = np.eye(m)
+    c = Jet(np.ones(len(u)), np.zeros(m))
+    thetas = []
+    for j in range(m):
+        top = 2.0 * _darccos(1.0 / (2.0 ** (m + 1 - j) * c))
+        theta = top * _dsin(Jet(u[:, j], eye[j]))
+        thetas.append(theta)
+        c = c * (2.0 * _dcos(theta * 0.5))
+    return thetas, c, 2.0 * _darccos(0.5 / c)
 
 
 def regulator_boundary_integral(
@@ -88,41 +89,25 @@ def regulator_boundary_integral(
     """(-1)^(n-1)/(2 pi i)^(n-1) times the boundary integral of rho(xi).
 
     The ambient dimension n is xi.wedge_degree + 2 (n = 3 or 4); the chart
-    is the flagship boundary surface (n = 4) or curve (n = 3).
+    is ``kink_chart`` with k = n - 1, the flagship boundary surface (n = 4)
+    or curve (n = 3).
     """
     cfg = cfg or QuadratureConfig()
     if xi.is_zero():
         return make_result(0.0, 0.0, 0, cfg)
     n = xi.wedge_degree + 2
-    if n == 4:
-        tangents = [np.eye(2)[0], np.eye(2)[1]]
+    if n not in (3, 4):
+        raise ValueError("boundary charts are available for n = 3 and n = 4 only")
+    dims = n - 2
+    tangents = np.eye(dims)
 
-        def f(points):
-            phi, psi = points[:, 0], points[:, 1]
-            up = rho_of_element_at(xi, _chart_point_n4(phi, psi, +1), tangents)
-            dn = rho_of_element_at(xi, _chart_point_n4(phi, psi, -1), tangents)
-            # rho is valued in i R; opposite sheet orientations
-            return (up - dn).imag
+    def f(points):
+        thetas, _, V = kink_chart(points)
+        xs = [_dexp_i(theta) for theta in thetas]
+        up = rho_of_element_at(xi, xs + [_dexp_i(V)], tangents)
+        dn = rho_of_element_at(xi, xs + [_dexp_i(-V)], tangents)
+        return (up - dn).imag if n % 2 == 0 else (up - dn).real
 
-        raw, err, evals = integrate_box(f, -math.pi / 2, math.pi / 2, 2, cfg)
-        # (-1)^3/(2 pi i)^3 = -i/(8 pi^3) applied to an iR-valued integral
-        value = _ORIENT * raw / (8.0 * math.pi**3)
-        return make_result(value, err / (8.0 * math.pi**3), evals, cfg)
-    if n == 3:
-        tangents = [np.ones(1)]
-
-        def f(points):
-            phi = points[:, 0]
-            up = rho_of_element_at(xi, _chart_point_n3(phi, +1), tangents)
-            dn = rho_of_element_at(xi, _chart_point_n3(phi, -1), tangents)
-            # for n = 3 the rho values are real (R(2)-valued)
-            return (up - dn).real
-
-        raw, err, evals = integrate_box(f, -math.pi / 2, math.pi / 2, 1, cfg)
-        # |(-1)^2/(2 pi i)^2| = 1/(4 pi^2); the induced boundary orientation
-        # for the curve case comes out opposite to the surface case, so the
-        # same _ORIENT flag applies with a positive constant here (pinned by
-        # the n = 3 cross-check against mahler_measure)
-        value = _ORIENT * raw / (4.0 * math.pi**2)
-        return make_result(value, err / (4.0 * math.pi**2), evals, cfg)
-    raise ValueError("boundary charts are available for n = 3 and n = 4 only")
+    raw, err, evals = integrate_box(f, -math.pi / 2, math.pi / 2, dims, cfg)
+    scale = (2 * math.pi) ** (n - 1)
+    return make_result(raw / scale, err / scale, evals, cfg)

@@ -13,15 +13,17 @@ flagship polynomial and its n = 3 analogue), recognised from its exact
 terms, Jensen's formula gives the integral of log+ prod 2cos(theta_i/2)
 over [0, pi]^k, whose kink on prod 2cos(theta_i/2) = 1 is the boundary of
 the Deninger chain. That integral is taken over the region inside the kink
-instead: the outer k - 1 axes through the sine substitutions of
-boundary.py, the innermost axis in closed form with Clausen's function, so
-the rule sees an integrand without a kink on [0, pi/2]^(k-1). Every other
-polynomial, including this one written with t not last, takes the torus
-integral.
+instead: the outer k - 1 axes through ``boundary.kink_chart``, the chart the
+boundary integral also runs over, and the innermost axis in closed form with
+Clausen's function, so the rule sees an integrand without a kink on
+[0, pi/2]^(k-1). Every other polynomial, including this one written with t
+not last, takes the torus integral, after its content in the last variable
+is split off exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -36,7 +38,7 @@ from .. import kernels
 from ..forms import Jet, eta_eval
 from ..numerics import HPReal, _bits
 from ..symbolic import MultiPoly
-from .boundary import _ACOS_MAX
+from .boundary import kink_chart
 from .engine import QuadratureConfig, QuadratureResult, integrate_box, make_result
 
 
@@ -192,55 +194,84 @@ def _is_kink_product(P: MultiPoly) -> bool:
     return P.terms == want
 
 
-def _kink_chart(k: int):
+def _kink_chart(points: np.ndarray) -> np.ndarray:
     """Integrand on [0, pi/2]^(k-1) whose integral is pi^k m((1+x_1)...(1+x_k) + t).
 
-    Axis j runs over [0, theta_j*] through theta_j = theta_j* sin(u_j), where
-    theta_j* = 2 arccos(1 / (2^(k-j) c)) and c is the product of 2cos(theta/2)
-    over the earlier axes; the innermost axis is the closed form
-    int_0^V log(c 2cos(v/2)) dv = V log c + Cl2(pi - V), V = 2 arccos(1/(2c)).
+    The outer axes are ``boundary.kink_chart``, weighted by its Jacobian; the
+    innermost axis is the closed form
+    int_0^V log(c 2cos(v/2)) dv = V log c + Cl2(pi - V).
     """
+    thetas, c, V = kink_chart(points)
+    jac = math.prod(theta.grad[:, j].real for j, theta in enumerate(thetas))
+    c, V = c.val.real, V.val.real
+    clausen = kernels.li2(-np.exp(-1j * V)).imag  # Cl2(pi - V)
+    return jac * (V * np.log(c) + clausen)
 
-    def f(points):
-        c = np.ones(len(points))
-        jac = np.ones(len(points))
-        for j in range(k - 1):
-            top = 2.0 * np.arccos(np.clip(1.0 / (2.0 ** (k - j) * c), -1.0, _ACOS_MAX))
-            theta = top * np.sin(points[:, j])
-            jac *= top * np.cos(points[:, j])
-            c *= 2.0 * np.cos(0.5 * theta)
-        V = 2.0 * np.arccos(np.clip(0.5 / c, -1.0, _ACOS_MAX))
-        clausen = kernels.li2(-np.exp(-1j * V)).imag  # Cl2(pi - V)
-        return jac * (V * np.log(c) + clausen)
 
-    return f
+def _split_content(P: MultiPoly):
+    """(g, P/g) for the content g of P in its last variable, or None if g = 1.
+
+    g is the gcd over Q of the coefficients of P's numerator (P times a
+    monomial) as a polynomial in its last variable; it lies in the other
+    variables. P/g is the numerator divided by g.
+    """
+    num, _ = P.split_laurent()
+    slices, _ = _coeff_table(num)
+    if any(list(terms) == [(0,) * (len(P.vars) - 1)] for terms in slices):
+        return None  # a nonzero constant coefficient: the content is 1
+    gens = sympy.symbols(f"x:{len(P.vars)}")
+    g = functools.reduce(
+        sympy.gcd, [sympy.Poly.from_dict(terms, gens[:-1], domain="QQ") for terms in slices]
+    )
+    if g.is_ground:
+        return None
+    rest = sympy.Poly.from_dict(num.terms, gens, domain="QQ").exquo(sympy.Poly(g.as_expr(), gens))
+    return MultiPoly(P.vars[:-1], dict(g.terms())), MultiPoly(P.vars, dict(rest.terms()))
 
 
 def mahler_measure(P: MultiPoly, cfg: QuadratureConfig | None = None) -> QuadratureResult:
     """Logarithmic Mahler measure of a (Laurent) polynomial in <= 4 variables.
 
+    The content g of P in its last variable, a polynomial in the other
+    variables, is split off first: m(P) = m(g) + m(P/g), the values, error
+    estimates and evaluations added, so a g that vanishes at a node, as
+    x - 1 does at theta = 0, never reaches the torus rule.
     (1+x_1)...(1+x_k) + t with k = 2 or 3, t last, is integrated over the
     kink chart (see the module docstring) with a (k-1)-dimensional rule;
     every other polynomial over the torus in all but its last variable.
     Either way the rule, level, depth and precision of cfg apply.
     """
     cfg = cfg or QuadratureConfig()
-    nv = len(P.vars)
     if P.is_zero():
         raise ValueError("zero polynomial")
+    if len(P.vars) > 4:
+        raise ValueError("at most 4 variables supported")
+    split = None if P.is_constant() else _split_content(P)
+    if split is None:
+        return _measure(P, cfg)
+    parts = [mahler_measure(part, cfg) for part in split]
+    return make_result(
+        sum(float(r.value) for r in parts),
+        sum(float(r.error_estimate) for r in parts),
+        sum(r.evaluations for r in parts),
+        cfg,
+    )
+
+
+def _measure(P: MultiPoly, cfg: QuadratureConfig) -> QuadratureResult:
+    """m(P) for a nonzero P, its content not split off."""
+    nv = len(P.vars)
     if nv == 0 or P.is_constant():
         return make_result(math.log(abs(float(P.constant_value()))), 0.0, 0, cfg)
-    if nv > 4:
-        raise ValueError("at most 4 variables supported")
     if _is_kink_product(P):
         # m = pi^-k times the integral over [0, pi]^k, by the symmetry theta -> -theta
         k = nv - 1
-        value, err, evals = integrate_box(_kink_chart(k), 0.0, math.pi / 2, k - 1, cfg)
+        value, err, evals = integrate_box(_kink_chart, 0.0, math.pi / 2, k - 1, cfg)
         return make_result(value / math.pi**k, err / math.pi**k, evals, cfg)
     slices, degree = _coeff_table(P)
     if nv == 1:
         val = univariate_mahler([terms.get((), 0) for terms in slices], cfg.prec)
-        return QuadratureResult(val, HPReal(10.0 ** (1 - cfg.prec), cfg.prec), degree, cfg)
+        return QuadratureResult(val, HPReal(f"1e{1 - cfg.prec}", cfg.prec), degree, cfg)
 
     def f(points):
         C = _eval_slices(slices, points)
@@ -270,8 +301,9 @@ def deninger_gamma_check(P: MultiPoly, cfg: QuadratureConfig | None = None) -> Q
         raise ValueError("the Gamma-chain check supports n <= 3")
     dims = nv - 1
     slices, degree = _coeff_table(P)
-    # m of the leading coefficient (a polynomial in the other variables)
-    m_lead = float(mahler_measure(MultiPoly(P.vars[:-1], slices[-1]), cfg).value)
+    # m of the leading coefficient (a polynomial in the other variables), its
+    # content not split off: for n = 3 it is then taken on the chain's grid
+    m_lead = float(_measure(MultiPoly(P.vars[:-1], slices[-1]), cfg).value)
 
     tangents = np.eye(dims)
     # coefficients of dP/dtheta_j, as polynomials in the last variable
@@ -310,12 +342,7 @@ def deninger_gamma_check(P: MultiPoly, cfg: QuadratureConfig | None = None) -> Q
         return out
 
     value, err, evals = integrate_box(f, -math.pi, math.pi, dims, cfg)
-    # (-1)^(n-1)/(2 pi i)^(n-1): for n=2 the 1/(2 pi i) makes Im(int) count,
-    # for n=3 -1/(2 pi i)^2 = +1/(4 pi^2) on the real part
-    if dims == 1:
-        reg = -value / (2 * math.pi)
-        reg_err = err / (2 * math.pi)
-    else:
-        reg = -value / (4 * math.pi**2)
-        reg_err = err / (4 * math.pi**2)
-    return make_result(m_lead + reg, reg_err, evals, cfg)
+    # (-1)^(n-1)/(2 pi i)^(n-1) applied to the integral, which is in i R for n = 2
+    # (f keeps its imaginary part) and in R for n = 3: -value / (2 pi)^(n-1)
+    scale = (2 * math.pi) ** dims
+    return make_result(m_lead - value / scale, err / scale, evals, cfg)

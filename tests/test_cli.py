@@ -35,6 +35,22 @@ def test_deninger_check_smith_example(capsys):
     assert abs(float(direct["value"]) - 0.3230659472194505) <= float(direct["error_estimate"])
 
 
+def test_deninger_check_refuses_perturbed_chain_value(capsys, monkeypatch):
+    # a chain value moved by 1e-7, far beyond the budget at 12 digits
+    check = cli.deninger_gamma_check
+
+    def bent(P, cfg):
+        res = check(P, cfg)
+        res.value = HPReal(float(res.value) + 1e-7, cfg.prec)
+        return res
+
+    monkeypatch.setattr(cli, "deninger_gamma_check", bent)
+    code, out, _ = run(
+        capsys, "deninger-check", "--poly", "1+x+y", "--rule", "adaptive_gk", "--prec", "12"
+    )
+    assert json.loads(out)["consistent"] is False
+
+
 def test_dilog_example(capsys):
     code, out, _ = run(capsys, "dilog", "--z", "i", "--prec", "15")
     assert code == 0

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 from reglab.k3 import data_dir
+from reglab.lfunctions import F15, lprime_minus1
 from reglab.quadrature import (
     QuadratureConfig,
     QuadratureResult,
@@ -73,6 +74,8 @@ def test_repeated_unit_circle_roots(k, prec):
     # a k-fold root on |x| = 1: m((1+x)^k) = 0 within the reported error
     res = mahler_measure(parse_poly(f"(1+x)^{k}", ["x"]), QuadratureConfig(prec=prec))
     assert abs(float(res.value)) <= float(res.error_estimate)
+    # 10^(1 - prec) exactly, not a binary float's digits
+    assert mpmath.nstr(res.error_estimate.mpf(), prec) == f"1.0e{1 - prec}"
 
 
 def test_univariate_mahler_lehmer():
@@ -284,6 +287,16 @@ def test_boundary_integral_n3_matches_mahler():
     assert abs(float(res.value) - float(direct.value)) < 1e-10
 
 
+def test_n3_oracles_match_brunault():
+    # m((1+x)(1+y)+z) = -2 L'(E15, -1) (Brunault 2016): a reference from outside
+    # the kink chart that the direct value and the boundary integral share
+    want = -2 * float(lprime_minus1(F15, 20))
+    direct = mahler_measure(parse_poly("(1+x)*(1+y)+z", list("xyz")), QuadratureConfig(level=24))
+    assert abs(float(direct.value) - want) < 1e-13
+    boundary = regulator_boundary_integral(_xi(3), QuadratureConfig(level=40))
+    assert abs(float(boundary.value) - want) < 1e-13
+
+
 def test_boundary_integral_n4_flagship_quick():
     lam = _xi(4)
     cfg = QuadratureConfig(level=24, prec=12)
@@ -371,10 +384,28 @@ def test_inner_mahler_mixed_batch_matches_per_row_roots():
         _inner_mahler_batch(np.vstack([C, np.zeros(4)]))
 
 
-@pytest.mark.parametrize("poly", ["(x-1)*(y+2)", "x-1"])
-def test_polynomial_vanishing_at_a_node_raises(poly):
-    # the odd rule has a node at theta = 0, where x - 1 vanishes
-    P = parse_poly(poly, ["x", "y"])
-    with pytest.raises(ValueError, match="vanishes identically"):
-        mahler_measure(P, QuadratureConfig(level=33))
+def test_polynomial_vanishing_at_a_node_raises():
+    # the odd rule and GK21 have a node at x = y = 1, where both coefficients in
+    # z vanish; P has no content in z to split off
+    P = parse_poly("(x-1)+(y-1)*z", ["x", "y", "z"])
+    for cfg in (QuadratureConfig(level=33), QuadratureConfig(rule="adaptive_gk")):
+        with pytest.raises(ValueError, match="vanishes identically"):
+            mahler_measure(P, cfg)
     assert math.isfinite(float(mahler_measure(P, QuadratureConfig(level=32)).value))
+
+
+@pytest.mark.parametrize(
+    "poly, want",
+    [("(x-1)*(y+2)", math.log(2)), ("x-1", 0.0), ("(x-1)^2*(1+x+y)", None)],
+    ids=["(x-1)*(y+2)", "x-1", "(x-1)^2*(1+x+y)"],
+)
+@pytest.mark.parametrize(
+    "cfg", [dict(level=33), dict(rule="adaptive_gk")], ids=["level=33", "adaptive_gk"]
+)
+def test_content_in_other_variables_is_split_off(poly, want, cfg):
+    # the content x - 1 vanishes at a node of each rule; m(P) = m(content) + m(P/content)
+    cfg = QuadratureConfig(**cfg)
+    if want is None:
+        want = float(mahler_measure(parse_poly("1+x+y", ["x", "y"]), cfg).value)
+    res = mahler_measure(parse_poly(poly, ["x", "y"]), cfg)
+    assert abs(float(res.value) - want) < 1e-12
