@@ -21,7 +21,7 @@ from reglab.quadrature import (
     univariate_mahler,
 )
 from reglab.forms import Jet, eta_eval
-from reglab.quadrature.mahler import _coeff_table, _eval_slices, _inner_mahler_batch
+from reglab.quadrature.mahler import _coeff_table, _eval_slices, _inner_mahler_batch, _measure
 from reglab.symbolic import MultiPoly, build_xi, load_decomposition, parse_poly
 
 
@@ -384,7 +384,18 @@ def test_inner_mahler_mixed_batch_matches_per_row_roots():
         _inner_mahler_batch(np.vstack([C, np.zeros(4)]))
 
 
-def test_polynomial_vanishing_at_a_node_raises():
+@pytest.mark.parametrize("poly", ["(x-1)*(y+2)", "x-1"])
+def test_polynomial_vanishing_at_a_node_raises(poly):
+    # the odd rule has a node at theta = 0, where x - 1 vanishes; the measure
+    # without the content split, which deninger_gamma_check takes for the
+    # leading coefficient, still stops there
+    P = parse_poly(poly, ["x", "y"])
+    with pytest.raises(ValueError, match="vanishes identically"):
+        _measure(P, QuadratureConfig(level=33))
+    assert math.isfinite(float(_measure(P, QuadratureConfig(level=32)).value))
+
+
+def test_polynomial_without_content_vanishing_at_a_node_raises():
     # the odd rule and GK21 have a node at x = y = 1, where both coefficients in
     # z vanish; P has no content in z to split off
     P = parse_poly("(x-1)+(y-1)*z", ["x", "y", "z"])
