@@ -43,7 +43,7 @@ from .lfunctions import (
     lvalue,
     zeta_prime_minus2,
 )
-from .numerics import HPReal, bloch_wigner, li2
+from .numerics import HPReal, _bits, bloch_wigner
 from .quadrature import (
     QuadratureConfig,
     RootFindingError,
@@ -135,15 +135,12 @@ def _parse_newform(args) -> NewformSpec:
     raise ValueError(f"unknown newform spec {spec!r} (use a preset or eta:d^r,...)")
 
 
-def _num(value: HPReal, prec: int, error=None) -> dict:
-    out = {"value": value.to_decimal(), "prec": prec}
-    if error is None:
-        out["exact"] = False
-    else:
-        out["error_estimate"] = (
-            error.to_decimal() if isinstance(error, HPReal) else error
-        )
-    return out
+def _num(value: HPReal, prec: int, error) -> dict:
+    return {
+        "value": value.to_decimal(),
+        "prec": prec,
+        "error_estimate": error.to_decimal() if isinstance(error, HPReal) else error,
+    }
 
 
 # -- subcommands ----------------------------------------------------------------------
@@ -232,7 +229,8 @@ def cmd_decomp_check(args):
 
 
 def cmd_residues(args):
-    doc, dpath = _load_xi(args)
+    dpath = args.file or os.path.join(data_dir(), "decomposition_n4.json")
+    doc = load_decomposition(dpath)
     xi, _, _ = build_xi(doc)
     div_path = args.divisors or os.path.join(data_dir(), "divisors_n4.json")
     divisors = load_divisors(div_path)
@@ -248,7 +246,8 @@ def cmd_residues(args):
 def cmd_dilog(args):
     z = _parse_complex(args.z)
     D = bloch_wigner(complex(z), args.prec)
-    L = li2(complex(z), args.prec)
+    with mpmath.mp.workprec(_bits(args.prec) + 10):
+        L = mpmath.polylog(2, mpmath.mpc(z))
     _emit(
         {
             "z": args.z,
@@ -525,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_decomp_check)
 
     p = sub.add_parser("residues", help="tame-symbol residue certificates")
-    p.add_argument("--n", type=int, default=4, choices=[4])
     p.add_argument("--file", default=None)
     p.add_argument("--divisors", default=None)
     p.add_argument("--trace", action="store_true")

@@ -3,8 +3,8 @@
 Precision is specified in decimal digits throughout. Real results are
 wrapped in :class:`HPReal`, an immutable carrier of an mpmath float and the
 precision it was computed to; arithmetic is done on the mpmath values. The
-dilogarithm and the Bloch-Wigner function are implemented here directly
-(series plus functional equations) on top of mpmath's big floats.
+Bloch-Wigner dilogarithm is implemented here directly (functional equations
+plus the Bernoulli series of Li2) on top of mpmath's big floats.
 """
 
 from __future__ import annotations
@@ -76,81 +76,16 @@ class HPReal:
         return f"HPReal({self.to_decimal()!r}, prec={self.prec})"
 
 
-# -- dilogarithm and Bloch-Wigner ----------------------------------------------
-
-
-def _li2_series(z, tol):
-    """Direct power series, |z| <= 0.6 or so."""
-    total = mpmath.mpc(0)
-    term = mpmath.mpc(1)
-    k = 0
-    while True:
-        k += 1
-        term = term * z
-        inc = term / (k * k)
-        total += inc
-        if abs(inc) < tol and k > 3:
-            return total
-
-
-def _li2_bernoulli(z, tol):
-    """Debye-type series Li2(z) = sum B_k u^(k+1)/(k+1)!, u = -log(1-z)."""
-    u = -mpmath.log(1 - z)
-    total = mpmath.mpc(0)
-    upow = mpmath.mpc(u)  # u^(k+1) running power
-    fact = mpmath.mpf(1)  # (k+1)! running factorial
-    k = 0
-    while True:
-        fact *= k + 1
-        b = mpmath.bernoulli(k)
-        inc = b * upow / fact
-        if b != 0:
-            total += inc
-            if abs(inc) < tol and k > 4:
-                return total
-        upow *= u
-        k += 1
-        if k > 4 * mp.prec:
-            raise ArithmeticError("dilogarithm series did not converge")
-
-
-def _li2_mpc(z):
-    """Principal-branch Li2 at current mpmath precision (mpc in, mpc out)."""
-    tol = mpmath.mpf(2) ** (-mp.prec - 5)
-    pi2_6 = mp.pi**2 / 6
-    if z == 0:
-        return mpmath.mpc(0)
-    if z == 1:
-        return mpmath.mpc(pi2_6)
-    offset = mpmath.mpc(0)
-    sign = 1
-    if abs(z) > 1:
-        # inversion: Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2 / 2
-        offset = -pi2_6 - mpmath.log(-z) ** 2 / 2
-        sign = -1
-        z = 1 / z
-    if abs(z) <= 0.6:
-        core = _li2_series(z, tol)
-    elif abs(1 - z) <= 0.5:
-        # reflection: Li2(z) = pi^2/6 - log(z)log(1-z) - Li2(1-z)
-        core = pi2_6 - mpmath.log(z) * mpmath.log(1 - z) - _li2_series(1 - z, tol)
-    else:
-        core = _li2_bernoulli(z, tol)
-    return sign * core + offset
-
-
-def li2(z, prec: int = 15):
-    """Principal-branch dilogarithm Li2(z), an mpmath complex good to ``prec`` digits."""
-    zv = mpmath.mpc(z)
-    with mp.workprec(_bits(prec) + 10):
-        return _li2_mpc(zv)
+# -- Bloch-Wigner dilogarithm -------------------------------------------------
 
 
 def bloch_wigner(z, prec: int = 15) -> HPReal:
-    """Bloch-Wigner dilogarithm D(z).
+    """Bloch-Wigner dilogarithm D(z), identically 0 on the real line.
 
-    D(z) = Im Li2(z) + arg(1-z) log|z| for |z| <= 1 and D(z) = -D(1/z)
-    outside the unit disk; identically 0 on the real line.
+    The same algorithm as ``kernels.bloch_wigner``: map z by
+    D(1/z) = D(1 - z) = -D(z) into |w| <= 1, Re w <= 1/2, then
+    D(w) = Im Li2(w) + arg(1-w) log|w| with Li2 from its Bernoulli series
+    in u = -log(1-w), |u| <= pi/3.
     """
     zv = mpmath.mpc(z)
     with mp.workprec(_bits(prec) + 10):
@@ -158,7 +93,20 @@ def bloch_wigner(z, prec: int = 15) -> HPReal:
             return HPReal(0, prec)
         sign = 1
         if abs(zv) > 1:
-            zv = 1 / zv
-            sign = -1
-        val = _li2_mpc(zv).imag + mpmath.arg(1 - zv) * mpmath.log(abs(zv))
-        return HPReal(sign * val, prec)
+            zv, sign = 1 / zv, -sign
+        if zv.real > 0.5:
+            zv, sign = 1 - zv, -sign
+        u = -mpmath.log(1 - zv)
+        u2 = u * u
+        tol = mpmath.mpf(2) ** (-mp.prec - 5)
+        li2 = u - u2 / 4
+        upow, fact = u, mpmath.mpf(1)  # u^(2j+1) and (2j+1)!
+        for j in range(1, mp.prec):
+            upow *= u2
+            fact *= 2 * j * (2 * j + 1)
+            inc = mpmath.bernoulli(2 * j) * upow / fact
+            li2 += inc
+            if abs(inc) < tol:
+                val = li2.imag + mpmath.arg(1 - zv) * mpmath.log(abs(zv))
+                return HPReal(sign * val, prec)
+        raise ArithmeticError("Bernoulli series of the dilogarithm did not converge")

@@ -53,13 +53,10 @@ class QuadratureResult:
     value: HPReal
     error_estimate: HPReal
     evaluations: int
-    config: QuadratureConfig
 
 
 def make_result(value: float, err: float, evals: int, cfg: QuadratureConfig) -> QuadratureResult:
-    return QuadratureResult(
-        HPReal(value, cfg.prec), HPReal(abs(err), cfg.prec), evals, cfg
-    )
+    return QuadratureResult(HPReal(value, cfg.prec), HPReal(abs(err), cfg.prec), evals)
 
 
 def _panels(lo: float, hi: float, depth: int) -> np.ndarray:

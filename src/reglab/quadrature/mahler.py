@@ -199,12 +199,13 @@ def _kink_chart(points: np.ndarray) -> np.ndarray:
 
     The outer axes are ``boundary.kink_chart``, weighted by its Jacobian; the
     innermost axis is the closed form
-    int_0^V log(c 2cos(v/2)) dv = V log c + Cl2(pi - V).
+    int_0^V log(c 2cos(v/2)) dv = V log c + Cl2(pi - V), with
+    Cl2(pi - V) = D(-e^(-iV)) because D(e^(i theta)) = Cl2(theta).
     """
     thetas, c, V = kink_chart(points)
     jac = math.prod(theta.grad[:, j].real for j, theta in enumerate(thetas))
     c, V = c.val.real, V.val.real
-    clausen = kernels.li2(-np.exp(-1j * V)).imag  # Cl2(pi - V)
+    clausen = kernels.bloch_wigner(-np.exp(-1j * V))  # Cl2(pi - V) = D(-e^(-iV))
     return jac * (V * np.log(c) + clausen)
 
 
@@ -271,7 +272,7 @@ def _measure(P: MultiPoly, cfg: QuadratureConfig) -> QuadratureResult:
     slices, degree = _coeff_table(P)
     if nv == 1:
         val = univariate_mahler([terms.get((), 0) for terms in slices], cfg.prec)
-        return QuadratureResult(val, HPReal(f"1e{1 - cfg.prec}", cfg.prec), degree, cfg)
+        return QuadratureResult(val, HPReal(f"1e{1 - cfg.prec}", cfg.prec), degree)
 
     def f(points):
         C = _eval_slices(slices, points)

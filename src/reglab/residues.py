@@ -239,9 +239,6 @@ class B2Residue:
     trace: List[dict] = field(default_factory=list)
     undecidable: bool = False
 
-    def is_zero(self) -> bool:
-        return not self.terms and not self.undecidable
-
 
 def residue_43(xi: B2WedgeElement, divisor: DivisorData) -> B2Residue:
     """Residue of a B2-wedge element (wedge degree 2) along one component."""
@@ -265,7 +262,7 @@ def residue_43(xi: B2WedgeElement, divisor: DivisorData) -> B2Residue:
             entry["why"] = "f restricts to 0 or infinity"
             res.trace.append(entry)
             continue
-        if fval in (sympy.Integer(0), sympy.Integer(1)) or fval == _INF:
+        if fval in (sympy.Integer(0), sympy.Integer(1)):
             entry["status"] = "trivial"
             entry["reason"] = "steinberg_degenerate"
             entry["why"] = f"f restricts to {fval}"
@@ -298,13 +295,9 @@ def residue_43(xi: B2WedgeElement, divisor: DivisorData) -> B2Residue:
         entry["status"] = "pending"
         entry["pair"] = [sympy.sstr(a), sympy.sstr(t)]
         res.trace.append(entry)
-    cancelled = False
     for key, coeff in raw.items():
-        a, t = raw_vals[key]
-        if coeff == 0:
-            cancelled = True
-            continue
-        res.terms.append((coeff, a, t))
+        if coeff != 0:
+            res.terms.append((coeff, *raw_vals[key]))
     for entry in res.trace:
         if entry.get("status") == "pending":
             key = tuple(entry["pair"])
@@ -314,7 +307,6 @@ def residue_43(xi: B2WedgeElement, divisor: DivisorData) -> B2Residue:
                 entry["why"] = "coefficients of this pair sum to zero"
             else:
                 entry["status"] = "nontrivial"
-    res.trace_cancelled = cancelled
     return res
 
 

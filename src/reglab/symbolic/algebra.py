@@ -433,7 +433,7 @@ def _tau_rational_function(p: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
 
 
 class _TauClosure:
-    """Cached tau-images of basis polynomials as FactoredElements."""
+    """The tau-images of a basis's polynomials as FactoredElements."""
 
     def __init__(self, basis: MultiplicativeBasis):
         self.basis = basis
@@ -460,38 +460,27 @@ class _TauClosure:
         return self.images[label[1]].torsion_free_labels()
 
 
-_tau_cache: dict = {}
-
-
-def _closure_for(basis: MultiplicativeBasis) -> _TauClosure:
-    key = id(basis)
-    if key not in _tau_cache:
-        _tau_cache[key] = _TauClosure(basis)
-    return _tau_cache[key]
-
-
 def apply_tau(e: Union[FactoredElement, WedgeElement, B2WedgeElement]):
     """Pullback by the involution x_i -> 1/x_i (all variables at once)."""
+    if not isinstance(e, (FactoredElement, WedgeElement, B2WedgeElement)):
+        raise TypeError(f"apply_tau does not handle {type(e).__name__}")
+    closure = _TauClosure(e.basis)
     if isinstance(e, FactoredElement):
-        return _closure_for(e.basis).of_factored(e)
+        return closure.of_factored(e)
     if isinstance(e, WedgeElement):
-        closure = _closure_for(e.basis)
         acc: dict = {}
         for labels, c in e.terms.items():
             vecs = [closure.of_label_vector(l) for l in labels]
             for key, v in _wedge_of_vectors(e.basis, c, vecs).items():
                 acc[key] = acc.get(key, Fraction(0)) + v
         return WedgeElement(e.basis, e.degree, acc)
-    if isinstance(e, B2WedgeElement):
-        closure = _closure_for(e.basis)
-        out = B2WedgeElement(e.basis, e.wedge_degree)
-        for c, f, labels in e.terms_list():
-            tf = closure.of_factored(f)
-            vecs = [closure.of_label_vector(l) for l in labels]
-            acc = _wedge_of_vectors(e.basis, Fraction(1), vecs)
-            out.add_term(c, tf, WedgeElement(e.basis, e.wedge_degree, acc))
-        return out
-    raise TypeError(f"apply_tau does not handle {type(e).__name__}")
+    out = B2WedgeElement(e.basis, e.wedge_degree)
+    for c, f, labels in e.terms_list():
+        tf = closure.of_factored(f)
+        vecs = [closure.of_label_vector(l) for l in labels]
+        acc = _wedge_of_vectors(e.basis, Fraction(1), vecs)
+        out.add_term(c, tf, WedgeElement(e.basis, e.wedge_degree, acc))
+    return out
 
 
 # -- decompositions ------------------------------------------------------------------

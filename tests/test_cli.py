@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -56,6 +57,9 @@ def test_dilog_example(capsys):
     assert code == 0
     doc = json.loads(out)
     assert abs(float(doc["value"]) - 0.9159655942) < 1e-9
+    # Li2(i) = -pi^2/48 + i G, G Catalan's constant
+    assert abs(float(doc["li2_re"]) + math.pi**2 / 48) < 1e-14
+    assert abs(float(doc["li2_im"]) - 0.915965594177219015) < 1e-14
 
 
 def test_k3_example(capsys):

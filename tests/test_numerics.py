@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reglab import kernels
-from reglab.numerics import HPReal, bloch_wigner, li2
+from reglab.numerics import HPReal, bloch_wigner
+
+
+def polylog_D(z, dps=30):
+    """Reference D(z) = Im Li2(z) + arg(1-z) log|z| from mpmath.polylog."""
+    with mpmath.workdps(dps):
+        z = mpmath.mpc(z)
+        return mpmath.polylog(2, z).imag + mpmath.arg(1 - z) * mpmath.log(abs(z))
 
 
 def test_hpreal_roundtrip_and_format():
@@ -25,19 +32,6 @@ def test_hpreal_carries_value_and_precision():
     with mpmath.mp.workprec(200):
         assert abs(3 * x.mpf() - 1) < 1e-30
     assert float(x) == 1 / 3
-
-
-def test_li2_against_mpmath():
-    for z in (0.3, -0.7, 0.5 + 0.5j, -2.0 + 1.0j, 3.0 - 0.25j, 1e-3j):
-        got = li2(complex(z), 25)
-        want = mpmath.polylog(2, mpmath.mpc(z))
-        assert abs(complex(got) - complex(want)) < 1e-20, z
-
-
-def test_li2_near_one():
-    got = complex(li2(1 - 1e-8 + 1e-8j, 30))
-    want = complex(mpmath.polylog(2, mpmath.mpc(1 - 1e-8, 1e-8)))
-    assert abs(got - want) < 1e-22
 
 
 def test_bloch_wigner_basic_values():
@@ -62,47 +56,57 @@ def test_bloch_wigner_symmetries():
 def test_kernels_match_high_precision():
     rng = np.random.default_rng(11)
     z = rng.normal(size=200) + 1j * rng.normal(size=200)
-    fast = kernels.li2(z)
+    fast = kernels.bloch_wigner(z)
     for zi, fi in zip(z, fast):
-        want = complex(mpmath.polylog(2, mpmath.mpc(zi)))
-        assert abs(fi - want) < 5e-14 * max(1, abs(want))
+        assert abs(fi - float(polylog_D(zi))) < 5e-14
 
 
 def test_kernels_wide_magnitude_match_mpmath():
-    # |z| from e^-3 to e^3 exercises every branch: the power series, the
-    # reflection near 1, the Debye series and the inversion outside the disk
+    # |z| from e^-3 to e^3 exercises both the inversion and the reflection
+    # step, and their four combinations
     rng = np.random.default_rng(5)
     z = (rng.normal(size=500) + 1j * rng.normal(size=500)) * np.exp(
         rng.uniform(-3, 3, 500)
     )
-    L, D = kernels.li2(z), kernels.bloch_wigner(z)
-    assert L.shape == D.shape == z.shape
-    with mpmath.workdps(30):
-        for zi, li, di in zip(z, L, D):
-            want_l = mpmath.polylog(2, mpmath.mpc(zi))
-            want_d = float(bloch_wigner(complex(zi), 25))
-            assert abs(li - complex(want_l)) < 5e-14 * max(1, abs(want_l))
-            assert abs(di - want_d) < 5e-14
+    D = kernels.bloch_wigner(z)
+    assert D.shape == z.shape
+    for zi, di in zip(z, D):
+        assert abs(di - float(polylog_D(zi))) < 5e-14
 
     # 2-d input keeps its shape and matches the flat evaluation elementwise
     # (array_equal also compares shapes)
     grid = z[:60].reshape(6, 10)
-    assert np.array_equal(kernels.li2(grid), L[:60].reshape(6, 10))
     assert np.array_equal(kernels.bloch_wigner(grid), D[:60].reshape(6, 10))
 
     # a Python scalar gives a NumPy scalar with the same value as the batch
     for i in (0, 7, 123):
-        zi = complex(z[i])
-        li, di = kernels.li2(zi), kernels.bloch_wigner(zi)
-        assert isinstance(li, np.complex128) and li == L[i]
+        di = kernels.bloch_wigner(complex(z[i]))
         assert isinstance(di, np.float64) and di == D[i]
-    assert isinstance(kernels.li2(0.5), np.complex128)
     assert isinstance(kernels.bloch_wigner(2), np.float64)
 
 
 def test_kernel_bloch_wigner_matches_mp():
     for z in (0.4 + 0.9j, -1.3 + 0.2j, 2.5 - 1.5j):
-        assert abs(kernels.bloch_wigner(z) - float(bloch_wigner(z, 25))) < 5e-14
+        assert abs(kernels.bloch_wigner(z) - float(polylog_D(z))) < 5e-14
+
+
+def test_bloch_wigner_40_digits_against_polylog():
+    points = (
+        0.3 + 0.4j,  # no step
+        0.8 + 0.3j,  # reflection only
+        -2.0 + 1.0j,  # inversion only
+        1.2 + 0.3j,  # inversion, then reflection
+        1e-12 + 3e-12j,  # near 0
+        1 + 1e-10j,  # near 1
+        1 - 1e-9 + 1e-9j,
+        complex(np.exp(1j * math.pi / 3)),  # where both steps meet
+        1e8 * complex(np.exp(0.7j)),
+        1e-8 * complex(np.exp(2.1j)),
+    )
+    for z in points:
+        got = bloch_wigner(z, 40).mpf()
+        with mpmath.workdps(70):
+            assert abs(got - polylog_D(z, 70)) < mpmath.mpf("1e-38"), z
 
 
 @given(
@@ -138,15 +142,13 @@ def test_five_term_relation_double():
 def test_kernels_exact_at_special_points():
     # no 0 * log(0) on the way: every floating-point warning is an error here
     with np.errstate(all="raise"):
-        assert kernels.li2(1.0) == kernels.PI2_6
-        assert abs(kernels.PI2_6 - math.pi**2 / 6) < 1e-15
-        assert kernels.li2(0.0) == 0
-        assert abs(kernels.li2(-1.0) + math.pi**2 / 12) < 1e-15
-        arr = kernels.li2(np.array([1.0, 0.0, -1.0]))
-        assert arr[0] == kernels.PI2_6 and arr[1] == 0
-        assert abs(arr[2] + math.pi**2 / 12) < 1e-15
         real_axis = np.array([0.0, 1.0, -3.0, -1.0, 0.5, 2.0, 7.5])
         for z in real_axis:
             assert kernels.bloch_wigner(z) == 0.0
         assert np.all(kernels.bloch_wigner(real_axis) == 0.0)
         assert np.all(kernels.bloch_wigner(real_axis + 0j) == 0.0)
+        # the maximum of D, at e^(i pi/3), where |z| = 1 and Re z = 1/2 meet
+        d_max = 1.01494160640965362502
+        rot = np.exp(1j * math.pi / 3)
+        assert abs(kernels.bloch_wigner(rot) - d_max) < 1e-15
+        assert abs(kernels.bloch_wigner(rot.conjugate()) + d_max) < 1e-15

@@ -1,4 +1,6 @@
+import gc
 import os
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -150,6 +152,17 @@ def test_xi_tau_symmetry_n4():
     assert lam == xi
     # involution
     assert apply_tau(xi_star) == xi
+
+
+def test_build_xi_keeps_no_reference_to_the_basis():
+    # apply_tau must not hold the basis (or anything built on it) once the
+    # caller drops the document and xi
+    doc = _load(4)
+    xi = build_xi(doc)
+    basis = weakref.ref(doc.basis)
+    del doc, xi
+    gc.collect()
+    assert basis() is None
 
 
 def test_xi_tau_symmetry_n3():
