@@ -8,6 +8,15 @@ records the order and leading restriction of each relevant function along
 each component; orders along blown-up components may be recorded only as
 "positive but unknown", and triviality is concluded only when the verdict
 does not depend on the exact order.
+
+Every recorded value is an element of QQ(s), s the component's parameter,
+kept in the cancelled form of ``sympy.cancel``. That form is unique, so
+two values are equal exactly when their ``sstr`` strings are, and the
+residue pairs are collected under those strings. Records that contradict
+themselves are rejected with ``ValueError``: order 0 with value 0 or
+infinity, a positive order with value infinity, a negative order with
+value 0, or a value outside QQ(s) (an irrational constant, a float, a
+second symbol).
 """
 
 from __future__ import annotations
@@ -63,21 +72,58 @@ def _is_root_of_unity(v) -> bool:
     return v in (1, -1)
 
 
-@dataclass
+def _cancelled(value: sympy.Expr) -> sympy.Expr:
+    """``value`` in cancelled form; ValueError unless it lies in QQ(s) for one symbol s."""
+    if value.is_Rational:
+        return value
+    symbols = value.free_symbols
+    if len(symbols) > 1 or value.has(sympy.Float):
+        raise ValueError(f"value {value} is not a rational function of one parameter over QQ")
+    domain = sympy.QQ.frac_field(*symbols) if symbols else sympy.QQ
+    try:
+        domain.from_sympy(value)
+    except (ValueError, sympy.CoercionFailed):
+        raise ValueError(f"value {value} is not a rational function over QQ") from None
+    return sympy.cancel(value)
+
+
+@dataclass(frozen=True)
 class FunctionRecord:
-    """Order and leading restriction of one function along one component."""
+    """Order and leading restriction of one function along one component.
+
+    A value of 0 on a positive order, or infinity on a negative one, means
+    the leading coefficient is not recorded.
+    """
 
     order: Union[int, str]  # int | unknown_positive | unknown_negative
     value: Optional[sympy.Expr]  # restriction/leading value; None if unknown
 
     def __post_init__(self):
-        if isinstance(self.order, str) and self.order not in (
-            UNKNOWN_POSITIVE,
-            UNKNOWN_NEGATIVE,
-        ):
-            raise ValueError(f"bad order tag {self.order!r}")
-        if self.order == 0 and (self.value is None or self.value == 0):
-            raise ValueError("order 0 requires a nonzero restriction value")
+        o, v = self.order, self.value
+        if isinstance(o, str):
+            if o not in (UNKNOWN_POSITIVE, UNKNOWN_NEGATIVE):
+                raise ValueError(f"bad order tag {o!r}")
+        elif not isinstance(o, int):
+            raise ValueError(f"order {o!r} is neither an integer nor an unknown-order tag")
+        positive = o == UNKNOWN_POSITIVE or (isinstance(o, int) and o > 0)
+        negative = o == UNKNOWN_NEGATIVE or (isinstance(o, int) and o < 0)
+        if o == 0 and (v is None or v == 0 or v is _INF):
+            raise ValueError("order 0 requires a finite nonzero restriction value")
+        if (positive and v is _INF) or (negative and v == 0):
+            raise ValueError(f"order {o} contradicts value {v}")
+        if v is None or v is ROOT_OF_UNITY or v is _INF:
+            return
+        if isinstance(v, (int, Fraction)):
+            v = sympy.Rational(v)
+        elif not isinstance(v, sympy.Expr):
+            raise ValueError(f"value {v!r} is not a sympy expression")
+        object.__setattr__(self, "value", _cancelled(v))
+
+
+def _leading_known(rec: FunctionRecord) -> bool:
+    """Whether the record pins down its leading coefficient."""
+    v = rec.value
+    return not (v is None or v is ROOT_OF_UNITY or v is _INF or v == 0)
 
 
 @dataclass
@@ -88,35 +134,50 @@ class DivisorData:
     parameter: str
     records: Dict[str, FunctionRecord]
 
+    def __post_init__(self):
+        s = sympy.Symbol(self.parameter)
+        for fname, rec in self.records.items():
+            if isinstance(rec.value, sympy.Expr) and not rec.value.free_symbols <= {s}:
+                raise ValueError(
+                    f"divisor {self.name}: value {rec.value} of {fname!r} "
+                    f"is not a function of {self.parameter}"
+                )
+
     def record_for(self, fname: str) -> FunctionRecord:
         if fname not in self.records:
             raise KeyError(f"divisor {self.name}: no record for function {fname!r}")
         return self.records[fname]
 
 
+def _parse_value(raw: Optional[str], parameter: str):
+    if raw is None:
+        return None
+    if raw in ("inf", "infinity"):
+        return _INF
+    if raw == "root_of_unity":
+        return ROOT_OF_UNITY
+    s = sympy.Symbol(parameter)
+    return sympy.sympify(raw, locals={parameter: s}, rational=True)
+
+
 def load_divisors(path_or_list) -> List[DivisorData]:
+    """Divisor records from a JSON file or list; each distinct record is parsed once."""
     if isinstance(path_or_list, (list, tuple)):
         docs = path_or_list
     else:
         with open(path_or_list) as fh:
             docs = json.load(fh)
+    parsed: Dict[tuple, FunctionRecord] = {}  # records are frozen, so divisors share them
     out = []
     for d in docs:
-        s = sympy.Symbol(d.get("parameter", "s"))
+        parameter = d.get("parameter", "s")
         recs = {}
         for fname, r in d["functions"].items():
-            order = r["order"]
-            raw = r.get("value")
-            if raw is None:
-                value = None
-            elif raw in ("inf", "infinity"):
-                value = _INF
-            elif raw == "root_of_unity":
-                value = ROOT_OF_UNITY
-            else:
-                value = sympy.sympify(raw, locals={str(s): s}, rational=True)
-            recs[fname] = FunctionRecord(order, value)
-        out.append(DivisorData(d["name"], str(s), recs))
+            key = (parameter, r["order"], r.get("value"))
+            if key not in parsed:
+                parsed[key] = FunctionRecord(r["order"], _parse_value(r.get("value"), parameter))
+            recs[fname] = parsed[key]
+        out.append(DivisorData(d["name"], parameter, recs))
     return out
 
 
@@ -126,35 +187,26 @@ def load_divisors(path_or_list) -> List[DivisorData]:
 def tame_symbol(fdata: FunctionRecord, gdata: FunctionRecord):
     """T_p{f,g} = (-1)^(ord f * ord g) (f^ord(g) / g^ord(f))|_p.
 
-    Returns an exact sympy value when the orders pin it down, the
-    ROOT_OF_UNITY marker when the value is a root of unity for every
-    admissible choice of the unknown orders, else UNDECIDABLE.
+    Returns an exact sympy value in cancelled form when the orders pin it
+    down, the ROOT_OF_UNITY marker when the value is a root of unity for
+    every admissible choice of the unknown orders, else UNDECIDABLE.
     """
     m, n = fdata.order, gdata.order
     if isinstance(m, int) and isinstance(n, int):
         need_f = n != 0
         need_g = m != 0
-        # a zero "value" on a record of positive order means the leading
-        # coefficient is not recorded, which is as good as unknown here
-        f_unknown = fdata.value in (None, ROOT_OF_UNITY) or (
-            m > 0 and fdata.value == 0
-        )
-        g_unknown = gdata.value in (None, ROOT_OF_UNITY) or (
-            n > 0 and gdata.value == 0
-        )
-        if (need_f and f_unknown) or (need_g and g_unknown):
+        if (need_f and not _leading_known(fdata)) or (need_g and not _leading_known(gdata)):
             if (not need_f or _is_root_of_unity(fdata.value)) and (
                 not need_g or _is_root_of_unity(gdata.value)
             ):
                 return ROOT_OF_UNITY
             return UNDECIDABLE
-        sign = sympy.Integer(-1) ** (m * n)
-        val = sign
+        val = sympy.Integer(-1) ** (m * n)
         if need_f:
             val = val * fdata.value**n
         if need_g:
             val = val / gdata.value**m
-        return sympy.simplify(val)
+        return sympy.cancel(val)
     # at least one order unknown: decided only if every order-dependent
     # factor is a root of unity
     f_ok = (n == 0) or _is_root_of_unity(fdata.value)
@@ -173,14 +225,16 @@ def _restrict_factored(
     """Restriction of a FactoredElement to the component.
 
     Returns (order, value): order is an int, UNKNOWN_POSITIVE,
-    UNKNOWN_NEGATIVE, or UNDECIDABLE; value is a sympy expression when
+    UNKNOWN_NEGATIVE, or UNDECIDABLE; value is f(p) in cancelled form when
     order == 0, the infinity marker for negative order, 0 for positive.
+    When the known orders cancel but a leading coefficient is not recorded,
+    f(p) is finite and nonzero but unknown: (0, None).
     """
+    factors = [(divisor.record_for(f.basis.names[i]), e) for i, e in f.exps.items()]
     known = 0
     unknown_pos = 0  # count of factors contributing an unknown positive order
     unknown_neg = 0
-    for i, e in f.exps.items():
-        rec = divisor.record_for(str(f.basis.polys[i]))
+    for rec, e in factors:
         o = rec.order
         if isinstance(o, int):
             known += o * e
@@ -205,23 +259,18 @@ def _restrict_factored(
     if known < 0:
         return known, _INF
     val = sympy.Rational(f.const.numerator, f.const.denominator)
-    for i, e in f.exps.items():
-        rec = divisor.record_for(str(f.basis.polys[i]))
-        if rec.order == 0:
-            val = val * rec.value**e
-        else:
-            # known orders cancelled exactly; need leading values
-            if rec.value in (None, ROOT_OF_UNITY) or rec.value == 0:
-                return 0, None
-            val = val * rec.value**e
-    return 0, sympy.simplify(val)
+    for rec, e in factors:
+        if not _leading_known(rec):
+            return 0, None
+        val = val * rec.value**e
+    return 0, sympy.cancel(val)
 
 
 def _label_record(label, basis, divisor: DivisorData) -> FunctionRecord:
     kind, key = label
     if kind == "p":
         return FunctionRecord(0, sympy.Integer(key))
-    return divisor.record_for(str(basis.polys[key]))
+    return divisor.record_for(basis.names[key])
 
 
 # -- residue ------------------------------------------------------------------------
@@ -256,16 +305,16 @@ def residue_43(xi: B2WedgeElement, divisor: DivisorData) -> B2Residue:
             res.undecidable = True
             res.trace.append(entry)
             continue
-        if order != 0 or fval is None or fval == _INF:
+        if order != 0:
             entry["status"] = "trivial"
             entry["reason"] = "steinberg_degenerate"
             entry["why"] = "f restricts to 0 or infinity"
             res.trace.append(entry)
             continue
-        if fval in (sympy.Integer(0), sympy.Integer(1)):
+        if fval == 1:
             entry["status"] = "trivial"
             entry["reason"] = "steinberg_degenerate"
-            entry["why"] = f"f restricts to {fval}"
+            entry["why"] = "f restricts to 1"
             res.trace.append(entry)
             continue
         g, h = labels
@@ -278,22 +327,31 @@ def residue_43(xi: B2WedgeElement, divisor: DivisorData) -> B2Residue:
             res.undecidable = True
             res.trace.append(entry)
             continue
-        if t is ROOT_OF_UNITY or _is_root_of_unity(t):
+        if _is_root_of_unity(t):
             entry["status"] = "trivial"
             entry["reason"] = "torsion_tensor_factor"
             entry["why"] = "tame symbol is a root of unity, torsion in (x) Q"
             res.trace.append(entry)
             continue
-        # canonicalize {a}_2 modulo inversion ({1/a}_2 = -{a}_2)
+        if fval is None:
+            entry["status"] = "undecidable"
+            entry["why"] = "f(p) is finite and nonzero but its value is not recorded"
+            res.undecidable = True
+            res.trace.append(entry)
+            continue
+        # canonicalize {a}_2 modulo inversion ({1/a}_2 = -{a}_2); the
+        # cancelled form is unique, so equal pairs get equal string keys
         a, sign = fval, 1
-        inv = sympy.simplify(1 / a)
-        if sympy.sstr(inv) < sympy.sstr(a):
-            a, sign = inv, -1
-        key = (sympy.sstr(a), sympy.sstr(t))
+        a_key, t_key = sympy.sstr(a), sympy.sstr(t)
+        inv = sympy.cancel(1 / a)
+        inv_key = sympy.sstr(inv)
+        if inv_key < a_key:
+            a, a_key, sign = inv, inv_key, -1
+        key = (a_key, t_key)
         raw[key] = raw.get(key, Fraction(0)) + sign * c
         raw_vals[key] = (a, t)
         entry["status"] = "pending"
-        entry["pair"] = [sympy.sstr(a), sympy.sstr(t)]
+        entry["pair"] = list(key)
         res.trace.append(entry)
     for key, coeff in raw.items():
         if coeff != 0:

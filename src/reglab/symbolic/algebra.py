@@ -54,6 +54,7 @@ class MultiplicativeBasis:
             for q in self.polys[i + 1 :]:
                 if p.divides_into(q) is not None or q.divides_into(p) is not None:
                     raise ValueError(f"basis entries {p} and {q} are associates or nested")
+        self.names = [str(p) for p in self.polys]
 
     @staticmethod
     def _sanity_irreducible(p: MultiPoly) -> None:
@@ -80,7 +81,7 @@ class MultiplicativeBasis:
     def label_name(self, label: Label) -> str:
         kind, key = label
         if kind == "b":
-            return str(self.polys[key])
+            return self.names[key]
         return str(key)
 
 

@@ -1,10 +1,13 @@
-"""Source hygiene checks that need nothing beyond the standard library."""
+"""Source hygiene checks; this module imports nothing beyond the standard library."""
 
 import ast
 import collections
 import io
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -93,3 +96,55 @@ def test_definition_scan_sees_functions_classes_and_methods():
         "def f():\n    def g(): pass\nasync def h(): pass\n"
     )
     assert sorted(_definitions(tree)) == [(1, "A"), (2, "m"), (4, "f"), (5, "g"), (6, "h")]
+
+
+def _simplify_uses(tree):
+    """Lines that reach sympy's heuristic ``simplify``, by attribute, name or import."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "simplify":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "simplify":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(a.name == "simplify" for a in node.names):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_exact_layers_never_simplify():
+    uses = [
+        f"{path.relative_to(SRC.parent)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line in _simplify_uses(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not uses, "sympy simplify is a heuristic; use cancel:\n" + "\n".join(uses)
+
+
+def test_simplify_scan_sees_attributes_names_and_imports():
+    tree = ast.parse(
+        "import sympy\nfrom sympy import simplify as s\nsympy.simplify(x)\n"
+        "e.simplify()\nsympy.cancel(x)\n"
+    )
+    assert _simplify_uses(tree) == [2, 3, 4]
+
+
+def test_verify_main_leaves_sympy_physics_unimported():
+    # sympy imports sympy.physics.units on the first simplify call, 0.2 s
+    # that the exact layers do not need
+    script = (
+        "import contextlib, io, sys\n"
+        "from reglab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = main(['verify-main', '--level', '40'])\n"
+        "assert code == 0, code\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['sympy', 'physics']))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

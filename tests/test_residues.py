@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -10,6 +11,7 @@ from reglab.k3 import data_dir
 from reglab.residues import (
     ROOT_OF_UNITY,
     UNDECIDABLE,
+    UNKNOWN_NEGATIVE,
     UNKNOWN_POSITIVE,
     DivisorData,
     FunctionRecord,
@@ -20,7 +22,15 @@ from reglab.residues import (
     residue_43,
     tame_symbol,
 )
-from reglab.symbolic import build_xi, load_decomposition
+from reglab.symbolic import (
+    B2WedgeElement,
+    FactoredElement,
+    MultiplicativeBasis,
+    WedgeElement,
+    build_xi,
+    load_decomposition,
+    parse_poly,
+)
 
 S = sympy.Symbol("s")
 
@@ -175,6 +185,160 @@ def test_missing_function_record_errors():
         residue_43(xi, d)
 
 
+def _one_divisor(functions, parameter="s"):
+    return load_divisors([{"name": "d", "parameter": parameter, "functions": functions}])[0]
+
+
 def test_divisor_loader_validates():
     with pytest.raises((ValueError, KeyError)):
         load_divisors([{"name": "bad", "parameter": "s", "functions": {"x": {"order": "weird", "value": "1"}}}])
+    contradictory = [
+        (0, "inf"),  # order 0 at a pole
+        (0, "0"),  # order 0 at a zero
+        (2, "inf"),  # a zero recorded as a pole
+        (-1, "0"),  # a pole recorded as a zero
+        (UNKNOWN_POSITIVE, "inf"),
+        (UNKNOWN_NEGATIVE, "0"),
+        (0, "sqrt(2)"),  # outside QQ(s)
+        (0, "s + t"),  # two parameters
+        (0, "t"),  # not the divisor's parameter
+        (0, "exp(s)"),
+        (1.5, "2"),  # order neither an integer nor a tag
+    ]
+    for order, value in contradictory:
+        with pytest.raises(ValueError):
+            _one_divisor({"x": {"order": order, "value": value}})
+    with pytest.raises(ValueError):
+        FunctionRecord(0, sympy.Float(0.5))
+    with pytest.raises(ValueError):
+        FunctionRecord(0, sympy.zoo)
+    with pytest.raises(ValueError):
+        DivisorData("d", "u", {"x": FunctionRecord(0, S)})
+    # the unknown-order records of the shipped data, and a positive order
+    # whose leading coefficient is not recorded, are consistent
+    d = _one_divisor(
+        {
+            "x": {"order": UNKNOWN_POSITIVE, "value": "0"},
+            "y": {"order": UNKNOWN_NEGATIVE, "value": "inf"},
+            "z": {"order": 0, "value": "-(s + 1)/s"},
+        }
+    )
+    assert d.records["y"].value is sympy.zoo
+    assert sympy.sstr(d.records["z"].value) == "(-s - 1)/s"
+    assert FunctionRecord(1, 0).value == 0
+    assert rec(1, 1).value == 1
+
+
+def test_loader_shares_one_record_per_distinct_string():
+    divisors = _divisors()
+    records = {id(r) for d in divisors for r in d.records.values()}
+    strings = {
+        (d.parameter, r.order, sympy.sstr(r.value)) for d in divisors for r in d.records.values()
+    }
+    assert len(records) == len(strings) == 6
+
+
+# -- hand-made elements over the basis x, y, z ----------------------------------------
+
+_BASIS = MultiplicativeBasis([parse_poly(v, ["x", "y", "z"]) for v in "xyz"], ["x", "y", "z"])
+
+
+def _element(exps, wedge):
+    """{f}_2 (x) g ^ h, f = prod basis_i^e_i, wedge a pair of basis indices."""
+    xi = B2WedgeElement(_BASIS, 2)
+    labels = tuple(("b", i) for i in wedge)
+    xi.add_term(1, FactoredElement(_BASIS, 1, exps), WedgeElement(_BASIS, 2, {labels: 1}))
+    return xi
+
+
+def _verdict(xi, records):
+    cert = certify_all_residues(xi, [DivisorData("d", "s", records)])["divisors"][0]
+    return cert["verdict"], cert["terms"][0].get("why")
+
+
+def test_cancelling_orders_with_unrecorded_leading_value_undecidable():
+    # f = y/x with ord x = ord y = 1: f(p) is finite and nonzero, but the
+    # leading coefficients are not recorded, so {f(p)}_2 (x) T{x, z} is unknown
+    xi = _element({1: 1, 0: -1}, (0, 2))
+    lead_unknown = {"x": FunctionRecord(1, sympy.Integer(0)), "y": FunctionRecord(1, sympy.Integer(0))}
+    verdict, why = _verdict(xi, {**lead_unknown, "z": FunctionRecord(0, sympy.Integer(2))})
+    assert verdict == "undecidable"
+    assert why == "f(p) is finite and nonzero but its value is not recorded"
+    # with T{x, z} = 1/(-1) the term is torsion whatever f(p) is
+    verdict, _ = _verdict(xi, {**lead_unknown, "z": FunctionRecord(0, sympy.Integer(-1))})
+    assert verdict == "trivial"
+    # recorded leading coefficients 3 and 6 give f(p) = 2: nontrivial
+    report = certify_all_residues(
+        xi,
+        [
+            DivisorData(
+                "d",
+                "s",
+                {
+                    "x": FunctionRecord(1, sympy.Integer(3)),
+                    "y": FunctionRecord(1, sympy.Integer(6)),
+                    "z": FunctionRecord(0, sympy.Integer(2)),
+                },
+            )
+        ],
+    )
+    assert report["divisors"][0]["residue"] == [["-1", "1/2", "1/2"]]
+
+
+def test_root_of_unity_factor_of_f_undecidable():
+    # f = x restricts to an unknown root of unity; T{y, z} = 1/2
+    xi = _element({0: 1}, (1, 2))
+    records = {
+        "x": FunctionRecord(0, ROOT_OF_UNITY),
+        "y": FunctionRecord(1, sympy.Integer(1)),
+        "z": FunctionRecord(0, sympy.Integer(2)),
+    }
+    verdict, why = _verdict(xi, records)
+    assert verdict == "undecidable"
+    assert why == "f(p) is finite and nonzero but its value is not recorded"
+
+
+def test_tame_symbol_unrecorded_pole_coefficient():
+    # infinity on a negative order marks an unrecorded leading coefficient
+    assert tame_symbol(rec(-1, sympy.zoo), rec(-1, sympy.zoo)) is UNDECIDABLE
+    assert tame_symbol(rec(-1, sympy.zoo), rec(0, 5)) == 5
+
+
+# -- canonical form -------------------------------------------------------------------
+
+# sha256 of the shipped report, taken before values were kept in cancelled form
+SHIPPED_REPORT_SHA256 = "c162d43f180d714e86bc2721bfacc9cf82c867c75102893dcb41bf0175dee36e"
+
+
+def test_shipped_report_pinned():
+    report = certify_all_residues(_xi(), _divisors())
+    blob = json.dumps(report, sort_keys=True, default=str).encode()
+    assert hashlib.sha256(blob).hexdigest() == SHIPPED_REPORT_SHA256
+
+
+@pytest.mark.parametrize(
+    "records, residue",
+    [
+        (
+            {"x": (0, (S + 1) / S), "y": (1, S - 1), "z": (0, -S)},
+            [["1", "(-s - 1)/s", "-1/s"], ["-1", "1/s", "(s + 1)/s"]],
+        ),
+        (
+            {"x": (1, 0), "y": (0, S), "z": (0, 2)},
+            [["1", "-1/s", "1/2"], ["-1", "-1/2", "1/s"]],
+        ),
+        (
+            {"x": (0, S), "y": (0, S**2 - 1), "z": (1, 3)},
+            [["-1", "-1/s", "s**2 - 1"], ["1", "-1/(s**2 - 1)", "s"]],
+        ),
+        (
+            {"x": (0, -(S + 1) / S), "y": (2, S - 1), "z": (-1, 2 * S)},
+            [["1", "(s + 1)/s", "1/(4*s**3 - 4*s**2)"]],
+        ),
+    ],
+)
+def test_control_residues_pinned(records, residue):
+    d = DivisorData("control", "s", {k: rec(o, v) for k, (o, v) in records.items()})
+    cert = certify_all_residues(_xi(), [d])["divisors"][0]
+    assert cert["verdict"] == "nontrivial"
+    assert cert["residue"] == residue
