@@ -1,15 +1,23 @@
 """Command-line interface.
 
-JSON results go to stdout, human-readable diagnostics to stderr. Exit codes:
-0 success, 2 input error, 3 numeric non-convergence. Every run carries a
+Each subcommand computes its result document and returns it with the input
+files it read and its exit code; ``main`` alone adds the manifest, serializes
+the document and writes it to stdout. Every run that reaches a verdict,
+an abort of ``verify-main`` included, writes exactly one JSON document with its
 manifest (command, config, library versions, seed, input hashes), so outputs
-are reproducible byte-for-byte from the manifest alone; the wall time goes to
-stderr.
+are reproducible byte-for-byte from the manifest alone. Non-finite numbers are
+never written. Diagnostics and the wall time go to stderr.
+
+Exit codes: 0 success; 2 input error (nothing on stdout), a failed exact
+check (``decomp-check``, ``residues``) or an aborted ``verify-main``; 3 numeric
+failure: non-convergence or a non-finite number (nothing on stdout), or an
+inconsistent verdict from ``verify-main`` or ``deninger-check``.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import math
@@ -61,13 +69,11 @@ EXIT_NUMERIC = 3
 
 
 def _hash_file(path: str) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()[:16]
+        return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
-def _manifest(args, inputs=()):
+def _manifest(args, inputs):
     return {
         "command": args.command,
         "config": {
@@ -87,18 +93,9 @@ def _manifest(args, inputs=()):
     }
 
 
-def _emit(payload: dict, args) -> None:
-    indent = getattr(args, "json_indent", None)
-    print(json.dumps(payload, indent=indent, sort_keys=True))
-
-
 def _quad_config(args) -> QuadratureConfig:
     return QuadratureConfig(
-        rule=args.rule,
-        level=args.level,
-        depth=args.depth,
-        seed=args.seed,
-        prec=args.prec,
+        rule=args.rule, level=args.level, depth=args.depth, seed=args.seed, prec=args.prec
     )
 
 
@@ -110,12 +107,20 @@ def _infer_vars(text: str):
     return seen
 
 
+def _parse_poly(args):
+    variables = args.vars.split(",") if args.vars else _infer_vars(args.poly)
+    return variables, parse_poly(args.poly, variables)
+
+
 def _parse_complex(text: str) -> complex:
-    return complex(text.replace("i", "j").replace(" ", ""))
+    z = complex(text.replace("i", "j").replace(" ", ""))
+    if not cmath.isfinite(z):
+        raise ValueError(f"z = {text} is not finite")
+    return z
 
 
 def _parse_newform(args) -> NewformSpec:
-    spec = getattr(args, "newform", None) or "f7"
+    spec = args.newform
     if spec in PRESETS:
         return PRESETS[spec]
     if spec.startswith("eta:"):
@@ -123,13 +128,11 @@ def _parse_newform(args) -> NewformSpec:
         for part in spec[4:].split(","):
             d, _, r = part.partition("^")
             factors.append((int(d), int(r or 1)))
-        level = getattr(args, "nf_level", None)
-        weight = getattr(args, "weight", None)
-        ep = EtaProduct(tuple(factors), level=level)
+        ep = EtaProduct(tuple(factors), level=args.nf_level)
         return NewformSpec(
-            level or max(d for d, _ in factors),
-            weight if weight is not None else int(ep.weight),
-            getattr(args, "eps", 1),
+            args.nf_level or max(d for d, _ in factors),
+            args.weight if args.weight is not None else int(ep.weight),
+            args.eps,
             ep,
         )
     raise ValueError(f"unknown newform spec {spec!r} (use a preset or eta:d^r,...)")
@@ -144,103 +147,77 @@ def _num(value: HPReal, prec: int, error) -> dict:
 
 
 # -- subcommands ----------------------------------------------------------------------
+# Each returns (document, input files read, exit code); ``main`` writes the document.
 
 
 def cmd_mahler(args):
-    variables = args.vars.split(",") if args.vars else _infer_vars(args.poly)
-    P = parse_poly(args.poly, variables)
+    variables, P = _parse_poly(args)
     if args.rule is None:
         # the inner Jensen integrand has kinks where root moduli cross 1,
         # so adaptive quadrature is the right default in low dimension
         args.rule = "adaptive_gk" if len(variables) <= 3 else "gauss_legendre_tensor"
     res = mahler_measure(P, _quad_config(args))
-    _emit(
-        {
-            "poly": args.poly,
-            "variables": variables,
-            **_num(res.value, args.prec, res.error_estimate),
-            "evaluations": res.evaluations,
-            "manifest": _manifest(args),
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "poly": args.poly,
+        "variables": variables,
+        **_num(res.value, args.prec, res.error_estimate),
+        "evaluations": res.evaluations,
+    }, [], EXIT_OK
 
 
 def cmd_deninger_check(args):
-    variables = args.vars.split(",") if args.vars else _infer_vars(args.poly)
-    P = parse_poly(args.poly, variables)
+    _, P = _parse_poly(args)
     cfg = _quad_config(args)
     direct = mahler_measure(P, cfg)
     chain = deninger_gamma_check(P, cfg)
     delta = abs(float(direct.value) - float(chain.value))
-    budget = float(direct.error_estimate) + float(chain.error_estimate) + 10 ** (
-        2 - args.prec
-    )
-    _emit(
-        {
-            "poly": args.poly,
-            "direct": _num(direct.value, args.prec, direct.error_estimate),
-            "chain": _num(chain.value, args.prec, chain.error_estimate),
-            "difference": delta,
-            "consistent": delta <= budget,
-            "manifest": _manifest(args),
-        },
-        args,
-    )
-    return EXIT_OK
+    budget = float(direct.error_estimate) + float(chain.error_estimate) + 10 ** (2 - args.prec)
+    consistent = delta <= budget
+    return {
+        "poly": args.poly,
+        "direct": _num(direct.value, args.prec, direct.error_estimate),
+        "chain": _num(chain.value, args.prec, chain.error_estimate),
+        "difference": delta,
+        "consistent": consistent,
+    }, [], EXIT_OK if consistent else EXIT_NUMERIC
 
 
 def _load_xi(args):
-    name = "decomposition_n3.json" if args.n == 3 else "decomposition_n4.json"
-    path = args.file or os.path.join(data_dir(), name)
-    doc = load_decomposition(path)
-    return doc, path
+    path = args.file or os.path.join(data_dir(), f"decomposition_n{args.n}.json")
+    return load_decomposition(path), path
 
 
 def cmd_boundary_integral(args):
     doc, path = _load_xi(args)
     xi, xi_star, lam = build_xi(doc)
     res = regulator_boundary_integral(lam, _quad_config(args))
-    _emit(
-        {
-            "n": doc.n,
-            **_num(res.value, args.prec, res.error_estimate),
-            "evaluations": res.evaluations,
-            "manifest": _manifest(args, [path]),
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "n": doc.n,
+        **_num(res.value, args.prec, res.error_estimate),
+        "evaluations": res.evaluations,
+    }, [path], EXIT_OK
 
 
 def cmd_decomp_check(args):
     doc, path = _load_xi(args)
     equal, diff = check_decomposition(doc)
-    payload = {
+    return {
         "n": doc.n,
         "exact": True,
         "holds": equal,
         "difference": str(diff) if not equal else "0",
-        "manifest": _manifest(args, [path]),
-    }
-    _emit(payload, args)
-    return EXIT_OK if equal else EXIT_INPUT
+    }, [path], EXIT_OK if equal else EXIT_INPUT
 
 
 def cmd_residues(args):
     dpath = args.file or os.path.join(data_dir(), "decomposition_n4.json")
-    doc = load_decomposition(dpath)
-    xi, _, _ = build_xi(doc)
+    xi, _, _ = build_xi(load_decomposition(dpath))
     div_path = args.divisors or os.path.join(data_dir(), "divisors_n4.json")
-    divisors = load_divisors(div_path)
-    report = certify_all_residues(xi, divisors)
+    report = certify_all_residues(xi, load_divisors(div_path))
     if not args.trace:
         for cert in report["divisors"]:
             cert.pop("terms", None)
-    report["manifest"] = _manifest(args, [dpath, div_path])
-    _emit(report, args)
-    return EXIT_OK if report["overall"] == "trivial" else EXIT_INPUT
+    return report, [dpath, div_path], EXIT_OK if report["overall"] == "trivial" else EXIT_INPUT
 
 
 def cmd_dilog(args):
@@ -248,59 +225,43 @@ def cmd_dilog(args):
     D = bloch_wigner(complex(z), args.prec)
     with mpmath.mp.workprec(_bits(args.prec) + 10):
         L = mpmath.polylog(2, mpmath.mpc(z))
-    _emit(
-        {
-            "z": args.z,
-            **_num(D, args.prec, 10.0 ** (2 - args.prec)),
-            "li2_re": HPReal(L.real, args.prec).to_decimal(),
-            "li2_im": HPReal(L.imag, args.prec).to_decimal(),
-            "manifest": _manifest(args),
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "z": args.z,
+        **_num(D, args.prec, 10.0 ** (2 - args.prec)),
+        "li2_re": HPReal(L.real, args.prec).to_decimal(),
+        "li2_im": HPReal(L.imag, args.prec).to_decimal(),
+    }, [], EXIT_OK
 
 
 def cmd_lvalue(args):
     f = _parse_newform(args)
     lam = completed_lambda(f, args.s, args.prec, A=args.split)
     L = lvalue(f, args.s, args.prec)
-    _emit(
-        {
-            "newform": args.newform or "f7",
-            "level": f.level,
-            "weight": f.weight,
-            "eps": f.eps,
-            "s": args.s,
-            **_num(L, args.prec, 10.0 ** (5 - args.prec)),
-            "completed_lambda": lam.to_decimal(),
-            "manifest": _manifest(args),
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "newform": args.newform,
+        "level": f.level,
+        "weight": f.weight,
+        "eps": f.eps,
+        "s": args.s,
+        **_num(L, args.prec, 10.0 ** (5 - args.prec)),
+        "completed_lambda": lam.to_decimal(),
+    }, [], EXIT_OK
 
 
 def cmd_lprime_minus1(args):
     f = _parse_newform(args)
     val = lprime_minus1(f, args.prec)
-    _emit(
-        {
-            "newform": args.newform or "f7",
-            "level": f.level,
-            "weight": f.weight,
-            **_num(val, args.prec, 10.0 ** (5 - args.prec)),
-            "manifest": _manifest(args),
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "newform": args.newform,
+        "level": f.level,
+        "weight": f.weight,
+        **_num(val, args.prec, 10.0 ** (5 - args.prec)),
+    }, [], EXIT_OK
 
 
 def cmd_zeta_prime_minus2(args):
     val = zeta_prime_minus2(args.prec)
-    _emit({**_num(val, args.prec, 10.0 ** (2 - args.prec)), "manifest": _manifest(args)}, args)
-    return EXIT_OK
+    return _num(val, args.prec, 10.0 ** (2 - args.prec)), [], EXIT_OK
 
 
 def cmd_dirichlet(args):
@@ -313,9 +274,7 @@ def cmd_dirichlet(args):
         val = dirichlet_L(chi, args.s, args.prec)
         payload["quantity"] = f"L(chi, {args.s})"
     payload.update(_num(val, args.prec, 10.0 ** (2 - args.prec)))
-    payload["manifest"] = _manifest(args)
-    _emit(payload, args)
-    return EXIT_OK
+    return payload, [], EXIT_OK
 
 
 def cmd_detect(args):
@@ -329,16 +288,13 @@ def cmd_detect(args):
     # keep the raw strings; they are parsed at working precision downstream
     values = [str(v) for v in raw]
     rep = find_integer_relation(values, args.height, args.prec)
-    payload = {
+    return {
         "n_values": len(values),
         "height": args.height,
         "prec": args.prec,
         "relation": rep.to_dict() if rep else None,
         "note": "numerical evidence only, not a proof" if rep else "no relation found",
-        "manifest": _manifest(args, inputs),
-    }
-    _emit(payload, args)
-    return EXIT_OK
+    }, inputs, EXIT_OK
 
 
 def cmd_k3(args):
@@ -355,27 +311,23 @@ def cmd_k3(args):
     payload = inv.to_dict()
     payload["delta"] = sympy.sstr(sympy.factor(disc))
     payload["exact"] = True
-    payload["manifest"] = _manifest(args, inputs)
-    _emit(payload, args)
-    return EXIT_OK
+    return payload, inputs, EXIT_OK
 
 
 def cmd_verify_main(args):
     diag = lambda *a: print(*a, file=sys.stderr)
     report = {"stages": {}}
-    inputs = []
 
     # stage 1: exact symbolic decomposition
     dpath = os.path.join(data_dir(), "decomposition_n4.json")
-    inputs.append(dpath)
+    inputs = [dpath]
     doc = load_decomposition(dpath)
     equal, diff = check_decomposition(doc)
     if not equal:
         diag(f"stage 1 (decomposition) FAILED; difference = {diff}")
         report["stages"]["decomposition"] = {"holds": False, "difference": str(diff)}
         report["verdict"] = "abort: decomposition"
-        _emit(report, args)
-        return EXIT_INPUT
+        return report, inputs, EXIT_INPUT
     report["stages"]["decomposition"] = {"holds": True, "exact": True}
     diag("stage 1: decomposition holds exactly")
 
@@ -384,15 +336,11 @@ def cmd_verify_main(args):
     vpath = os.path.join(data_dir(), "divisors_n4.json")
     inputs.append(vpath)
     cert = certify_all_residues(xi, load_divisors(vpath))
-    report["stages"]["residues"] = {
-        "overall": cert["overall"],
-        "divisors": len(cert["divisors"]),
-    }
+    report["stages"]["residues"] = {"overall": cert["overall"], "divisors": len(cert["divisors"])}
     if cert["overall"] != "trivial":
         diag(f"stage 2 (residues) FAILED: {cert['overall']}")
         report["verdict"] = "abort: residues"
-        _emit(report, args)
-        return EXIT_INPUT
+        return report, inputs, EXIT_INPUT
     diag(f"stage 2: all {len(cert['divisors'])} residue certificates trivial")
 
     # stage 3: direct Mahler measure (the kink chart for this P)
@@ -470,16 +418,16 @@ def cmd_verify_main(args):
         rep is None or rep.coefficients in ([7, 42, 48], [-7, -42, -48])
     )
     report["verdict"] = "consistent" if ok else "inconsistent"
-    report["manifest"] = _manifest(args, inputs)
-    _emit(report, args)
-    return EXIT_OK if ok else EXIT_NUMERIC
+    return report, inputs, EXIT_OK if ok else EXIT_NUMERIC
 
 
 # -- parser ---------------------------------------------------------------------------
 
 
-def _add_common(p, prec=True, quad=False, rule_default="gauss_legendre_tensor"):
-    """Register only the shared options the subcommand reads."""
+def _command(sub, name, fn, help, prec=True, quad=False, rule_default="gauss_legendre_tensor"):
+    """A subparser running ``fn``, with only the shared options the subcommand reads."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(fn=fn)
     if prec:
         p.add_argument("--prec", type=int, default=15)
     p.add_argument("--json-indent", type=int, default=None, dest="json_indent")
@@ -490,6 +438,19 @@ def _add_common(p, prec=True, quad=False, rule_default="gauss_legendre_tensor"):
         p.add_argument("--level", type=int, default=64)
         p.add_argument("--depth", type=int, default=0)
         p.add_argument("--rule", default=rule_default, choices=RULES)
+    return p
+
+
+def _add_poly(p):
+    p.add_argument("--poly", required=True)
+    p.add_argument("--vars", default=None)
+
+
+def _add_newform(p):
+    p.add_argument("--newform", default="f7")
+    p.add_argument("--level", type=int, default=None, dest="nf_level")
+    p.add_argument("--weight", type=int, default=None)
+    p.add_argument("--eps", type=int, default=1, choices=[1, -1])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,90 +460,70 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mahler", help="logarithmic Mahler measure of a polynomial")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--vars", default=None)
-    _add_common(p, quad=True, rule_default=None)
-    p.set_defaults(fn=cmd_mahler)
+    p = _command(
+        sub, "mahler", cmd_mahler, "logarithmic Mahler measure of a polynomial",
+        quad=True, rule_default=None,
+    )
+    _add_poly(p)
 
-    p = sub.add_parser("deninger-check", help="compare m(P) with the Gamma-chain integral")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--vars", default=None)
-    _add_common(p, quad=True)
-    p.set_defaults(fn=cmd_deninger_check)
+    p = _command(
+        sub, "deninger-check", cmd_deninger_check,
+        "compare m(P) with the Gamma-chain integral", quad=True,
+    )
+    _add_poly(p)
 
-    p = sub.add_parser("boundary-integral", help="regulator integral over the chain boundary")
+    p = _command(
+        sub, "boundary-integral", cmd_boundary_integral,
+        "regulator integral over the chain boundary", quad=True,
+    )
     p.add_argument("--n", type=int, default=4, choices=[3, 4])
     p.add_argument("--file", default=None)
-    _add_common(p, quad=True)
-    p.set_defaults(fn=cmd_boundary_integral)
 
-    p = sub.add_parser("decomp-check", help="verify the Steinberg decomposition exactly")
+    p = _command(
+        sub, "decomp-check", cmd_decomp_check,
+        "verify the Steinberg decomposition exactly", prec=False,
+    )
     p.add_argument("--n", type=int, default=4, choices=[3, 4])
     p.add_argument("--file", default=None)
-    _add_common(p, prec=False)
-    p.set_defaults(fn=cmd_decomp_check)
 
-    p = sub.add_parser("residues", help="tame-symbol residue certificates")
+    p = _command(sub, "residues", cmd_residues, "tame-symbol residue certificates", prec=False)
     p.add_argument("--file", default=None)
     p.add_argument("--divisors", default=None)
     p.add_argument("--trace", action="store_true")
-    _add_common(p, prec=False)
-    p.set_defaults(fn=cmd_residues)
 
-    p = sub.add_parser("dilog", help="Bloch-Wigner dilogarithm D(z)")
+    p = _command(sub, "dilog", cmd_dilog, "Bloch-Wigner dilogarithm D(z)")
     p.add_argument("--z", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_dilog)
 
-    p = sub.add_parser("lvalue", help="L(f, s) via the completed L-function")
-    p.add_argument("--newform", default="f7")
-    p.add_argument("--level", type=int, default=None, dest="nf_level")
-    p.add_argument("--weight", type=int, default=None)
-    p.add_argument("--eps", type=int, default=1, choices=[1, -1])
+    p = _command(sub, "lvalue", cmd_lvalue, "L(f, s) via the completed L-function")
+    _add_newform(p)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--split", type=float, default=1.0)
-    _add_common(p)
-    p.set_defaults(fn=cmd_lvalue)
 
-    p = sub.add_parser("lprime-minus1", help="L'(f, -1) at the trivial zero")
-    p.add_argument("--newform", default="f7")
-    p.add_argument("--level", type=int, default=None, dest="nf_level")
-    p.add_argument("--weight", type=int, default=None)
-    p.add_argument("--eps", type=int, default=1, choices=[1, -1])
-    _add_common(p)
-    p.set_defaults(fn=cmd_lprime_minus1)
+    p = _command(sub, "lprime-minus1", cmd_lprime_minus1, "L'(f, -1) at the trivial zero")
+    _add_newform(p)
 
-    p = sub.add_parser("zeta-prime-minus2", help="zeta'(-2)")
-    _add_common(p)
-    p.set_defaults(fn=cmd_zeta_prime_minus2)
+    _command(sub, "zeta-prime-minus2", cmd_zeta_prime_minus2, "zeta'(-2)")
 
-    p = sub.add_parser("dirichlet", help="Dirichlet L-values for quadratic characters")
+    p = _command(
+        sub, "dirichlet", cmd_dirichlet, "Dirichlet L-values for quadratic characters"
+    )
     p.add_argument("--d", type=int, required=True, help="discriminant, e.g. -3")
     p.add_argument("--s", type=float, default=2.0)
     p.add_argument("--deriv-neg1", action="store_true", dest="deriv_neg1")
-    _add_common(p)
-    p.set_defaults(fn=cmd_dirichlet)
 
-    p = sub.add_parser("detect", help="integer-relation detection (LLL)")
+    p = _command(sub, "detect", cmd_detect, "integer-relation detection (LLL)")
     p.add_argument("--values", default=None, help="JSON file with a list of numbers")
     p.add_argument("--height", type=int, default=100)
-    _add_common(p)
-    p.set_defaults(fn=cmd_detect)
 
-    p = sub.add_parser("k3", help="elliptic-surface invariants over Q(t)")
+    p = _command(sub, "k3", cmd_k3, "elliptic-surface invariants over Q(t)", prec=False)
     p.add_argument("--curve", default=None, help="a1,a2,a3,a4,a6 as polynomials in t")
     p.add_argument("--rank", type=int, default=0)
     p.add_argument("--torsion", type=int, default=1)
     p.add_argument("--no-k3", action="store_true", dest="no_k3")
-    _add_common(p, prec=False)
-    p.set_defaults(fn=cmd_k3)
 
-    p = sub.add_parser("verify-main", help="one-shot verification pipeline")
+    p = _command(sub, "verify-main", cmd_verify_main, "one-shot verification pipeline", quad=True)
     p.add_argument("--skip-boundary", action="store_true", dest="skip_boundary")
     p.add_argument("--height", type=int, default=64)
-    _add_common(p, quad=True)
-    p.set_defaults(fn=cmd_verify_main)
 
     return ap
 
@@ -595,15 +536,23 @@ def main(argv=None) -> int:
         return EXIT_INPUT if e.code not in (0, None) else 0
     t0 = time.time()
     try:
-        return args.fn(args)
+        payload, inputs, code = args.fn(args)
+        payload["manifest"] = _manifest(args, inputs)
     except RootFindingError as e:
         print(f"numeric non-convergence: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
+    except (ValueError, OSError, KeyError) as e:  # json.JSONDecodeError is a ValueError
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     finally:
         print(f"wall time: {time.time() - t0:.3f} s", file=sys.stderr)
+    try:
+        text = json.dumps(payload, indent=args.json_indent, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        print(f"numeric failure: non-finite number in the result ({e})", file=sys.stderr)
+        return EXIT_NUMERIC
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

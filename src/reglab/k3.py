@@ -266,6 +266,10 @@ def surface_invariants(
     torsion_order: int = 1,
     require_k3: bool = True,
 ) -> SurfaceInvariants:
+    if mw_rank < 0 or torsion_order < 1:
+        raise ValueError(
+            f"need Mordell-Weil rank >= 0 and torsion order >= 1, got {mw_rank}, {torsion_order}"
+        )
     fibers = all_fibers(curve)
     rho = shioda_tate_rho(mw_rank, fibers)
     if require_k3 and rho > 20:

@@ -197,9 +197,8 @@ def find_integer_relation(
             if resid >= threshold:
                 continue
             norm = mpmath.sqrt(sum(x * x for x in c))
-            conf = float(
-                mpmath.log10(norm * maxv / resid) if resid > 0 else mpmath.inf
-            )
+            # floored at the working resolution: an exact relation has resid = 0
+            conf = float(mpmath.log10(norm * maxv / max(resid, mp.eps * maxv)))
             if conf < 5:
                 continue
             if best is None or resid < best[1]:

@@ -63,6 +63,8 @@ class DirichletChar:
     values: Tuple[int, ...]
 
     def __post_init__(self):
+        if self.modulus < 1:
+            raise ValueError(f"modulus {self.modulus} must be at least 1")
         if len(self.values) != self.modulus:
             raise ValueError("value table must have length equal to the modulus")
         for n in range(self.modulus):
@@ -147,6 +149,8 @@ class EtaProduct:
     level: Optional[int] = None
 
     def __post_init__(self):
+        if any(d < 1 for d, _ in self.factors):
+            raise ValueError("eta multipliers d must be at least 1")
         s = sum(d * r for d, r in self.factors)
         if s % 24:
             raise ValueError("sum of d*r must be divisible by 24")

@@ -358,6 +358,8 @@ class _Parser:
                 self._next()
                 dkind, dval, dpos = self._next()
                 if dkind == "int":
+                    if dval == 0:
+                        raise ParseError("division by zero", dpos)
                     return MultiPoly.const(Fraction(val, dval), self.vars)
                 self.i = save
             return MultiPoly.const(val, self.vars)

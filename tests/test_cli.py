@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import pytest
 
 from reglab import cli
 from reglab.cli import main
+from reglab.lattice import RelationReport
 from reglab.numerics import HPReal
 
 
@@ -13,6 +15,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def strict_loads(text):
+    """json.loads that rejects NaN and +-Infinity, which strict JSON parsers refuse."""
+
+    def refuse(constant):
+        raise ValueError(f"non-finite constant {constant} in the document")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_mahler_smith_example(capsys):
@@ -50,6 +61,7 @@ def test_deninger_check_refuses_perturbed_chain_value(capsys, monkeypatch):
         capsys, "deninger-check", "--poly", "1+x+y", "--rule", "adaptive_gk", "--prec", "12"
     )
     assert json.loads(out)["consistent"] is False
+    assert code == 3
 
 
 def test_dilog_example(capsys):
@@ -202,7 +214,7 @@ def test_verify_main_refuses_perturbed_direct_value(capsys, monkeypatch):
     assert code == 3
 
 
-def test_verify_main_aborts_on_corrupted_decomposition(capsys, monkeypatch):
+def _corrupt_decomposition(monkeypatch):
     load = cli.load_decomposition
 
     def corrupted(path):
@@ -212,6 +224,103 @@ def test_verify_main_aborts_on_corrupted_decomposition(capsys, monkeypatch):
         return load(raw)
 
     monkeypatch.setattr(cli, "load_decomposition", corrupted)
+
+
+def test_verify_main_aborts_on_corrupted_decomposition(capsys, monkeypatch):
+    _corrupt_decomposition(monkeypatch)
     code, out, _ = run(capsys, "verify-main", "--level", "40")
     assert json.loads(out)["verdict"] == "abort: decomposition"
     assert code == 2
+
+
+FAST_ARGS = {
+    "mahler": ["--poly", "1+x+y", "--prec", "12"],
+    "deninger-check": ["--poly", "1+x+y", "--rule", "adaptive_gk", "--prec", "8"],
+    "boundary-integral": ["--n", "3", "--level", "16"],
+    "decomp-check": ["--n", "3"],
+    "residues": [],
+    "dilog": ["--z", "0.5+i"],
+    "lvalue": ["--s", "2"],
+    "lprime-minus1": [],
+    "zeta-prime-minus2": [],
+    "dirichlet": ["--d", "-4", "--s", "3"],
+    "detect": ["--values", "vals.json", "--height", "10", "--prec", "30"],
+    "k3": [],
+    "verify-main": ["--skip-boundary", "--level", "32", "--prec", "12"],
+}
+
+
+def test_fast_args_cover_every_subcommand():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = sub.choices
+    assert sorted(FAST_ARGS) == sorted(commands)
+
+
+@pytest.mark.parametrize("command", sorted(FAST_ARGS))
+def test_every_subcommand_writes_one_strict_document(command, capsys, tmp_path, monkeypatch):
+    # detect on an exact relation: its residual is 0 and its confidence must stay finite
+    (tmp_path / "vals.json").write_text(json.dumps(["1", "2", "3"]))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, command, *FAST_ARGS[command])
+    assert code == 0
+    doc = strict_loads(out)
+    assert doc["manifest"]["command"] == command
+    assert out.count("\n") == 1  # one document, one line
+
+
+def test_non_finite_number_is_a_numeric_failure(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        cli, "find_integer_relation", lambda *a: RelationReport([1, -1], 0.0, math.inf)
+    )
+    f = tmp_path / "vals.json"
+    f.write_text(json.dumps(["1", "1"]))
+    code, out, err = run(capsys, "detect", "--values", str(f))
+    assert code == 3
+    assert out == ""
+    assert "numeric failure" in err and "input error" not in err
+
+
+def _refuse_residues(monkeypatch):
+    certify = cli.certify_all_residues
+
+    def nontrivial(xi, divisors):
+        report = certify(xi, divisors)
+        report["overall"] = "nontrivial"
+        return report
+
+    monkeypatch.setattr(cli, "certify_all_residues", nontrivial)
+
+
+@pytest.mark.parametrize(
+    "corrupt, verdict, inputs",
+    [
+        (_corrupt_decomposition, "abort: decomposition", ["decomposition_n4.json"]),
+        (_refuse_residues, "abort: residues", ["decomposition_n4.json", "divisors_n4.json"]),
+    ],
+)
+def test_verify_main_abort_documents_carry_manifest(capsys, monkeypatch, corrupt, verdict, inputs):
+    corrupt(monkeypatch)
+    code, out, _ = run(capsys, "verify-main", "--level", "40")
+    doc = strict_loads(out)
+    assert doc["verdict"] == verdict
+    assert doc["manifest"]["command"] == "verify-main"
+    assert sorted(doc["manifest"]["input_hashes"]) == inputs
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mahler", "--poly", "1/0"],
+        ["dirichlet", "--d", "0"],
+        ["lvalue", "--newform", "eta:0^24", "--s", "2"],
+        ["k3", "--curve", "0,0,0,t,1", "--torsion", "0"],
+        ["k3", "--curve", "0,0,0,t,1", "--rank", "-3"],
+        ["dilog", "--z", "1e400i"],
+    ],
+)
+def test_bad_input_exits_2_without_a_document(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "input error" in err

@@ -148,3 +148,46 @@ def test_verify_main_leaves_sympy_physics_unimported():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def _document_writes(tree):
+    """(line, call) of each call outside ``main`` that could write to stdout or build the
+    result document: ``json.dumps``, ``_manifest``, or ``print`` without ``file=sys.stderr``."""
+    found = []
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name == "main":
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            name = ast.unparse(node.func)
+            to_stderr = any(
+                kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr" for kw in node.keywords
+            )
+            if name in ("json.dumps", "_manifest") or (name == "print" and not to_stderr):
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_only_cli_main_writes_the_document():
+    path = SRC / "cli.py"
+    writes = _document_writes(ast.parse(path.read_text(), str(path)))
+    assert not writes, "stdout writes outside main:\n" + "\n".join(
+        f"cli.py:{line}: {name}" for line, name in writes
+    )
+
+
+def test_document_write_scan_sees_dumps_manifest_and_stdout_prints():
+    tree = ast.parse(
+        "import json, sys\n"
+        "def cmd(a):\n    print(a, file=sys.stderr)\n    print(a)\n    json.dumps(a)\n"
+        "    diag = lambda *x: print(*x, file=sys.stderr)\n    return _manifest(a)\n"
+        "def main():\n    print(json.dumps(_manifest(1)))\n"
+        "print('module level')\n"
+    )
+    assert _document_writes(tree) == [
+        (4, "print"),
+        (5, "json.dumps"),
+        (7, "_manifest"),
+        (10, "print"),
+    ]

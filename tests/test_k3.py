@@ -141,3 +141,10 @@ def test_k3_rank_bound_enforced():
     curve, _, torsion = _flagship()
     with pytest.raises(ValueError):
         surface_invariants(curve, 5, torsion, require_k3=True)
+
+
+@pytest.mark.parametrize("rank, torsion", [(0, 0), (-3, 1)])
+def test_surface_invariants_reject_impossible_rank_or_torsion(rank, torsion):
+    curve, _, _ = _flagship()
+    with pytest.raises(ValueError):
+        surface_invariants(curve, rank, torsion)

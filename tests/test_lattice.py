@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -94,3 +95,11 @@ def test_report_residual_consistent():
         rep = find_integer_relation(vals, 10, 30)
         recomputed = abs(sum(c * v for c, v in zip(rep.coefficients, vals)))
     assert abs(rep.residual - float(recomputed)) <= 1e-25
+
+
+def test_exact_relation_has_finite_confidence():
+    # the residual is exactly 0; the confidence is floored at the working resolution
+    rep = find_integer_relation(["1", "2", "3"], 10, 30)
+    assert rep.coefficients == [1, 1, -1]
+    assert rep.residual == 0.0
+    assert math.isfinite(rep.confidence) and rep.confidence > 30

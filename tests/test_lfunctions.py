@@ -45,6 +45,8 @@ def test_character_validation():
         DirichletChar(5, (0, 1, 1, 1, -1))  # chi(4) != chi(2)^2
     with pytest.raises(ValueError):
         DirichletChar(4, (0, 1, 1, -1))  # chi(2) must vanish
+    with pytest.raises(ValueError):
+        DirichletChar.quadratic(0)  # modulus 0
 
 
 def test_dirichlet_L_against_known_series():
@@ -87,6 +89,8 @@ def test_zeta_prime_minus2():
 def test_eta_product_validation():
     with pytest.raises(ValueError):
         EtaProduct(((1, 1),))  # 1 not divisible by 24
+    with pytest.raises(ValueError):
+        EtaProduct(((0, 24),))  # eta(0 tau) is not a modular form
     e = EtaProduct(((1, 3), (7, 3)))
     assert e.offset == 1
     assert e.weight == 3

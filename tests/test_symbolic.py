@@ -42,6 +42,8 @@ def test_parse_errors():
         parse_poly("1 + * x", ["x"])
     with pytest.raises(ParseError):
         parse_poly("w + 1", ["x"])
+    with pytest.raises(ParseError):
+        parse_poly("1/0", ["x"])
 
 
 def test_laurent_terms():
