@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import bloch_wigner
+from .symbolic import eval_poly
 
 
 def _const(c):
@@ -272,7 +273,7 @@ def rho_of_element_at(xi, xs: Sequence[Jet], tangents) -> np.ndarray:
         for kind, key in labels:
             if kind != "b":
                 raise ValueError("prime labels have no pointwise value")
-            gs.append(xi.basis.polys[key].eval(values))
+            gs.append(eval_poly(xi.basis.polys[key], values))
         fv = f.evaluate(values)
         if not isinstance(fv, Jet):
             fv = Jet(np.broadcast_to(fv, xs[0].val.shape), np.zeros_like(xs[0].grad))

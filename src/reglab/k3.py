@@ -29,18 +29,11 @@ _t = sympy.Symbol("t")
 _s = sympy.Symbol("s")
 
 
-def _to_sympy(text_or_poly):
-    if isinstance(text_or_poly, str):
-        p = parse_poly(text_or_poly, ["t"])
-    else:
-        p = text_or_poly
-    expr = sympy.Integer(0)
-    for exps, c in p.terms.items():
-        e = exps[0] if exps else 0
-        if e < 0:
-            raise ValueError("curve coefficients must be polynomials in t")
-        expr += sympy.Rational(c) * _t**e
-    return sympy.expand(expr)
+def _to_sympy(text):
+    p = parse_poly(text, ["t"])
+    if any(e < 0 for (e,) in p.itermonoms()):
+        raise ValueError("curve coefficients must be polynomials in t")
+    return p.as_expr()
 
 
 class WeierstrassCurveQt:

@@ -55,6 +55,16 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def _is_squarefree(m: int) -> bool:
+    return m != 0 and all(m % (p * p) for p in range(2, math.isqrt(abs(m)) + 1))
+
+
+def _is_fundamental_discriminant(D: int) -> bool:
+    if D % 4 == 1:
+        return _is_squarefree(D)
+    return D % 4 == 0 and (D // 4) % 4 in (2, 3) and _is_squarefree(D // 4)
+
+
 @dataclass(frozen=True)
 class DirichletChar:
     """A Dirichlet character given by its value table on Z/m."""
@@ -79,7 +89,11 @@ class DirichletChar:
 
     @classmethod
     def quadratic(cls, D: int) -> "DirichletChar":
-        """The real character n -> (D|n) modulo |D|."""
+        """The real character n -> (D|n) modulo |D|, for D = 1 or a fundamental
+        discriminant: D = 1 mod 4 squarefree, or D = 4m with m = 2, 3 mod 4
+        squarefree. Only then is (D|.) a primitive character modulo |D|."""
+        if not _is_fundamental_discriminant(D):
+            raise ValueError(f"D = {D} is not 1 or a fundamental discriminant")
         m = abs(D)
         return cls(m, tuple(kronecker_symbol(D, n) for n in range(m)))
 

@@ -37,7 +37,7 @@ from mpmath.libmp import NoConvergence
 from .. import kernels
 from ..forms import Jet, eta_eval
 from ..numerics import HPReal, _bits
-from ..symbolic import MultiPoly
+from ..symbolic import split_laurent
 from .boundary import kink_chart
 from .engine import QuadratureConfig, QuadratureResult, integrate_box, make_result
 
@@ -158,15 +158,15 @@ def _inner_mahler_batch(C: np.ndarray) -> np.ndarray:
 # -- multivariate Mahler measure -----------------------------------------------------
 
 
-def _coeff_table(P: MultiPoly):
-    """Coefficients of P as polynomials in its last variable."""
-    last = len(P.vars) - 1
-    shift = min((e[last] for e in P.terms), default=0)
-    degree = max((e[last] for e in P.terms), default=0) - shift
+def _coeff_table(P):
+    """Coefficients of P as polynomials in its last variable, lowest power first:
+    dicts from the exponents of the other variables to Fractions."""
+    last = P.ring.ngens - 1
+    shift = min((e[last] for e in P.itermonoms()), default=0)
+    degree = max((e[last] for e in P.itermonoms()), default=0) - shift
     slices = [dict() for _ in range(degree + 1)]
-    for exps, c in P.terms.items():
-        k = exps[last] - shift
-        slices[k][exps[:last]] = slices[k].get(exps[:last], 0) + c
+    for exps, c in P.items():
+        slices[exps[last] - shift][exps[:last]] = Fraction(c.numerator, c.denominator)
     return slices, degree
 
 
@@ -184,14 +184,14 @@ def _eval_slices(slices, thetas: np.ndarray) -> np.ndarray:
     return C
 
 
-def _is_kink_product(P: MultiPoly) -> bool:
+def _is_kink_product(P) -> bool:
     """Whether P is (1+x_1)...(1+x_k) + t, k = 2 or 3, t its last variable."""
-    k = len(P.vars) - 1
+    k = P.ring.ngens - 1
     if k not in (2, 3):
         return False
     want = {e + (0,): 1 for e in itertools.product((0, 1), repeat=k)}
     want[(0,) * k + (1,)] = 1
-    return P.terms == want
+    return dict(P) == want
 
 
 def _kink_chart(points: np.ndarray) -> np.ndarray:
@@ -209,28 +209,25 @@ def _kink_chart(points: np.ndarray) -> np.ndarray:
     return jac * (V * np.log(c) + clausen)
 
 
-def _split_content(P: MultiPoly):
+def _split_content(P):
     """(g, P/g) for the content g of P in its last variable, or None if g = 1.
 
-    g is the gcd over Q of the coefficients of P's numerator (P times a
-    monomial) as a polynomial in its last variable; it lies in the other
-    variables. P/g is the numerator divided by g.
+    g is the monic gcd over Q of the coefficients of P's numerator (P times a
+    monomial) as a polynomial in its last variable t, and lies in the ring
+    without t. P/g is the numerator divided by g.
     """
-    num, _ = P.split_laurent()
-    slices, _ = _coeff_table(num)
-    if any(list(terms) == [(0,) * (len(P.vars) - 1)] for terms in slices):
+    num, _ = split_laurent(P)
+    t = num.ring.gens[-1]
+    coeffs = [c for c in (num.coeff_wrt(t, k) for k in range(num.degree(t) + 1)) if c]
+    if any(c.is_ground for c in coeffs):
         return None  # a nonzero constant coefficient: the content is 1
-    gens = sympy.symbols(f"x:{len(P.vars)}")
-    g = functools.reduce(
-        sympy.gcd, [sympy.Poly.from_dict(terms, gens[:-1], domain="QQ") for terms in slices]
-    )
+    g = functools.reduce(lambda a, b: a.gcd(b), coeffs).monic()
     if g.is_ground:
         return None
-    rest = sympy.Poly.from_dict(num.terms, gens, domain="QQ").exquo(sympy.Poly(g.as_expr(), gens))
-    return MultiPoly(P.vars[:-1], dict(g.terms())), MultiPoly(P.vars, dict(rest.terms()))
+    return g.drop(t), num.exquo(g)
 
 
-def mahler_measure(P: MultiPoly, cfg: QuadratureConfig | None = None) -> QuadratureResult:
+def mahler_measure(P, cfg: QuadratureConfig | None = None) -> QuadratureResult:
     """Logarithmic Mahler measure of a (Laurent) polynomial in <= 4 variables.
 
     The content g of P in its last variable, a polynomial in the other
@@ -243,11 +240,11 @@ def mahler_measure(P: MultiPoly, cfg: QuadratureConfig | None = None) -> Quadrat
     Either way the rule, level, depth and precision of cfg apply.
     """
     cfg = cfg or QuadratureConfig()
-    if P.is_zero():
+    if not P:
         raise ValueError("zero polynomial")
-    if len(P.vars) > 4:
+    if P.ring.ngens > 4:
         raise ValueError("at most 4 variables supported")
-    split = None if P.is_constant() else _split_content(P)
+    split = None if P.is_ground else _split_content(P)
     if split is None:
         return _measure(P, cfg)
     parts = [mahler_measure(part, cfg) for part in split]
@@ -259,11 +256,11 @@ def mahler_measure(P: MultiPoly, cfg: QuadratureConfig | None = None) -> Quadrat
     )
 
 
-def _measure(P: MultiPoly, cfg: QuadratureConfig) -> QuadratureResult:
+def _measure(P, cfg: QuadratureConfig) -> QuadratureResult:
     """m(P) for a nonzero P, its content not split off."""
-    nv = len(P.vars)
-    if nv == 0 or P.is_constant():
-        return make_result(math.log(abs(float(P.constant_value()))), 0.0, 0, cfg)
+    nv = P.ring.ngens
+    if P.is_ground:
+        return make_result(math.log(abs(float(P.LC))), 0.0, 0, cfg)
     if _is_kink_product(P):
         # m = pi^-k times the integral over [0, pi]^k, by the symmetry theta -> -theta
         k = nv - 1
@@ -287,7 +284,7 @@ def _measure(P: MultiPoly, cfg: QuadratureConfig) -> QuadratureResult:
 # -- Deninger chain consistency check -------------------------------------------------
 
 
-def deninger_gamma_check(P: MultiPoly, cfg: QuadratureConfig | None = None) -> QuadratureResult:
+def deninger_gamma_check(P, cfg: QuadratureConfig | None = None) -> QuadratureResult:
     """m(leading coeff) + (-1)^(n-1)/(2 pi i)^(n-1) int_Gamma eta, for n <= 3.
 
     Gamma is the part of the zero locus over the torus with |x_n| >= 1; eta
@@ -295,7 +292,7 @@ def deninger_gamma_check(P: MultiPoly, cfg: QuadratureConfig | None = None) -> Q
     mahler_measure.
     """
     cfg = cfg or QuadratureConfig()
-    nv = len(P.vars)
+    nv = P.ring.ngens
     if nv == 1:
         return mahler_measure(P, cfg)
     if nv > 3:
@@ -304,7 +301,8 @@ def deninger_gamma_check(P: MultiPoly, cfg: QuadratureConfig | None = None) -> Q
     slices, degree = _coeff_table(P)
     # m of the leading coefficient (a polynomial in the other variables), its
     # content not split off: for n = 3 it is then taken on the chain's grid
-    m_lead = float(_measure(MultiPoly(P.vars[:-1], slices[-1]), cfg).value)
+    t = P.ring.gens[-1]
+    m_lead = float(_measure(P.coeff_wrt(t, P.degree(t)).drop(t), cfg).value)
 
     tangents = np.eye(dims)
     # coefficients of dP/dtheta_j, as polynomials in the last variable

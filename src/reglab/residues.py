@@ -34,32 +34,19 @@ UNKNOWN_POSITIVE = "unknown_positive"
 UNKNOWN_NEGATIVE = "unknown_negative"
 
 
-class _RootOfUnity:
-    """Marker: a root of unity whose exact value may be order-dependent."""
+class _Marker:
+    """A named stand-in, compared by identity: ROOT_OF_UNITY, a root of unity whose
+    exact value may be order-dependent, or UNDECIDABLE."""
+
+    def __init__(self, name: str):
+        self.name = name
 
     def __repr__(self):
-        return "root_of_unity"
-
-    def __eq__(self, other):
-        return isinstance(other, _RootOfUnity)
-
-    def __hash__(self):
-        return hash("root_of_unity")
+        return self.name
 
 
-class _Undecidable:
-    def __repr__(self):
-        return "undecidable"
-
-    def __eq__(self, other):
-        return isinstance(other, _Undecidable)
-
-    def __hash__(self):
-        return hash("undecidable")
-
-
-ROOT_OF_UNITY = _RootOfUnity()
-UNDECIDABLE = _Undecidable()
+ROOT_OF_UNITY = _Marker("root_of_unity")
+UNDECIDABLE = _Marker("undecidable")
 
 _INF = sympy.zoo
 

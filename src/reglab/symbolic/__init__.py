@@ -1,6 +1,7 @@
-"""Exact symbolic layer: polynomials, factored field elements, wedges, B2 terms."""
+"""Exact symbolic layer: polynomials as elements of sympy's ring QQ[vars] (parsed,
+printed and evaluated by ``poly``), factored field elements, wedges, B2 terms."""
 
-from .poly import LaurentError, MultiPoly, ParseError, parse_poly
+from .poly import ParseError, eval_poly, format_poly, parse_poly, poly_ring, split_laurent
 from .algebra import (
     B2WedgeElement,
     DecompositionDocument,
@@ -17,10 +18,12 @@ from .algebra import (
 )
 
 __all__ = [
-    "MultiPoly",
     "parse_poly",
     "ParseError",
-    "LaurentError",
+    "poly_ring",
+    "split_laurent",
+    "eval_poly",
+    "format_poly",
     "MultiplicativeBasis",
     "FactoredElement",
     "WedgeElement",

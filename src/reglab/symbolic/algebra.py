@@ -16,7 +16,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import sympy
 
-from .poly import MultiPoly, parse_poly
+from .poly import eval_poly, format_poly, parse_poly, poly_ring, split_laurent
 
 Label = Tuple[str, object]  # ("b", basis index) or ("p", prime)
 
@@ -24,13 +24,19 @@ Label = Tuple[str, object]  # ("b", basis index) or ("p", prime)
 class NotFactorable(ValueError):
     """A factor outside the declared multiplicative basis remained."""
 
-    def __init__(self, remainder: MultiPoly):
-        super().__init__(f"factor not in basis: {remainder}")
+    def __init__(self, remainder):
+        super().__init__(f"factor not in basis: {format_poly(remainder)}")
         self.remainder = remainder
 
 
 def _prime_factors(n: int) -> dict:
     return {int(p): int(e) for p, e in sympy.factorint(n).items()}
+
+
+def _exact_quotient(dividend, divisor):
+    """dividend / divisor if the division is exact, else None."""
+    q, r = dividend.div(divisor)
+    return None if r else q
 
 
 class MultiplicativeBasis:
@@ -41,39 +47,31 @@ class MultiplicativeBasis:
     where one entry exactly divides the other.
     """
 
-    def __init__(self, polys: Sequence[MultiPoly], variables: Sequence[str]):
+    def __init__(self, polys: Sequence, variables: Sequence[str]):
         self.vars = tuple(variables)
-        self.polys = [p.extend(self.vars) for p in polys]
+        self.ring = poly_ring(self.vars)
+        self.polys = [p.set_ring(self.ring) for p in polys]
+        self.names = [format_poly(p) for p in self.polys]
         for p in self.polys:
-            if p.is_constant():
+            if p.is_ground:
                 raise ValueError("basis entries must be non-constant")
-            if p.is_laurent():
+            if any(e < 0 for m in p.itermonoms() for e in m):
                 raise ValueError("basis entries must be polynomials")
             self._sanity_irreducible(p)
         for i, p in enumerate(self.polys):
-            for q in self.polys[i + 1 :]:
-                if p.divides_into(q) is not None or q.divides_into(p) is not None:
-                    raise ValueError(f"basis entries {p} and {q} are associates or nested")
-        self.names = [str(p) for p in self.polys]
+            for j, q in enumerate(self.polys[i + 1 :], i + 1):
+                if _exact_quotient(q, p) is not None or _exact_quotient(p, q) is not None:
+                    pair = f"{self.names[i]} and {self.names[j]}"
+                    raise ValueError(f"basis entries {pair} are associates or nested")
 
     @staticmethod
-    def _sanity_irreducible(p: MultiPoly) -> None:
-        live = [v for v in p.vars if p.degree_in(v) > 0]
-        if len(live) != 1:
+    def _sanity_irreducible(p) -> None:
+        degrees = [d for d in p.degrees() if d > 0]
+        if degrees != [2]:
             return
-        v = live[0]
-        deg = p.degree_in(v)
-        if deg != 2:
-            return
-        i = p.vars.index(v)
-        c = {k: Fraction(0) for k in range(3)}
-        for exps, coef in p.terms.items():
-            c[exps[i]] = coef
-        disc = c[1] * c[1] - 4 * c[2] * c[0]
-        if disc >= 0:
-            root = sympy.sqrt(sympy.Rational(disc.numerator, disc.denominator))
-            if root.is_rational:
-                raise ValueError(f"basis entry {p} factors over Q")
+        _, factors = p.factor_list()
+        if len(factors) > 1 or factors[0][1] > 1:
+            raise ValueError(f"basis entry {format_poly(p)} factors over Q")
 
     def __len__(self):
         return len(self.polys)
@@ -124,10 +122,10 @@ class FactoredElement:
     def __hash__(self):
         return hash(self.key())
 
-    def expand(self) -> Tuple[MultiPoly, MultiPoly]:
+    def expand(self) -> tuple:
         """Multiply out to a (numerator, denominator) pair of polynomials."""
-        num = MultiPoly.const(self.const.numerator, self.basis.vars)
-        den = MultiPoly.const(self.const.denominator, self.basis.vars)
+        num = self.basis.ring(self.const.numerator)
+        den = self.basis.ring(self.const.denominator)
         for i, e in self.exps.items():
             if e > 0:
                 num = num * self.basis.polys[i] ** e
@@ -139,7 +137,7 @@ class FactoredElement:
         """Numeric evaluation (values keyed by variable name)."""
         out = self.const.numerator / self.const.denominator if self.const.denominator != 1 else self.const.numerator
         for i, e in self.exps.items():
-            out = out * self.basis.polys[i].eval(values) ** e
+            out = out * eval_poly(self.basis.polys[i], values) ** e
         return out
 
     def torsion_free_labels(self) -> dict:
@@ -160,7 +158,7 @@ class FactoredElement:
         elif self.const != 1 and self.exps:
             parts = [str(self.const)]
         for i, e in sorted(self.exps.items()):
-            name = f"({self.basis.polys[i]})"
+            name = f"({self.basis.names[i]})"
             parts.append(name if e == 1 else f"{name}^{e}")
         return " * ".join(parts) if parts else "1"
 
@@ -171,36 +169,37 @@ class FactoredElement:
 def factor_over_basis(f, basis: MultiplicativeBasis) -> FactoredElement:
     """Factor a polynomial / rational function / rational over the basis.
 
-    Accepts a MultiPoly (possibly Laurent), a (numerator, denominator) pair,
-    or a plain rational. Raises NotFactorable when trial exact division
-    leaves a non-constant remainder.
+    Accepts a ring element (possibly Laurent), a (numerator, denominator)
+    pair, or a plain rational. Raises NotFactorable when trial exact
+    division leaves a non-constant remainder.
     """
     if isinstance(f, (int, Fraction)):
         return FactoredElement(basis, Fraction(f))
     if isinstance(f, tuple):
         num, den = f
         return factor_over_basis(num, basis) * factor_over_basis(den, basis).inverse()
-    if not isinstance(f, MultiPoly):
+    if not hasattr(f, "ring"):
         raise TypeError(f"cannot factor {type(f).__name__}")
-    f = f.extend(basis.vars)
-    if f.is_zero():
+    f = f.set_ring(basis.ring)
+    if not f:
         raise ValueError("cannot factor the zero element")
-    num, mono = f.split_laurent()
+    num, mono = split_laurent(f)
     out = FactoredElement(basis, 1)
-    if not mono.is_constant():
+    if not mono.is_ground:
         out = out * factor_over_basis(mono, basis).inverse()
     rem = num
     exps = {}
     for i, b in enumerate(basis.polys):
-        while True:
-            q = b.divides_into(rem)
-            if q is None or rem.is_constant():
+        while not rem.is_ground:
+            q = _exact_quotient(rem, b)
+            if q is None:
                 break
             exps[i] = exps.get(i, 0) + 1
             rem = q
-    if not rem.is_constant():
+    if not rem.is_ground:
         raise NotFactorable(rem)
-    return out * FactoredElement(basis, rem.constant_value(), exps)
+    c = rem.LC
+    return out * FactoredElement(basis, Fraction(c.numerator, c.denominator), exps)
 
 
 # -- exterior algebra -------------------------------------------------------------
@@ -422,15 +421,11 @@ class B2WedgeElement:
 # -- tau ---------------------------------------------------------------------------
 
 
-def _tau_rational_function(p: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
+def _tau_rational_function(p) -> tuple:
     """p(1/x_1, ..., 1/x_n) written as numerator / monomial."""
-    degs = [p.degree_in(v) for v in p.vars]
-    terms = {}
-    for exps, c in p.terms.items():
-        terms[tuple(d - e for d, e in zip(degs, exps))] = c
-    num = MultiPoly(p.vars, terms)
-    mono = MultiPoly(p.vars, {tuple(degs): Fraction(1)})
-    return num, mono
+    degs = p.degrees()
+    num = p.ring({tuple(d - e for d, e in zip(degs, exps)): c for exps, c in p.items()})
+    return num, p.ring({degs: 1})
 
 
 class _TauClosure:
@@ -439,13 +434,14 @@ class _TauClosure:
     def __init__(self, basis: MultiplicativeBasis):
         self.basis = basis
         self.images = []
-        for b in basis.polys:
+        for b, name in zip(basis.polys, basis.names):
             num, mono = _tau_rational_function(b)
             try:
                 img = factor_over_basis((num, mono), basis)
             except NotFactorable as exc:
                 raise ValueError(
-                    f"basis is not tau-closed: tau({b}) needs factor {exc.remainder}"
+                    f"basis is not tau-closed: tau({name}) needs factor "
+                    f"{format_poly(exc.remainder)}"
                 ) from exc
             self.images.append(img)
 
@@ -499,8 +495,8 @@ class DecompositionDocument:
         self.name = name
         self.variables = tuple(variables)
         self.basis = MultiplicativeBasis(basis_polys, variables)
-        self.substitutions = dict(substitutions)  # var name -> MultiPoly
-        self.terms = list(terms)  # (Fraction, MultiPoly f, [MultiPoly g...])
+        self.substitutions = dict(substitutions)  # var name -> polynomial
+        self.terms = list(terms)  # (Fraction, polynomial f, [polynomial g...])
         self.lhs_names = tuple(lhs) if lhs else self.variables
 
     @property
@@ -510,10 +506,7 @@ class DecompositionDocument:
     def lhs_factored(self) -> List[FactoredElement]:
         out = []
         for v in self.lhs_names:
-            if v in self.substitutions:
-                p = self.substitutions[v]
-            else:
-                p = MultiPoly.var(v, self.variables)
+            p = self.substitutions[v] if v in self.substitutions else parse_poly(v, self.variables)
             out.append(factor_over_basis(p, self.basis))
         return out
 

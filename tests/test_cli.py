@@ -317,6 +317,7 @@ def test_verify_main_abort_documents_carry_manifest(capsys, monkeypatch, corrupt
         ["k3", "--curve", "0,0,0,t,1", "--torsion", "0"],
         ["k3", "--curve", "0,0,0,t,1", "--rank", "-3"],
         ["dilog", "--z", "1e400i"],
+        ["dirichlet", "--d", "3"],
     ],
 )
 def test_bad_input_exits_2_without_a_document(capsys, argv):

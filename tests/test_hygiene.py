@@ -150,6 +150,38 @@ def test_verify_main_leaves_sympy_physics_unimported():
     assert out.stdout.strip() == "[]"
 
 
+# sympy's polynomial rings, by module, constructor or class, and hand conversion into
+# sympy's Poly; a method call such as ``p.set_ring(R)`` or ``basis.ring(1)`` is not one
+_RING_FORMAT = re.compile(
+    r"sympy\.polys\.rings|(?<![\w.])ring\(|\bPolyRing\b|\bPoly\.from_dict\b"
+)
+
+
+def _ring_format_uses(source):
+    """Lines that build a polynomial ring or convert into sympy's Poly by hand."""
+    return [n for n, line in enumerate(source.splitlines(), 1) if _RING_FORMAT.search(line)]
+
+
+def test_only_symbolic_poly_owns_the_polynomial_format():
+    owner = SRC / "symbolic" / "poly.py"
+    uses = [
+        f"{path.relative_to(SRC.parent)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path != owner
+        for line in _ring_format_uses(path.read_text())
+    ]
+    assert not uses, "polynomial rings built outside symbolic/poly.py:\n" + "\n".join(uses)
+
+
+def test_ring_format_scan_sees_imports_constructors_and_from_dict():
+    source = (
+        "from sympy.polys.rings import ring\nR = ring('x', QQ)[0]\np.set_ring(R)\n"
+        "q = basis.ring(1)\nsympy.Poly.from_dict(d, gens)\nPolyRing(('x',), QQ)\n"
+        "poly_ring(vs)\n"
+    )
+    assert _ring_format_uses(source) == [1, 2, 5, 6]
+
+
 def _document_writes(tree):
     """(line, call) of each call outside ``main`` that could write to stdout or build the
     result document: ``json.dumps``, ``_manifest``, or ``print`` without ``file=sys.stderr``."""

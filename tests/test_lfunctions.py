@@ -49,6 +49,20 @@ def test_character_validation():
         DirichletChar.quadratic(0)  # modulus 0
 
 
+@pytest.mark.parametrize("D", [0, 3, -1, -12, 9, 16, 20])
+def test_quadratic_rejects_non_fundamental_discriminants(D):
+    # (3|.) tabulated mod 3 is not a character: 3 = 3 mod 4 is no discriminant
+    with pytest.raises(ValueError, match="fundamental discriminant"):
+        DirichletChar.quadratic(D)
+
+
+@pytest.mark.parametrize("D", [1, -3, -4, -7, -8, 5, 8, 12])
+def test_quadratic_accepts_fundamental_discriminants(D):
+    chi = DirichletChar.quadratic(D)
+    assert chi.modulus == abs(D)
+    assert chi.parity == ("even" if D > 0 else "odd")
+
+
 def test_dirichlet_L_against_known_series():
     # L(chi_-4, 2) is Catalan's constant
     got = float(dirichlet_L(CHI_M4, 2, 25))

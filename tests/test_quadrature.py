@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 from reglab.k3 import data_dir
-from reglab.lfunctions import F15, lprime_minus1
+from reglab.lfunctions import F15, lprime_minus1, lvalue
 from reglab.quadrature import (
     QuadratureConfig,
     QuadratureResult,
@@ -22,7 +22,7 @@ from reglab.quadrature import (
 )
 from reglab.forms import Jet, eta_eval
 from reglab.quadrature.mahler import _coeff_table, _eval_slices, _inner_mahler_batch, _measure
-from reglab.symbolic import MultiPoly, build_xi, load_decomposition, parse_poly
+from reglab.symbolic import build_xi, load_decomposition, parse_poly
 
 
 def test_config_validation():
@@ -118,6 +118,15 @@ def test_mahler_three_variables_smith():
     assert abs(float(res.value) - SMITH3) < 1e-6
 
 
+def test_mahler_laurent_rodriguez_villegas():
+    # m(x + 1/x + y + 1/y + 1) = 15/(4 pi^2) L(E15, 2) (Rodriguez-Villegas,
+    # "Modular Mahler measures I", 1999): a Laurent polynomial end to end
+    P = parse_poly("x + x^-1 + y + y^-1 + 1", ["x", "y"])
+    res = mahler_measure(P, QuadratureConfig(rule="adaptive_gk", prec=10))
+    want = 15 / (4 * math.pi**2) * float(lvalue(F15, 2, 20))
+    assert abs(float(res.value) - want) < 1e-9
+
+
 @pytest.mark.parametrize(
     "poly, prec", [("1+x+y", p) for p in (6, 8, 10, 12)] + [("1+x+y+z", p) for p in (5, 6, 7, 8)]
 )
@@ -173,7 +182,8 @@ def test_deninger_check_matches_mahler_on_same_grid(poly):
 def _deninger_reference(P, cfg):
     """deninger_gamma_check for two variables, one node and one root at a time."""
     slices, degree = _coeff_table(P)
-    lead = MultiPoly(P.vars[:-1], slices[-1])
+    last = P.ring.gens[-1]
+    lead = P.coeff_wrt(last, P.degree(last)).drop(last)
     m_lead = float(mahler_measure(lead, cfg).value)
 
     def f(points):
