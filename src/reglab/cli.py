@@ -306,10 +306,9 @@ def cmd_k3(args):
         path = os.path.join(data_dir(), "k3_curve.json")
         curve, rank, torsion = load_curve(path)
         inputs.append(path)
-    disc, c4, c6 = curve.discriminant()
     inv = surface_invariants(curve, rank, torsion, require_k3=not args.no_k3)
     payload = inv.to_dict()
-    payload["delta"] = sympy.sstr(sympy.factor(disc))
+    payload["delta"] = sympy.sstr(sympy.factor(curve.discriminant()[0].as_expr()))
     payload["exact"] = True
     return payload, inputs, EXIT_OK
 

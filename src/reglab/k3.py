@@ -4,8 +4,10 @@ Shioda-Tate Picard rank, the transcendental-lattice determinant
 
     |det T| = prod_s m_s^(1) / torsion^2,
 
-and the weight-3 newform level attached to a singular K3 surface
-(level D from the imaginary quadratic field Q(sqrt(-d)), d = |det T|).
+and the weight-3 newform level attached to a singular K3 surface: the CM
+form of K = Q(sqrt(-d)), d = |det T|, has level |d_K|, d_K the discriminant
+of K. The a_i and (Delta, c4, c6) are elements of the ring QQ[t]; sympy
+expressions appear only where place names and Delta are printed.
 
 The base field has characteristic 0, so the Kodaira type is read off the
 minimalized vanishing orders (v(c4), v(c6), v(Delta)); no wild ramification
@@ -23,27 +25,38 @@ from typing import List, Optional, Tuple
 
 import sympy
 
+from .lfunctions import fundamental_discriminant
 from .symbolic import parse_poly
 
-_t = sympy.Symbol("t")
-_s = sympy.Symbol("s")
 
-
-def _to_sympy(text):
-    p = parse_poly(text, ["t"])
-    if any(e < 0 for (e,) in p.itermonoms()):
-        raise ValueError("curve coefficients must be polynomials in t")
-    return p.as_expr()
+def _discriminant(a1, a2, a3, a4, a6):
+    """(Delta, c4, c6) of the a_i; the identity c4^3 - c6^2 = 1728 Delta is verified."""
+    b2 = a1**2 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3**2 + 4 * a6
+    b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
+    c4 = b2**2 - 24 * b4
+    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+    disc = -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
+    if c4**3 - c6**2 != 1728 * disc:
+        raise RuntimeError("internal error: c4^3 - c6^2 != 1728 Delta")
+    return disc, c4, c6
 
 
 class WeierstrassCurveQt:
-    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 with a_i in Q[t]."""
+    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 with a_i in Q[t], each an
+    element of the ring QQ[t]."""
 
     def __init__(self, a1, a2, a3, a4, a6):
-        self.a1, self.a2, self.a3, self.a4, self.a6 = (
-            _to_sympy(a) for a in (a1, a2, a3, a4, a6)
-        )
-        if self.discriminant()[0] == 0:
+        coeffs = []
+        for text in (a1, a2, a3, a4, a6):
+            p = parse_poly(text, ["t"])
+            if any(e < 0 for (e,) in p.itermonoms()):
+                raise ValueError("curve coefficients must be polynomials in t")
+            coeffs.append(p)
+        self.a1, self.a2, self.a3, self.a4, self.a6 = coeffs
+        self._invariants = _discriminant(*coeffs)
+        if not self._invariants[0]:
             raise ValueError("discriminant is identically zero (singular curve)")
 
     @classmethod
@@ -54,18 +67,8 @@ class WeierstrassCurveQt:
         return cls(*parts)
 
     def discriminant(self):
-        """(Delta, c4, c6); the identity c4^3 - c6^2 = 1728 Delta is verified."""
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        b2 = a1**2 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3**2 + 4 * a6
-        b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
-        c4 = sympy.expand(b2**2 - 24 * b4)
-        c6 = sympy.expand(-(b2**3) + 36 * b2 * b4 - 216 * b6)
-        disc = sympy.expand(-(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6)
-        if sympy.expand(c4**3 - c6**2 - 1728 * disc) != 0:
-            raise RuntimeError("internal error: c4^3 - c6^2 != 1728 Delta")
-        return disc, c4, c6
+        """(Delta, c4, c6), ring elements of QQ[t]."""
+        return self._invariants
 
 
 @dataclass
@@ -132,49 +135,40 @@ def kodaira_type(v_c4, v_c6, v_delta, place: str = "?", degree: int = 1) -> Fibe
 
 def _order(poly, factor) -> float:
     """Order of vanishing of poly along the irreducible factor."""
-    if poly == 0:
+    if not poly:
         return math.inf
-    p = sympy.Poly(poly, _t)
-    f = sympy.Poly(factor, _t)
     k = 0
     while True:
-        q, r = sympy.div(p, f)
-        if r != 0:
+        q, r = poly.div(factor)
+        if r:
             return k
-        p = q
+        poly = q
         k += 1
 
 
 def finite_fibers(curve: WeierstrassCurveQt) -> List[FiberData]:
     disc, c4, c6 = curve.discriminant()
-    _, factors = sympy.factor_list(sympy.Poly(disc, _t))
+    _, factors = disc.factor_list()
     out = []
     for f, mult in factors:
         place = sympy.sstr(f.as_expr())
-        vc4 = _order(c4, f.as_expr())
-        vc6 = _order(c6, f.as_expr())
-        out.append(kodaira_type(vc4, vc6, int(mult), place, degree=int(sympy.degree(f, _t))))
+        out.append(kodaira_type(_order(c4, f), _order(c6, f), mult, place, degree=f.degree()))
     return out
 
 
 def fiber_at_infinity(curve: WeierstrassCurveQt) -> Optional[FiberData]:
-    """Type at t = infinity via t -> 1/s and the weight twist a_i -> s^{m i} a_i."""
-    degs = []
-    for i, a in ((1, curve.a1), (2, curve.a2), (3, curve.a3), (4, curve.a4), (6, curve.a6)):
-        if a != 0:
-            degs.append(-(-sympy.degree(a, _t) // i))  # ceil
-    m = max(degs) if degs else 0
-    twisted = []
-    for i, a in ((1, curve.a1), (2, curve.a2), (3, curve.a3), (4, curve.a4), (6, curve.a6)):
-        b = sympy.expand(sympy.cancel(_s ** (m * i) * a.subs(_t, 1 / _s)))
-        twisted.append(sympy.Poly(b, _s).as_expr().subs(_s, _t) if b != 0 else sympy.Integer(0))
-    cv = WeierstrassCurveQt.__new__(WeierstrassCurveQt)
-    cv.a1, cv.a2, cv.a3, cv.a4, cv.a6 = twisted
-    disc, c4, c6 = cv.discriminant()
-    vd = _order(disc, _t)
+    """Type at t = infinity via t -> 1/t and the weight twist a_i -> t^{m i} a_i(1/t),
+    m the least integer with deg a_i <= m i for all i: exponent e goes to m i - e."""
+    weighted = list(zip((1, 2, 3, 4, 6), (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)))
+    m = max((-(-a.degree() // i) for i, a in weighted if a), default=0)  # ceil
+    R = curve.a1.ring
+    twisted = [R({(m * i - e,): c for (e,), c in a.items()}) for i, a in weighted]
+    disc, c4, c6 = _discriminant(*twisted)
+    t = R.gens[0]
+    vd = _order(disc, t)
     if vd == 0:
         return None
-    return kodaira_type(_order(c4, _t), _order(c6, _t), int(vd), "t = oo")
+    return kodaira_type(_order(c4, t), _order(c6, t), vd, "t = oo")
 
 
 def all_fibers(curve: WeierstrassCurveQt) -> List[FiberData]:
@@ -201,30 +195,25 @@ def transcendental_det(fibers: List[FiberData], torsion_order: int) -> Fraction:
     return d
 
 
-def _squarefree_core(n: int) -> int:
-    core = 1
-    for p, e in sympy.factorint(n).items():
-        if e % 2:
-            core *= p
-    return core
-
-
 class ExcludedDiscriminantError(ValueError):
     pass
 
 
 def schuett_level(d: int) -> Tuple[int, int, int]:
-    """(squarefree d, fundamental discriminant d_K of Q(sqrt(-d)), level D)."""
+    """(squarefree d, fundamental discriminant d_K of Q(sqrt(-d)), level |d_K|).
+
+    The weight-3 CM newform with rational coefficients attached to K = Q(sqrt(-d))
+    has level |d_K| (Schuett, "CM newforms with rational coefficients", 2009).
+    """
     if d <= 0:
         raise ValueError("determinant must be positive")
-    d0 = _squarefree_core(d)
-    dK = -d0 if (-d0) % 4 == 1 else -4 * d0
+    dK = fundamental_discriminant(-d)
+    d0 = -dK // 4 if dK % 4 == 0 else -dK
     if dK in (-3, -4):
         raise ExcludedDiscriminantError(
             f"d_K = {dK} is excluded (extra units in Q(sqrt({-d0})))"
         )
-    D = -dK if dK % 4 != 0 else -dK // 4
-    return d0, dK, D
+    return d0, dK, -dK
 
 
 @dataclass

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import mpmath
+import sympy
 from mpmath import mp
 
 from .numerics import HPReal, _bits
@@ -55,14 +56,13 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _is_squarefree(m: int) -> bool:
-    return m != 0 and all(m % (p * p) for p in range(2, math.isqrt(abs(m)) + 1))
-
-
-def _is_fundamental_discriminant(D: int) -> bool:
-    if D % 4 == 1:
-        return _is_squarefree(D)
-    return D % 4 == 0 and (D // 4) % 4 in (2, 3) and _is_squarefree(D // 4)
+def fundamental_discriminant(n: int) -> int:
+    """The discriminant of Q(sqrt(n)) for n != 0: with c the squarefree part of n
+    (sign kept), c if c = 1 mod 4, else 4c. A square n gives 1."""
+    if n == 0:
+        raise ValueError("0 has no fundamental discriminant")
+    core = math.prod(p for p, e in sympy.factorint(n).items() if e % 2)
+    return core if core % 4 == 1 else 4 * core
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class DirichletChar:
         """The real character n -> (D|n) modulo |D|, for D = 1 or a fundamental
         discriminant: D = 1 mod 4 squarefree, or D = 4m with m = 2, 3 mod 4
         squarefree. Only then is (D|.) a primitive character modulo |D|."""
-        if not _is_fundamental_discriminant(D):
+        if D == 0 or fundamental_discriminant(D) != D:
             raise ValueError(f"D = {D} is not 1 or a fundamental discriminant")
         m = abs(D)
         return cls(m, tuple(kronecker_symbol(D, n) for n in range(m)))

@@ -31,13 +31,12 @@ from typing import Sequence
 
 import mpmath
 import numpy as np
-import sympy
 from mpmath.libmp import NoConvergence
 
 from .. import kernels
 from ..forms import Jet, eta_eval
 from ..numerics import HPReal, _bits
-from ..symbolic import split_laurent
+from ..symbolic import poly_ring, split_laurent
 from .boundary import kink_chart
 from .engine import QuadratureConfig, QuadratureResult, integrate_box, make_result
 
@@ -49,9 +48,6 @@ class RootFindingError(RuntimeError):
 
 
 # -- univariate, arbitrary precision ------------------------------------------------
-
-_X = sympy.Symbol("x")
-
 
 def univariate_mahler(p: Sequence[Fraction | float], prec: int = 15) -> HPReal:
     """Mahler measure of a univariate polynomial (ascending rational coefficients).
@@ -65,11 +61,11 @@ def univariate_mahler(p: Sequence[Fraction | float], prec: int = 15) -> HPReal:
     coeffs = [Fraction(c) for c in p]
     if not any(coeffs):
         raise ValueError("zero polynomial has no Mahler measure")
-    content, factors = sympy.Poly(coeffs[::-1], _X).sqf_list()
+    content, factors = poly_ring(["x"]).from_list(coeffs[::-1]).sqf_list()
     with mpmath.mp.workprec(_bits(prec) + 20):
-        total = mpmath.log(abs(mpmath.mpf(content)))
+        total = mpmath.log(abs(mpmath.mpf(content.numerator) / content.denominator))
         for f, mult in factors:
-            c = [mpmath.mpf(a) for a in f.all_coeffs()]
+            c = [mpmath.mpf(a.numerator) / a.denominator for a in f.to_dense()]
             try:
                 roots = mpmath.polyroots(c)
             except NoConvergence as e:

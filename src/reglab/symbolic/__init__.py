@@ -1,5 +1,7 @@
 """Exact symbolic layer: polynomials as elements of sympy's ring QQ[vars] (parsed,
-printed and evaluated by ``poly``), factored field elements, wedges, B2 terms."""
+printed and evaluated by ``poly``), factored field elements, wedges, B2 terms.
+The same ring carries the k3 curves' coefficients and the univariate Mahler
+measure's polynomial."""
 
 from .poly import ParseError, eval_poly, format_poly, parse_poly, poly_ring, split_laurent
 from .algebra import (

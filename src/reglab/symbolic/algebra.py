@@ -40,11 +40,13 @@ def _exact_quotient(dividend, divisor):
 
 
 class MultiplicativeBasis:
-    """Ordered list of declared-irreducible, pairwise non-associate polynomials.
+    """Ordered list of irreducible, pairwise non-associate polynomials.
 
-    Rational primes are implicit extra basis vectors. A cheap sanity layer
-    rejects obviously reducible degree <= 2 univariate entries and any pair
-    where one entry exactly divides the other.
+    Rational primes are implicit extra basis vectors. Every entry is checked:
+    non-constant, no negative exponent, no entry exactly dividing another, and
+    one irreducible factor of multiplicity 1 over Q, content aside. Such
+    entries are multiplicatively independent, so factoring over the basis is
+    unique.
     """
 
     def __init__(self, polys: Sequence, variables: Sequence[str]):
@@ -57,21 +59,15 @@ class MultiplicativeBasis:
                 raise ValueError("basis entries must be non-constant")
             if any(e < 0 for m in p.itermonoms() for e in m):
                 raise ValueError("basis entries must be polynomials")
-            self._sanity_irreducible(p)
         for i, p in enumerate(self.polys):
             for j, q in enumerate(self.polys[i + 1 :], i + 1):
                 if _exact_quotient(q, p) is not None or _exact_quotient(p, q) is not None:
                     pair = f"{self.names[i]} and {self.names[j]}"
                     raise ValueError(f"basis entries {pair} are associates or nested")
-
-    @staticmethod
-    def _sanity_irreducible(p) -> None:
-        degrees = [d for d in p.degrees() if d > 0]
-        if degrees != [2]:
-            return
-        _, factors = p.factor_list()
-        if len(factors) > 1 or factors[0][1] > 1:
-            raise ValueError(f"basis entry {format_poly(p)} factors over Q")
+        for p, name in zip(self.polys, self.names):
+            _, factors = p.factor_list()
+            if len(factors) != 1 or factors[0][1] != 1:
+                raise ValueError(f"basis entry {name} factors over Q")
 
     def __len__(self):
         return len(self.polys)

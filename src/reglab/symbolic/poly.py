@@ -4,7 +4,9 @@ A polynomial is an element of sympy's ring QQ[variables]
 (``sympy.polys.rings``), which stores negative exponents as they are, so
 x + x^-1 is one element; exact division, gcd and factoring are the ring's
 methods. Rings built twice from the same variables are equal and their
-elements mix. This module is the one place that builds such rings.
+elements mix. This module is the one place that builds such rings; the
+symbolic layer, the k3 curves over QQ[t] and the Mahler measures (the
+univariate one over QQ[x]) all compute on them.
 """
 
 from __future__ import annotations

@@ -83,6 +83,73 @@ def test_k3_example(capsys):
     assert (doc["rho"], doc["detT"], doc["level"]) == (20, 7, 7)
 
 
+def _multiplicative(place, n, degree=1):
+    """The document entry of an I_n fiber at a place of the given degree."""
+    return {
+        "degree": degree,
+        "kodaira": f"I{n}",
+        "m": n,
+        "m_simple": n,
+        "place": place,
+        "v_c4": 0,
+        "v_c6": 0,
+        "v_delta": n,
+    }
+
+
+def test_k3_document_of_the_shipped_curve(capsys):
+    code, out, _ = run(capsys, "k3")
+    assert code == 0
+    doc = json.loads(out)
+    del doc["manifest"]
+    assert doc == {
+        "d": 7,
+        "d_K": -7,
+        "delta": "t**7*(t - 1)**7*(t**3 - 8*t**2 + 5*t + 1)",
+        "detT": 7,
+        "exact": True,
+        "fibers": [
+            _multiplicative("t - 1", 7),
+            _multiplicative("t", 7),
+            _multiplicative("t**3 - 8*t**2 + 5*t + 1", 1, degree=3),
+            _multiplicative("t = oo", 7),
+        ],
+        "level": 7,
+        "mw_rank": 0,
+        "rho": 20,
+        "sum_v_delta": 24,
+        "torsion_order": 7,
+    }
+
+
+def test_k3_document_of_an_even_discriminant(capsys):
+    code, out, _ = run(capsys, "k3", "--curve", "t,t^2+1,0,t^3,t", "--no-k3")
+    assert code == 0
+    doc = json.loads(out)
+    del doc["manifest"]
+    nonic = (
+        "25*t**9 - 64*t**8 + 40*t**7 - 125*t**6 + 376*t**5 - 300*t**4 + 288*t**3"
+        " - 240*t**2 - 432*t - 64"
+    )
+    assert doc == {
+        "d": 2,
+        "d_K": -8,
+        "delta": f"t*({nonic})",
+        "detT": 2,
+        "exact": True,
+        "fibers": [
+            _multiplicative("t", 1),
+            _multiplicative(nonic, 1, degree=9),
+            _multiplicative("t = oo", 2),
+        ],
+        "level": 8,  # the CM form of Q(sqrt(-2)) has level |d_K| = 8
+        "mw_rank": 0,
+        "rho": 3,
+        "sum_v_delta": 12,
+        "torsion_order": 1,
+    }
+
+
 def test_decomp_check(capsys):
     code, out, _ = run(capsys, "decomp-check", "--n", "4")
     assert code == 0

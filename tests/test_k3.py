@@ -17,6 +17,7 @@ from reglab.k3 import (
     surface_invariants,
     transcendental_det,
 )
+from reglab.lfunctions import EtaProduct, NewformSpec, completed_lambda
 
 T = sympy.Symbol("t")
 
@@ -28,7 +29,7 @@ def _flagship():
 
 def test_discriminant_identity_and_factorization():
     curve, _, _ = _flagship()
-    disc, c4, c6 = curve.discriminant()
+    disc, c4, c6 = (p.as_expr() for p in curve.discriminant())
     assert sympy.expand(c4**3 - c6**2 - 1728 * disc) == 0
     want = sympy.expand(T**7 * (T - 1) ** 7 * (T**3 - 8 * T**2 + 5 * T + 1))
     assert sympy.expand(disc - want) == 0
@@ -37,7 +38,7 @@ def test_discriminant_identity_and_factorization():
 def test_discriminant_simple_curve():
     cv = WeierstrassCurveQt("0", "0", "0", "0", "t")
     disc, _, _ = cv.discriminant()
-    assert sympy.expand(disc + 432 * T**2) == 0
+    assert sympy.expand(disc.as_expr() + 432 * T**2) == 0
 
 
 def test_singular_curve_rejected():
@@ -120,12 +121,26 @@ def test_transcendental_det():
 
 def test_schuett_level():
     assert schuett_level(7) == (7, -7, 7)
-    assert schuett_level(2) == (2, -8, 2)
+    assert schuett_level(2) == (2, -8, 8)
     assert schuett_level(28) == (7, -7, 7)  # squarefree reduction
     with pytest.raises(ExcludedDiscriminantError):
         schuett_level(1)
     with pytest.raises(ExcludedDiscriminantError):
         schuett_level(3)
+
+
+def test_schuett_level_of_an_even_discriminant_is_its_eta_product_level():
+    # the CM form of Q(sqrt(-2)) is eta(z)^2 eta(2z) eta(4z) eta(8z)^2; its completed
+    # L-function is independent of the split A only at its true level
+    eta = EtaProduct(((1, 2), (2, 1), (4, 1), (8, 2)))
+
+    def split_defect(level):
+        f = NewformSpec(level, 3, +1, eta)
+        return abs(float(completed_lambda(f, 1, 15, 1)) - float(completed_lambda(f, 1, 15, 1.3)))
+
+    _, _, level = schuett_level(2)
+    assert split_defect(level) < 1e-12
+    assert split_defect(2) > 1e-4
 
 
 def test_surface_invariants_flagship():

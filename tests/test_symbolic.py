@@ -90,6 +90,8 @@ def test_basis_names_are_printed_with_carets():
         (["y^2 + 2*y + 1"], "factors over Q"),
         (["x", "2*x"], "associates or nested"),
         (["x", "x*y + x"], "associates or nested"),
+        # no entry divides another, yet b0 * b1 = b2 * b3
+        (["(x+1)*(y+1)", "(x+2)*(y+2)", "(x+1)*(y+2)", "(x+2)*(y+1)"], "factors over Q"),
     ],
 )
 def test_basis_rejects_constant_laurent_reducible_and_nested_entries(entries, reason):
