@@ -128,7 +128,7 @@ def _parse_newform(args) -> NewformSpec:
         for part in spec[4:].split(","):
             d, _, r = part.partition("^")
             factors.append((int(d), int(r or 1)))
-        ep = EtaProduct(tuple(factors), level=args.nf_level)
+        ep = EtaProduct(tuple(factors))
         return NewformSpec(
             args.nf_level or max(d for d, _ in factors),
             args.weight if args.weight is not None else int(ep.weight),

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -199,16 +199,21 @@ class ExcludedDiscriminantError(ValueError):
     pass
 
 
+def _imaginary_quadratic_field(d: int) -> Tuple[int, int]:
+    """(squarefree d, fundamental discriminant d_K of Q(sqrt(-d)))."""
+    if d <= 0:
+        raise ValueError("determinant must be positive")
+    dK = fundamental_discriminant(-d)
+    return (-dK // 4 if dK % 4 == 0 else -dK), dK
+
+
 def schuett_level(d: int) -> Tuple[int, int, int]:
     """(squarefree d, fundamental discriminant d_K of Q(sqrt(-d)), level |d_K|).
 
     The weight-3 CM newform with rational coefficients attached to K = Q(sqrt(-d))
     has level |d_K| (Schuett, "CM newforms with rational coefficients", 2009).
     """
-    if d <= 0:
-        raise ValueError("determinant must be positive")
-    dK = fundamental_discriminant(-d)
-    d0 = -dK // 4 if dK % 4 == 0 else -dK
+    d0, dK = _imaginary_quadratic_field(d)
     if dK in (-3, -4):
         raise ExcludedDiscriminantError(
             f"d_K = {dK} is excluded (extra units in Q(sqrt({-d0})))"
@@ -224,9 +229,9 @@ class SurfaceInvariants:
     det_T: int
     d: int
     d_K: int
-    level: int
-    fibers: List[FiberData] = field(default_factory=list)
-    euler_sum: int = 0
+    level: Optional[int]  # None for d_K = -3, -4, which only require_k3=False admits
+    fibers: List[FiberData]
+    euler_sum: int
 
     def to_dict(self) -> dict:
         return {
@@ -248,6 +253,8 @@ def surface_invariants(
     torsion_order: int = 1,
     require_k3: bool = True,
 ) -> SurfaceInvariants:
+    """The invariants of the surface; with ``require_k3=False`` neither rho <= 20 nor a
+    newform level is required, and the level is None when d_K is -3 or -4."""
     if mw_rank < 0 or torsion_order < 1:
         raise ValueError(
             f"need Mordell-Weil rank >= 0 and torsion order >= 1, got {mw_rank}, {torsion_order}"
@@ -257,7 +264,8 @@ def surface_invariants(
     if require_k3 and rho > 20:
         raise ValueError(f"rho = {rho} > 20: not a K3 configuration")
     det = int(transcendental_det(fibers, torsion_order))
-    d0, dK, D = schuett_level(det)
+    d0, dK = _imaginary_quadratic_field(det)
+    level = None if not require_k3 and dK in (-3, -4) else schuett_level(det)[2]
     return SurfaceInvariants(
         mw_rank=mw_rank,
         torsion_order=torsion_order,
@@ -265,7 +273,7 @@ def surface_invariants(
         det_T=det,
         d=d0,
         d_K=dK,
-        level=D,
+        level=level,
         fibers=fibers,
         euler_sum=sum(f.degree * f.v_delta for f in fibers),
     )

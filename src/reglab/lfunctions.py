@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import mpmath
 import sympy
@@ -27,33 +27,6 @@ from .numerics import HPReal, _bits
 
 
 # -- Dirichlet characters --------------------------------------------------------------
-
-
-def kronecker_symbol(a: int, n: int) -> int:
-    """Kronecker symbol (a|n) for n >= 0."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    if n < 0:
-        raise ValueError("lower argument must be nonnegative")
-    result = 1
-    if n % 2 == 0:
-        if a % 2 == 0:
-            return 0
-        while n % 2 == 0:
-            n //= 2
-            if a % 8 in (3, 5):
-                result = -result
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
 
 
 def fundamental_discriminant(n: int) -> int:
@@ -95,7 +68,7 @@ class DirichletChar:
         if D == 0 or fundamental_discriminant(D) != D:
             raise ValueError(f"D = {D} is not 1 or a fundamental discriminant")
         m = abs(D)
-        return cls(m, tuple(kronecker_symbol(D, n) for n in range(m)))
+        return cls(m, tuple(int(sympy.kronecker_symbol(D, n)) for n in range(m)))
 
     def __call__(self, n: int) -> int:
         return self.values[n % self.modulus]
@@ -160,7 +133,6 @@ class EtaProduct:
     """prod_d eta(d tau)^{r_d}, with integral q-power offset sum(d r)/24."""
 
     factors: Tuple[Tuple[int, int], ...]  # (multiplier d, exponent r)
-    level: Optional[int] = None
 
     def __post_init__(self):
         if any(d < 1 for d, _ in self.factors):
@@ -298,8 +270,8 @@ class NewformSpec:
                 raise ValueError(f"Deligne bound fails at p = {p}")
 
 
-F7 = NewformSpec(7, 3, +1, EtaProduct(((1, 3), (7, 3)), level=7))
-F15 = NewformSpec(15, 2, +1, EtaProduct(((1, 1), (3, 1), (5, 1), (15, 1)), level=15))
+F7 = NewformSpec(7, 3, +1, EtaProduct(((1, 3), (7, 3))))
+F15 = NewformSpec(15, 2, +1, EtaProduct(((1, 1), (3, 1), (5, 1), (15, 1))))
 
 PRESETS = {"f7": F7, "f15": F15}
 

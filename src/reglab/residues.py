@@ -9,26 +9,25 @@ each component; orders along blown-up components may be recorded only as
 "positive but unknown", and triviality is concluded only when the verdict
 does not depend on the exact order.
 
-Every recorded value is an element of QQ(s), s the component's parameter,
-kept in the cancelled form of ``sympy.cancel``. That form is unique, so
-two values are equal exactly when their ``sstr`` strings are, and the
-residue pairs are collected under those strings. Records that contradict
-themselves are rejected with ``ValueError``: order 0 with value 0 or
-infinity, a positive order with value infinity, a negative order with
-value 0, or a value outside QQ(s) (an irrational constant, a float, a
-second symbol).
+Every recorded value is an element of the field QQ(s), s the component's
+parameter, built and parsed by ``symbolic.poly.rational_function``. Field
+arithmetic keeps its elements in lowest terms, so equal values are equal
+elements and the residue pairs are collected under the elements
+themselves. Records that contradict themselves are rejected with
+``ValueError``: order 0 with value 0 or infinity, a positive order with
+value infinity, a negative order with value 0, or a value outside QQ(s)
+(an irrational constant, a float, a second symbol).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-import sympy
-
 from .symbolic import B2WedgeElement, FactoredElement
+from .symbolic.poly import FracElement, rational_field, rational_function
 
 UNKNOWN_POSITIVE = "unknown_positive"
 UNKNOWN_NEGATIVE = "unknown_negative"
@@ -36,7 +35,7 @@ UNKNOWN_NEGATIVE = "unknown_negative"
 
 class _Marker:
     """A named stand-in, compared by identity: ROOT_OF_UNITY, a root of unity whose
-    exact value may be order-dependent, or UNDECIDABLE."""
+    exact value may be order-dependent; INFINITY, the value at a pole; or UNDECIDABLE."""
 
     def __init__(self, name: str):
         self.name = name
@@ -46,44 +45,30 @@ class _Marker:
 
 
 ROOT_OF_UNITY = _Marker("root_of_unity")
+INFINITY = _Marker("infinity")
 UNDECIDABLE = _Marker("undecidable")
-
-_INF = sympy.zoo
 
 
 def _is_root_of_unity(v) -> bool:
-    if v is ROOT_OF_UNITY:
-        return True
-    if isinstance(v, sympy.Expr):
-        return v in (sympy.Integer(1), sympy.Integer(-1))
-    return v in (1, -1)
+    return v is ROOT_OF_UNITY or v == 1 or v == -1
 
 
-def _cancelled(value: sympy.Expr) -> sympy.Expr:
-    """``value`` in cancelled form; ValueError unless it lies in QQ(s) for one symbol s."""
-    if value.is_Rational:
-        return value
-    symbols = value.free_symbols
-    if len(symbols) > 1 or value.has(sympy.Float):
-        raise ValueError(f"value {value} is not a rational function of one parameter over QQ")
-    domain = sympy.QQ.frac_field(*symbols) if symbols else sympy.QQ
-    try:
-        domain.from_sympy(value)
-    except (ValueError, sympy.CoercionFailed):
-        raise ValueError(f"value {value} is not a rational function over QQ") from None
-    return sympy.cancel(value)
+def _power(v: FracElement, e: int) -> FracElement:
+    """v**e in lowest terms, also for e < 0 (a negative power of a field element is not)."""
+    return v**e if e >= 0 else 1 / v**-e
 
 
 @dataclass(frozen=True)
 class FunctionRecord:
     """Order and leading restriction of one function along one component.
 
-    A value of 0 on a positive order, or infinity on a negative one, means
-    the leading coefficient is not recorded.
+    The value is an element of QQ(s), ROOT_OF_UNITY, INFINITY or None
+    (unknown). A value of 0 on a positive order, or INFINITY on a negative
+    one, means the leading coefficient is not recorded.
     """
 
     order: Union[int, str]  # int | unknown_positive | unknown_negative
-    value: Optional[sympy.Expr]  # restriction/leading value; None if unknown
+    value: Optional[object]
 
     def __post_init__(self):
         o, v = self.order, self.value
@@ -92,42 +77,37 @@ class FunctionRecord:
                 raise ValueError(f"bad order tag {o!r}")
         elif not isinstance(o, int):
             raise ValueError(f"order {o!r} is neither an integer nor an unknown-order tag")
+        if not (v is None or v is ROOT_OF_UNITY or v is INFINITY or isinstance(v, FracElement)):
+            raise ValueError(f"value {v!r} is neither an element of QQ(s) nor a marker")
         positive = o == UNKNOWN_POSITIVE or (isinstance(o, int) and o > 0)
         negative = o == UNKNOWN_NEGATIVE or (isinstance(o, int) and o < 0)
-        if o == 0 and (v is None or v == 0 or v is _INF):
+        if o == 0 and (v is None or v is INFINITY or v == 0):
             raise ValueError("order 0 requires a finite nonzero restriction value")
-        if (positive and v is _INF) or (negative and v == 0):
+        if (positive and v is INFINITY) or (negative and v == 0):
             raise ValueError(f"order {o} contradicts value {v}")
-        if v is None or v is ROOT_OF_UNITY or v is _INF:
-            return
-        if isinstance(v, (int, Fraction)):
-            v = sympy.Rational(v)
-        elif not isinstance(v, sympy.Expr):
-            raise ValueError(f"value {v!r} is not a sympy expression")
-        object.__setattr__(self, "value", _cancelled(v))
 
 
 def _leading_known(rec: FunctionRecord) -> bool:
     """Whether the record pins down its leading coefficient."""
-    v = rec.value
-    return not (v is None or v is ROOT_OF_UNITY or v is _INF or v == 0)
+    return isinstance(rec.value, FracElement) and rec.value != 0
 
 
 @dataclass
 class DivisorData:
-    """One codimension-one component with per-function records."""
+    """One codimension-one component with per-function records; ``field`` is
+    QQ(parameter), the field of every recorded value."""
 
     name: str
     parameter: str
     records: Dict[str, FunctionRecord]
 
     def __post_init__(self):
-        s = sympy.Symbol(self.parameter)
+        self.field = rational_field(self.parameter)
         for fname, rec in self.records.items():
-            if isinstance(rec.value, sympy.Expr) and not rec.value.free_symbols <= {s}:
+            if isinstance(rec.value, FracElement) and rec.value.field != self.field:
                 raise ValueError(
                     f"divisor {self.name}: value {rec.value} of {fname!r} "
-                    f"is not a function of {self.parameter}"
+                    f"is not in QQ({self.parameter})"
                 )
 
     def record_for(self, fname: str) -> FunctionRecord:
@@ -140,11 +120,10 @@ def _parse_value(raw: Optional[str], parameter: str):
     if raw is None:
         return None
     if raw in ("inf", "infinity"):
-        return _INF
+        return INFINITY
     if raw == "root_of_unity":
         return ROOT_OF_UNITY
-    s = sympy.Symbol(parameter)
-    return sympy.sympify(raw, locals={parameter: s}, rational=True)
+    return rational_function(raw, parameter)
 
 
 def load_divisors(path_or_list) -> List[DivisorData]:
@@ -174,9 +153,10 @@ def load_divisors(path_or_list) -> List[DivisorData]:
 def tame_symbol(fdata: FunctionRecord, gdata: FunctionRecord):
     """T_p{f,g} = (-1)^(ord f * ord g) (f^ord(g) / g^ord(f))|_p.
 
-    Returns an exact sympy value in cancelled form when the orders pin it
-    down, the ROOT_OF_UNITY marker when the value is a root of unity for
-    every admissible choice of the unknown orders, else UNDECIDABLE.
+    Returns the exact value, an element of QQ(s) (or 1 when both orders
+    are 0), when the orders pin it down; the ROOT_OF_UNITY marker when the
+    value is a root of unity for every admissible choice of the unknown
+    orders; else UNDECIDABLE.
     """
     m, n = fdata.order, gdata.order
     if isinstance(m, int) and isinstance(n, int):
@@ -188,12 +168,12 @@ def tame_symbol(fdata: FunctionRecord, gdata: FunctionRecord):
             ):
                 return ROOT_OF_UNITY
             return UNDECIDABLE
-        val = sympy.Integer(-1) ** (m * n)
+        val = -1 if (m * n) % 2 else 1
         if need_f:
-            val = val * fdata.value**n
+            val = val * _power(fdata.value, n)
         if need_g:
-            val = val / gdata.value**m
-        return sympy.cancel(val)
+            val = val * _power(gdata.value, -m)
+        return val
     # at least one order unknown: decided only if every order-dependent
     # factor is a root of unity
     f_ok = (n == 0) or _is_root_of_unity(fdata.value)
@@ -206,16 +186,13 @@ def tame_symbol(fdata: FunctionRecord, gdata: FunctionRecord):
 # -- evaluating factored elements along a divisor ------------------------------------
 
 
-def _restrict_factored(
-    f: FactoredElement, divisor: DivisorData
-) -> Tuple[object, object]:
-    """Restriction of a FactoredElement to the component.
+def _restrict_factored(f: FactoredElement, divisor: DivisorData) -> Tuple[object, object]:
+    """Order of a FactoredElement along the component, and its value there.
 
     Returns (order, value): order is an int, UNKNOWN_POSITIVE,
-    UNKNOWN_NEGATIVE, or UNDECIDABLE; value is f(p) in cancelled form when
-    order == 0, the infinity marker for negative order, 0 for positive.
-    When the known orders cancel but a leading coefficient is not recorded,
-    f(p) is finite and nonzero but unknown: (0, None).
+    UNKNOWN_NEGATIVE, or UNDECIDABLE; value is f(p) when order == 0, else
+    None. When the known orders sum to 0 but a leading coefficient is not
+    recorded, f(p) is finite and nonzero but unknown: (0, None).
     """
     factors = [(divisor.record_for(f.basis.names[i]), e) for i, e in f.exps.items()]
     known = 0
@@ -234,29 +211,23 @@ def _restrict_factored(
     if unknown_pos and unknown_neg:
         return UNDECIDABLE, None
     if unknown_pos:
-        if known >= 0:
-            return UNKNOWN_POSITIVE, sympy.Integer(0)
-        return UNDECIDABLE, None
+        return (UNKNOWN_POSITIVE if known >= 0 else UNDECIDABLE), None
     if unknown_neg:
-        if known <= 0:
-            return UNKNOWN_NEGATIVE, _INF
-        return UNDECIDABLE, None
-    if known > 0:
-        return known, sympy.Integer(0)
-    if known < 0:
-        return known, _INF
-    val = sympy.Rational(f.const.numerator, f.const.denominator)
+        return (UNKNOWN_NEGATIVE if known <= 0 else UNDECIDABLE), None
+    if known:
+        return known, None
+    val = divisor.field(f.const)
     for rec, e in factors:
         if not _leading_known(rec):
             return 0, None
-        val = val * rec.value**e
-    return 0, sympy.cancel(val)
+        val = val * _power(rec.value, e)
+    return 0, val
 
 
 def _label_record(label, basis, divisor: DivisorData) -> FunctionRecord:
     kind, key = label
     if kind == "p":
-        return FunctionRecord(0, sympy.Integer(key))
+        return FunctionRecord(0, divisor.field(key))
     return divisor.record_for(basis.names[key])
 
 
@@ -271,88 +242,76 @@ class B2Residue:
     """
 
     divisor: str
-    terms: List[Tuple[Fraction, sympy.Expr, sympy.Expr]] = field(default_factory=list)
-    trace: List[dict] = field(default_factory=list)
-    undecidable: bool = False
+    terms: List[Tuple[Fraction, FracElement, FracElement]]
+    trace: List[dict]
+
+    @property
+    def undecidable(self) -> bool:
+        return any(entry["status"] == "undecidable" for entry in self.trace)
+
+
+_SUMS_TO_ZERO = ("trivial", "exact_cancellation", "coefficients of this pair sum to zero")
+_NONTRIVIAL = ("nontrivial", None, None)
+
+
+def _decide(f: FactoredElement, labels, basis, divisor: DivisorData):
+    """One term {f}_2 (x) g ^ h along the component.
+
+    Returns ((status, reason, why), None) when the term alone settles its
+    status, else (None, (sign, a, t)): the term is sign * {a}_2 (x) t, with
+    {f(p)}_2 taken modulo inversion ({1/a}_2 = -{a}_2) to the one of f(p)
+    and 1/f(p) whose string is smaller.
+    """
+    order, fval = _restrict_factored(f, divisor)
+    if order is UNDECIDABLE:
+        return ("undecidable", None, "order of f along the component is not determined"), None
+    if order != 0:
+        return ("trivial", "steinberg_degenerate", "f restricts to 0 or infinity"), None
+    if fval == 1:
+        return ("trivial", "steinberg_degenerate", "f restricts to 1"), None
+    g, h = labels
+    t = tame_symbol(_label_record(g, basis, divisor), _label_record(h, basis, divisor))
+    if t is UNDECIDABLE:
+        return ("undecidable", None, "tame symbol depends on an unknown order"), None
+    if _is_root_of_unity(t):
+        why = "tame symbol is a root of unity, torsion in (x) Q"
+        return ("trivial", "torsion_tensor_factor", why), None
+    if fval is None:
+        why = "f(p) is finite and nonzero but its value is not recorded"
+        return ("undecidable", None, why), None
+    inv = 1 / fval
+    if str(inv) < str(fval):
+        return None, (-1, inv, t)
+    return None, (1, fval, t)
 
 
 def residue_43(xi: B2WedgeElement, divisor: DivisorData) -> B2Residue:
     """Residue of a B2-wedge element (wedge degree 2) along one component."""
     if xi.wedge_degree != 2:
         raise ValueError("residue_43 needs wedge degree 2")
-    res = B2Residue(divisor.name)
-    raw: Dict[tuple, Fraction] = {}
-    raw_vals: Dict[tuple, tuple] = {}
-    for c, f, labels in xi.terms_list():
+    decided = [
+        (c, f, labels, *_decide(f, labels, xi.basis, divisor)) for c, f, labels in xi.terms_list()
+    ]
+    sums: Dict[tuple, Fraction] = {}
+    for c, _, _, _, pair in decided:
+        if pair:
+            sign, a, t = pair
+            sums[a, t] = sums.get((a, t), Fraction(0)) + sign * c
+    trace = []
+    for c, f, labels, decision, pair in decided:
         entry = {"coeff": str(c), "f": str(f), "wedge": [str(l) for l in labels]}
-        order, fval = _restrict_factored(f, divisor)
-        if order is UNDECIDABLE:
-            entry["status"] = "undecidable"
-            entry["why"] = "order of f along the component is not determined"
-            res.undecidable = True
-            res.trace.append(entry)
-            continue
-        if order != 0:
-            entry["status"] = "trivial"
-            entry["reason"] = "steinberg_degenerate"
-            entry["why"] = "f restricts to 0 or infinity"
-            res.trace.append(entry)
-            continue
-        if fval == 1:
-            entry["status"] = "trivial"
-            entry["reason"] = "steinberg_degenerate"
-            entry["why"] = "f restricts to 1"
-            res.trace.append(entry)
-            continue
-        g, h = labels
-        t = tame_symbol(
-            _label_record(g, xi.basis, divisor), _label_record(h, xi.basis, divisor)
-        )
-        if t is UNDECIDABLE:
-            entry["status"] = "undecidable"
-            entry["why"] = "tame symbol depends on an unknown order"
-            res.undecidable = True
-            res.trace.append(entry)
-            continue
-        if _is_root_of_unity(t):
-            entry["status"] = "trivial"
-            entry["reason"] = "torsion_tensor_factor"
-            entry["why"] = "tame symbol is a root of unity, torsion in (x) Q"
-            res.trace.append(entry)
-            continue
-        if fval is None:
-            entry["status"] = "undecidable"
-            entry["why"] = "f(p) is finite and nonzero but its value is not recorded"
-            res.undecidable = True
-            res.trace.append(entry)
-            continue
-        # canonicalize {a}_2 modulo inversion ({1/a}_2 = -{a}_2); the
-        # cancelled form is unique, so equal pairs get equal string keys
-        a, sign = fval, 1
-        a_key, t_key = sympy.sstr(a), sympy.sstr(t)
-        inv = sympy.cancel(1 / a)
-        inv_key = sympy.sstr(inv)
-        if inv_key < a_key:
-            a, a_key, sign = inv, inv_key, -1
-        key = (a_key, t_key)
-        raw[key] = raw.get(key, Fraction(0)) + sign * c
-        raw_vals[key] = (a, t)
-        entry["status"] = "pending"
-        entry["pair"] = list(key)
-        res.trace.append(entry)
-    for key, coeff in raw.items():
-        if coeff != 0:
-            res.terms.append((coeff, *raw_vals[key]))
-    for entry in res.trace:
-        if entry.get("status") == "pending":
-            key = tuple(entry["pair"])
-            if raw.get(key, Fraction(0)) == 0:
-                entry["status"] = "trivial"
-                entry["reason"] = "exact_cancellation"
-                entry["why"] = "coefficients of this pair sum to zero"
-            else:
-                entry["status"] = "nontrivial"
-    return res
+        if pair:
+            _, a, t = pair
+            entry["pair"] = [str(a), str(t)]
+            decision = _NONTRIVIAL if sums[a, t] else _SUMS_TO_ZERO
+        entry["status"], reason, why = decision
+        if reason:
+            entry["reason"] = reason
+        if why:
+            entry["why"] = why
+        trace.append(entry)
+    terms = [(coeff, a, t) for (a, t), coeff in sums.items() if coeff]
+    return B2Residue(divisor.name, terms, trace)
 
 
 def certify_all_residues(xi: B2WedgeElement, divisor_list: List[DivisorData]) -> dict:
@@ -374,9 +333,7 @@ def certify_all_residues(xi: B2WedgeElement, divisor_list: List[DivisorData]) ->
             "terms": res.trace,
         }
         if verdict == "nontrivial":
-            cert["residue"] = [
-                [str(c), sympy.sstr(a), sympy.sstr(t)] for c, a, t in res.terms
-            ]
+            cert["residue"] = [[str(c), str(a), str(t)] for c, a, t in res.terms]
         report["divisors"].append(cert)
         if verdict != "trivial" and report["overall"] == "trivial":
             report["overall"] = verdict

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import sympy
 
@@ -453,20 +453,9 @@ class _TauClosure:
         return self.images[label[1]].torsion_free_labels()
 
 
-def apply_tau(e: Union[FactoredElement, WedgeElement, B2WedgeElement]):
+def apply_tau(e: B2WedgeElement) -> B2WedgeElement:
     """Pullback by the involution x_i -> 1/x_i (all variables at once)."""
-    if not isinstance(e, (FactoredElement, WedgeElement, B2WedgeElement)):
-        raise TypeError(f"apply_tau does not handle {type(e).__name__}")
     closure = _TauClosure(e.basis)
-    if isinstance(e, FactoredElement):
-        return closure.of_factored(e)
-    if isinstance(e, WedgeElement):
-        acc: dict = {}
-        for labels, c in e.terms.items():
-            vecs = [closure.of_label_vector(l) for l in labels]
-            for key, v in _wedge_of_vectors(e.basis, c, vecs).items():
-                acc[key] = acc.get(key, Fraction(0)) + v
-        return WedgeElement(e.basis, e.degree, acc)
     out = B2WedgeElement(e.basis, e.wedge_degree)
     for c, f, labels in e.terms_list():
         tf = closure.of_factored(f)

@@ -36,6 +36,7 @@ from reglab.quadrature import (
 )
 from reglab.residues import DivisorData, FunctionRecord, certify_all_residues, load_divisors
 from reglab.symbolic import build_xi, check_decomposition, load_decomposition, parse_poly
+from reglab.symbolic.poly import rational_function
 
 M_P_REFERENCE = 0.604165831102476806712691  # -6 L'(f7,-1) - (48/7) zeta'(-2)
 
@@ -266,9 +267,9 @@ def test_ac10_residue_certificates(capsys):
         "control",
         "s",
         {
-            "x": FunctionRecord(1, sympy.Integer(0)),
-            "y": FunctionRecord(0, sympy.Symbol("s")),
-            "z": FunctionRecord(0, sympy.Integer(2)),
+            "x": FunctionRecord(1, rational_function(0, "s")),
+            "y": FunctionRecord(0, rational_function("s", "s")),
+            "z": FunctionRecord(0, rational_function(2, "s")),
         },
     )
     nontrivial = certify_all_residues(xi, [control])["overall"] == "nontrivial"

@@ -148,6 +148,17 @@ def test_k3_document_of_an_even_discriminant(capsys):
         "sum_v_delta": 12,
         "torsion_order": 1,
     }
+    # d_K = -4 has no newform level, but --no-k3 still gives the fiber data
+    code, out, _ = run(capsys, "k3", "--curve", "0,0,0,1,1", "--no-k3")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["fibers"], doc["rho"], doc["detT"], doc["d"], doc["d_K"]) == ([], 2, 1, 1, -4)
+    assert doc["level"] is None
+    code, out, _ = run(capsys, "k3", "--curve", "0,0,0,t,0", "--no-k3")
+    assert code == 0
+    doc = json.loads(out)
+    assert [(f["place"], f["kodaira"]) for f in doc["fibers"]] == [("t", "III"), ("t = oo", "III*")]
+    assert (doc["rho"], doc["detT"], doc["d"], doc["d_K"], doc["level"]) == (10, 4, 1, -4, None)
 
 
 def test_decomp_check(capsys):
@@ -385,6 +396,7 @@ def test_verify_main_abort_documents_carry_manifest(capsys, monkeypatch, corrupt
         ["k3", "--curve", "0,0,0,t,1", "--rank", "-3"],
         ["dilog", "--z", "1e400i"],
         ["dirichlet", "--d", "3"],
+        ["k3", "--curve", "0,0,0,1,1"],  # d_K = -4 is excluded without --no-k3
     ],
 )
 def test_bad_input_exits_2_without_a_document(capsys, argv):

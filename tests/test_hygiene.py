@@ -117,7 +117,10 @@ def test_exact_layers_never_simplify():
         for path in sorted(SRC.rglob("*.py"))
         for line in _simplify_uses(ast.parse(path.read_text(), str(path)))
     ]
-    assert not uses, "sympy simplify is a heuristic; use cancel:\n" + "\n".join(uses)
+    assert not uses, (
+        "sympy simplify is a heuristic; compute exactly in the rings QQ[vars] and fields"
+        " QQ(s) of symbolic/poly.py:\n" + "\n".join(uses)
+    )
 
 
 def test_simplify_scan_sees_attributes_names_and_imports():
@@ -150,13 +153,18 @@ def test_verify_main_leaves_sympy_physics_unimported():
     assert out.stdout.strip() == "[]"
 
 
-# sympy's polynomial rings, by module, constructor or class, and sympy's dense Poly
-# class; a method call such as ``p.set_ring(R)`` or ``basis.ring(1)`` is not one
-_RING_FORMAT = re.compile(r"sympy\.polys\.rings|(?<![\w.])ring\(|\bPolyRing\b|\bPoly\b")
+# sympy's polynomial rings, by module, constructor or class, sympy's dense Poly class,
+# and its rational function fields QQ(s), by constructor or class; a method call such
+# as ``p.set_ring(R)``, ``basis.ring(1)`` or ``divisor.field(2)`` is not one, and
+# neither is the element class ``FracElement``
+_RING_FORMAT = re.compile(
+    r"sympy\.polys\.rings|(?<![\w.])ring\(|\bPolyRing\b|\bPoly\b"
+    r"|frac_field\(|\bFracField\b|(?<![\w.])field\("
+)
 
 
 def _ring_format_uses(source):
-    """Lines that build a polynomial ring or name sympy's dense Poly."""
+    """Lines that build a polynomial ring or a field QQ(s), or name sympy's dense Poly."""
     return [n for n, line in enumerate(source.splitlines(), 1) if _RING_FORMAT.search(line)]
 
 
@@ -168,7 +176,7 @@ def test_only_symbolic_poly_owns_the_polynomial_format():
         if path != owner
         for line in _ring_format_uses(path.read_text())
     ]
-    assert not uses, "polynomials built outside symbolic/poly.py:\n" + "\n".join(uses)
+    assert not uses, "polynomials or fields built outside symbolic/poly.py:\n" + "\n".join(uses)
 
 
 def test_ring_format_scan_sees_imports_constructors_and_from_dict():
@@ -176,8 +184,10 @@ def test_ring_format_scan_sees_imports_constructors_and_from_dict():
         "from sympy.polys.rings import ring\nR = ring('x', QQ)[0]\np.set_ring(R)\n"
         "q = basis.ring(1)\nsympy.Poly.from_dict(d, gens)\nPolyRing(('x',), QQ)\n"
         "poly_ring(vs)\nsympy.Poly(c, x).sqf_list(), PolyElement\n"
+        "K = sympy.QQ.frac_field(s)\nFracField(('s',), QQ)\nK, s = field('s', QQ)\n"
+        "isinstance(v, FracElement), divisor.field(2), rational_field(p)\n"
     )
-    assert _ring_format_uses(source) == [1, 2, 5, 6, 8]
+    assert _ring_format_uses(source) == [1, 2, 5, 6, 8, 9, 10, 11]
 
 
 def _document_writes(tree):

@@ -18,7 +18,6 @@ from reglab.lfunctions import (
     dirichlet_L_continued,
     dirichlet_Lprime_neg,
     eta_qexp,
-    kronecker_symbol,
     lprime_minus1,
     lvalue,
     zeta_prime_minus2,
@@ -27,9 +26,10 @@ from reglab.lfunctions import (
 
 def test_kronecker_basic():
     # (-7|n) table for n = 1..7
-    assert [kronecker_symbol(-7, n) for n in range(1, 8)] == [1, 1, -1, 1, -1, -1, 0]
-    assert kronecker_symbol(-4, 3) == -1
-    assert kronecker_symbol(-4, 5) == 1
+    chi = DirichletChar.quadratic(-7)
+    assert [chi(n) for n in range(1, 8)] == [1, 1, -1, 1, -1, -1, 0]
+    assert DirichletChar.quadratic(-4)(3) == -1
+    assert DirichletChar.quadratic(-4)(5) == 1
 
 
 def test_character_tables():
