@@ -28,7 +28,6 @@ import time
 
 import mpmath
 import numpy as np
-import scipy
 import sympy
 
 from . import __version__
@@ -84,7 +83,6 @@ def _manifest(args, inputs):
         "versions": {
             "reglab": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "sympy": sympy.__version__,
             "mpmath": mpmath.__version__,
         },
@@ -139,11 +137,16 @@ def _parse_newform(args) -> NewformSpec:
 
 
 def _num(value: HPReal, prec: int, error) -> dict:
-    return {
-        "value": value.to_decimal(),
-        "prec": prec,
-        "error_estimate": error.to_decimal() if isinstance(error, HPReal) else error,
-    }
+    """The value as printed and an error estimate that bounds the printed value: half a
+    unit of its last printed digit is added to ``error``."""
+    text = value.to_decimal()
+    exponent = int(text.rsplit("e", 1)[1]) - value.prec
+    if isinstance(error, HPReal):
+        with mpmath.workdps(error.prec + 5):
+            error = HPReal(error.mpf() + 5 * mpmath.mpf(10) ** exponent, error.prec).to_decimal()
+    else:
+        error = error + 5 * 10.0**exponent
+    return {"value": text, "prec": prec, "error_estimate": error}
 
 
 # -- subcommands ----------------------------------------------------------------------

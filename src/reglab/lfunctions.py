@@ -38,6 +38,26 @@ def fundamental_discriminant(n: int) -> int:
     return core if core % 4 == 1 else 4 * core
 
 
+def _unit_generators(m: int) -> list:
+    """Units of Z/m, each outside the subgroup that the ones before it generate.
+
+    Together they generate (Z/m)^*; each at least doubles the subgroup, so there are
+    at most log2 phi(m) of them, found in O(m) steps.
+    """
+    reached, gens = {1 % m}, []
+    for g in range(m):
+        if g in reached or math.gcd(g, m) > 1:
+            continue
+        gens.append(g)
+        # the subgroup grows by the cosets H g, H g^2, ... until g^k falls in H
+        grown, power = set(reached), g
+        while power not in reached:
+            grown.update(h * power % m for h in reached)
+            power = power * g % m
+        reached = grown
+    return gens
+
+
 @dataclass(frozen=True)
 class DirichletChar:
     """A Dirichlet character given by its value table on Z/m."""
@@ -53,12 +73,15 @@ class DirichletChar:
         for n in range(self.modulus):
             if (math.gcd(n, self.modulus) > 1) != (self.values[n] == 0):
                 raise ValueError("chi(n) = 0 exactly when gcd(n, m) > 1")
-        # totally multiplicative on the table
-        m = self.modulus
-        for x in range(m):
-            for y in range(m):
-                if self.values[(x * y) % m] != self.values[x] * self.values[y]:
-                    raise ValueError("character table is not multiplicative")
+        # totally multiplicative on the table: both sides vanish unless x and y are
+        # units, and on units it suffices that chi(1) = 1 and chi(x g) = chi(x) chi(g)
+        # for every unit x and each g of a generating set
+        m, chi = self.modulus, self.values
+        gens = _unit_generators(m)
+        if chi[1 % m] != 1 or any(
+            chi[x * g % m] != chi[x] * chi[g] for x in range(m) if chi[x] for g in gens
+        ):
+            raise ValueError("character table is not multiplicative")
 
     @classmethod
     def quadratic(cls, D: int) -> "DirichletChar":

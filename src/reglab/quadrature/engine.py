@@ -5,9 +5,18 @@ Both rules take a batch integrand f(points) -> values with points of shape
 (N, dims), and return (value, error_estimate, evaluations). Error estimates
 are heuristic: the Gauss-Legendre estimate is the delta against a half-level
 run, but no less than the rounding error log2(N) eps sum |f w| of the N-node
-sum (at high levels the delta alone can fall below the true error); the
-adaptive estimate is the global Gauss-Kronrod error summed over all regions
-of the subdivision. Results are deterministic for a fixed
+sum (at high levels the delta alone can fall below the true error).
+
+The adaptive rule is global: it keeps a list of cubic regions, each with its
+GK21 product estimate K and error |K - G|, where G is the Gauss-10 product rule
+on the same 21^dims values (the Gauss nodes are the odd-indexed Kronrod nodes).
+Each refinement round sorts the regions by error and halves, along every
+axis, the fewest largest ones that bring the error of the rest to half the
+target; all 2^dims children of a round are evaluated in one batched pass,
+handed to f in chunks of about 2^15 points. It stops when the summed error is
+at most tol + tol |estimate|, tol = 10^-min(prec, 12), or after
+10000 (depth + 1) splits, and warns (``AdaptiveWarning``) when that cap is hit
+or the result is not finite. Results are deterministic for a fixed
 (rule, level, depth, prec).
 """
 
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy import integrate
+from numpy.polynomial.legendre import leggauss
 
 from ..numerics import HPReal
 
@@ -65,19 +74,22 @@ def _panels(lo: float, hi: float, depth: int) -> np.ndarray:
 
 def gl_grid(lo, hi, level: int, depth: int, dims: int):
     """Tensor nodes/weights on [lo,hi]^dims with 2^depth panels per axis."""
-    x, w = np.polynomial.legendre.leggauss(level)
+    x, w = leggauss(level)
     edges = _panels(lo, hi, depth)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
         weights.append(0.5 * (b - a) * w)
-    n1 = np.concatenate(nodes)
-    w1 = np.concatenate(weights)
-    grids = np.meshgrid(*([n1] * dims), indexing="ij")
+    return _product(np.concatenate(nodes), np.concatenate(weights), dims)
+
+
+def _product(x, w, dims: int):
+    """The tensor product of a 1-D rule (x, w): nodes (len(x)^dims, dims), weights."""
+    grids = np.meshgrid(*([x] * dims), indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    wt = w1
+    wt = w
     for _ in range(dims - 1):
-        wt = np.multiply.outer(wt, w1)
+        wt = np.multiply.outer(wt, w)
     return pts, wt.reshape(-1)
 
 
@@ -108,24 +120,104 @@ def integrate_box(
     raise ValueError(cfg.rule)
 
 
+class AdaptiveWarning(RuntimeWarning):
+    """The adaptive rule stopped at its split cap or with a non-finite result."""
+
+
+# QUADPACK qk21: the positive Kronrod-21 nodes, largest first (the last is 0),
+# their weights, and the weights of the Gauss-10 nodes among them, _XGK[1::2]
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077813204167770, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+
+
+def gk21():
+    """The 21 Kronrod nodes on [-1, 1] in increasing order, their weights, and
+    the Gauss-10 weights on the same nodes (0 at the even-indexed ones)."""
+    nodes = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+    wk = np.concatenate([_WGK[:-1], _WGK[::-1]])
+    wg = np.zeros(21)
+    wg[1:10:2] = _WG
+    wg[11::2] = _WG[::-1]
+    return nodes, wk, wg
+
+
+# points per integrand call; a round's regions are passed in chunks of this size
+CHUNK = 2**15
+
+
+def _gk_regions(f, centers, half, nodes, wk, wg):
+    """K and |K - G| on the cubes centers +- half, evaluated in chunks of whole regions."""
+    per_call = max(1, CHUNK // len(nodes))
+    k, g = np.empty(len(centers)), np.empty(len(centers))
+    for i in range(0, len(centers), per_call):
+        c, h = centers[i : i + per_call], half[i : i + per_call]
+        pts = (c[:, None, :] + h[:, None, None] * nodes).reshape(-1, nodes.shape[1])
+        vals = np.asarray(f(pts), dtype=np.float64).reshape(len(c), -1)
+        k[i : i + per_call] = (vals * wk).sum(axis=1)
+        g[i : i + per_call] = (vals * wg).sum(axis=1)
+    volume = half ** nodes.shape[1]
+    return k * volume, np.abs(k - g) * volume
+
+
 def _adaptive(f, lo, hi, dims, cfg):
-    evals = 0
     tol = 10.0 ** (-min(cfg.prec, 12))
+    cap = 10000 * (cfg.depth + 1)
+    x, wk, wg = gk21()
+    nodes, wk = _product(x, wk, dims)
+    wg = _product(x, wg, dims)[1]
+    # the 2^dims children of a cube: their centers' offsets in half-widths
+    corners = _product(np.array([-0.5, 0.5]), np.ones(2), dims)[0]
 
-    def counted(points):
-        nonlocal evals
-        evals += len(points)
-        return f(points)
-
-    res = integrate.cubature(
-        counted, [lo] * dims, [hi] * dims, rule="gk21", rtol=tol, atol=tol,
-        max_subdivisions=10000 * (cfg.depth + 1),
-    )
-    if res.status != "converged" or not np.isfinite([res.estimate, res.error]).all():
+    centers = np.full((1, dims), 0.5 * (lo + hi))
+    half = np.array([0.5 * (hi - lo)])
+    est, err = _gk_regions(f, centers, half, nodes, wk, wg)
+    evals, splits = len(nodes), 0
+    while True:
+        value, error = float(est.sum()), float(err.sum())
+        target = tol + tol * abs(value)
+        if error <= target or splits >= cap or not math.isfinite(value + error):
+            break
+        order = np.argsort(-err, kind="stable")
+        # split the largest regions until the error left in the others is at most target / 2
+        rest = np.cumsum(err[order][::-1])[::-1]
+        count = min(int(np.count_nonzero(rest > target / 2)), cap - splits)
+        split, keep = order[:count], order[count:]
+        child_centers = (
+            centers[split, None, :] + half[split, None, None] * corners
+        ).reshape(-1, dims)
+        child_half = np.repeat(half[split] / 2, len(corners))
+        child_est, child_err = _gk_regions(f, child_centers, child_half, nodes, wk, wg)
+        centers = np.concatenate([centers[keep], child_centers])
+        half = np.concatenate([half[keep], child_half])
+        est = np.concatenate([est[keep], child_est])
+        err = np.concatenate([err[keep], child_err])
+        evals += len(child_centers) * len(nodes)
+        splits += count
+    converged = error <= target
+    if not (converged and math.isfinite(value + error)):
+        status = "converged" if converged else "not_converged"
         warnings.warn(
-            f"adaptive_gk: status {res.status}, estimate {res.estimate}, error {res.error}",
-            integrate.IntegrationWarning,
+            f"adaptive_gk: status {status}, estimate {value}, error {error}",
+            AdaptiveWarning,
             stacklevel=3,
         )
-    return float(res.estimate), float(res.error), evals
-
+    return value, error, evals

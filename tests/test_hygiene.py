@@ -2,7 +2,9 @@
 
 import ast
 import collections
+import functools
 import io
+import json
 import os
 import pathlib
 import re
@@ -131,16 +133,17 @@ def test_simplify_scan_sees_attributes_names_and_imports():
     assert _simplify_uses(tree) == [2, 3, 4]
 
 
-def test_verify_main_leaves_sympy_physics_unimported():
-    # sympy imports sympy.physics.units on the first simplify call, 0.2 s
-    # that the exact layers do not need
+@functools.lru_cache(maxsize=None)
+def _modules_after_verify_main():
+    """Modules a fresh interpreter holds after ``import reglab.cli`` and
+    ``verify-main --level 40``."""
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "from reglab.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "    code = main(['verify-main', '--level', '40'])\n"
         "assert code == 0, code\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['sympy', 'physics']))\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -150,7 +153,19 @@ def test_verify_main_leaves_sympy_physics_unimported():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout)
+
+
+def test_verify_main_leaves_sympy_physics_unimported():
+    # sympy imports sympy.physics.units on the first simplify call, 0.2 s
+    # that the exact layers do not need
+    modules = _modules_after_verify_main()
+    assert [m for m in modules if m.split(".")[:2] == ["sympy", "physics"]] == []
+
+
+def test_verify_main_leaves_scipy_unimported():
+    # no layer uses scipy; importing scipy.integrate alone costs about 0.6 s of a cold start
+    assert [m for m in _modules_after_verify_main() if m.split(".")[0] == "scipy"] == []
 
 
 # sympy's polynomial rings, by module, constructor or class, sympy's dense Poly class,

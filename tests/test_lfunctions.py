@@ -21,6 +21,7 @@ from reglab.lfunctions import (
     lprime_minus1,
     lvalue,
     zeta_prime_minus2,
+    _unit_generators,
 )
 
 
@@ -47,6 +48,37 @@ def test_character_validation():
         DirichletChar(4, (0, 1, 1, -1))  # chi(2) must vanish
     with pytest.raises(ValueError):
         DirichletChar.quadratic(0)  # modulus 0
+
+
+def test_character_check_uses_every_generator():
+    # 2 has order 5 modulo 31 and 3 generates (Z/31)^*: a table constant on the
+    # cosets of <2> has chi(2 x) = chi(x) chi(2) for every x, but chi(9) = -1 != chi(3)^2
+    assert _unit_generators(31) == [2, 3]
+    values = [0] * 31
+    for k in range(6):
+        for h in (1, 2, 4, 8, 16):
+            values[h * 3**k % 31] = -1 if k == 2 else 1
+    assert all(values[2 * x % 31] == values[x] * values[2] for x in range(31))
+    with pytest.raises(ValueError, match="not multiplicative"):
+        DirichletChar(31, tuple(values))
+
+
+def _multiplicative(values):
+    m = len(values)
+    return all(values[x * y % m] == values[x] * values[y] for x in range(m) for y in range(m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.data())
+def test_character_check_matches_all_pairs(m, data):
+    # tables with chi(n) = 0 exactly off the units and +-1 on them
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=m, max_size=m))
+    values = tuple(s if math.gcd(n, m) == 1 else 0 for n, s in enumerate(signs))
+    if _multiplicative(values):
+        DirichletChar(m, values)
+    else:
+        with pytest.raises(ValueError, match="not multiplicative"):
+            DirichletChar(m, values)
 
 
 @pytest.mark.parametrize("D", [0, 3, -1, -12, 9, 16, 20])

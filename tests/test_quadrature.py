@@ -5,7 +5,6 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning
 
 from reglab.k3 import data_dir
 from reglab.lfunctions import F15, lprime_minus1, lvalue
@@ -139,18 +138,68 @@ def test_adaptive_error_estimate_bounds_true_error(poly, prec):
 
 def test_adaptive_warns_on_nan_integrand():
     cfg = QuadratureConfig(rule="adaptive_gk")
-    with pytest.warns(IntegrationWarning, match="nan"):
+    with pytest.warns(engine.AdaptiveWarning, match="nan"):
         integrate_box(lambda p: np.where(p[:, 0] < 0.5, np.nan, 1.0), 0.0, 1.0, 1, cfg)
 
 
-def test_adaptive_warns_when_not_converged(monkeypatch):
-    cubature = engine.integrate.cubature
-    monkeypatch.setattr(
-        engine.integrate, "cubature", lambda *a, **k: cubature(*a, **{**k, "max_subdivisions": 1})
-    )
-    cfg = QuadratureConfig(rule="adaptive_gk")
-    with pytest.warns(IntegrationWarning, match="not_converged"):
-        integrate_box(lambda p: np.abs(p[:, 0] - 1 / 3), 0.0, 1.0, 1, cfg)
+def test_adaptive_warns_when_not_converged():
+    # sin(1e8 x) looks like noise at every width the split cap reaches: each region
+    # keeps an error of its own length, so the total never falls below 1e-12
+    cfg = QuadratureConfig(rule="adaptive_gk", prec=12)
+    with pytest.warns(engine.AdaptiveWarning, match="not_converged"):
+        _, err, evals = integrate_box(lambda p: np.sin(1e8 * p[:, 0]), 0.0, 1.0, 1, cfg)
+    assert err > 1e-12
+    assert evals == 21 * (1 + 2 * 10000)  # the first region and the children of 10000 splits
+
+
+def test_gk21_table_degrees_of_exactness():
+    x, wk, wg = engine.gk21()
+    assert np.all(np.diff(x) > 0) and x[10] == 0.0
+    assert np.all(wg[0::2] == 0.0)
+    # x^k on [-1, 1]: exact up to degree 31 (Kronrod) and 19 (Gauss), and not for the
+    # next even degree (odd ones vanish by symmetry)
+    for k in range(34):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert (abs(np.sum(wk * x**k) - exact) < 1e-15) == (k <= 31 or k % 2 == 1), k
+        assert (abs(np.sum(wg * x**k) - exact) < 1e-15) == (k <= 19 or k % 2 == 1), k
+
+
+def test_adaptive_smooth_integrand_converges_on_the_first_region():
+    # degree 8 in each variable: the Gauss-10 product rule is already exact
+    cfg = QuadratureConfig(rule="adaptive_gk", prec=12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, err, evals = integrate_box(lambda p: (p[:, 0] * p[:, 1]) ** 8, 0.0, 1.0, 2, cfg)
+    assert evals == 21**2
+    assert abs(val - 1 / 81) < 1e-15 and err < 1e-15
+
+
+def _kinked(sizes):
+    """|x - 1/3| + |y - 0.3|, recording the number of points of each call in ``sizes``."""
+
+    def f(p):
+        sizes.append(len(p))
+        return np.abs(p[:, 0] - 1 / 3) + np.abs(p[:, 1] - 0.3)
+
+    return f
+
+
+def test_adaptive_is_deterministic():
+    cfg = QuadratureConfig(rule="adaptive_gk", prec=6)
+    a = integrate_box(_kinked([]), 0.0, 1.0, 2, cfg)
+    b = integrate_box(_kinked([]), 0.0, 1.0, 2, cfg)
+    assert a == b
+
+
+def test_adaptive_batches_each_round():
+    # every round's regions go to the integrand together, in chunks of at most
+    # CHUNK points that hold whole regions
+    sizes = []
+    cfg = QuadratureConfig(rule="adaptive_gk", prec=6)
+    _, _, evals = integrate_box(_kinked(sizes), 0.0, 1.0, 2, cfg)
+    assert sum(sizes) == evals
+    assert all(s % 441 == 0 and s <= engine.CHUNK for s in sizes)
+    assert len(sizes) < evals // 441 / 4
 
 
 def test_mahler_constant_and_monomial():
