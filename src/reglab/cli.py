@@ -129,7 +129,7 @@ def _parse_newform(args) -> NewformSpec:
         ep = EtaProduct(tuple(factors))
         return NewformSpec(
             args.nf_level or max(d for d, _ in factors),
-            args.weight if args.weight is not None else int(ep.weight),
+            args.weight if args.weight is not None else ep.weight,
             args.eps,
             ep,
         )

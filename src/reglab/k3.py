@@ -146,12 +146,21 @@ def _order(poly, factor) -> float:
         k += 1
 
 
+def _place_name(f) -> str:
+    """sympy's printed form of the polynomial f, from an unevaluated sum of its terms:
+    the first evaluated sympy sum imports sympy.tensor and sympy.combinatorics, about
+    40 ms, which nothing else on the exact layers needs."""
+    t = f.ring.symbols[0]
+    terms = [sympy.Rational(int(c.numerator), int(c.denominator)) * t**e for (e,), c in f.items()]
+    return sympy.sstr(sympy.Add(*terms, evaluate=False))
+
+
 def finite_fibers(curve: WeierstrassCurveQt) -> List[FiberData]:
     disc, c4, c6 = curve.discriminant()
     _, factors = disc.factor_list()
     out = []
     for f, mult in factors:
-        place = sympy.sstr(f.as_expr())
+        place = _place_name(f)
         out.append(kodaira_type(_order(c4, f), _order(c6, f), mult, place, degree=f.degree()))
     return out
 

@@ -153,7 +153,8 @@ def zeta_prime_minus2(prec: int = 15) -> HPReal:
 
 @dataclass(frozen=True)
 class EtaProduct:
-    """prod_d eta(d tau)^{r_d}, with integral q-power offset sum(d r)/24."""
+    """prod_d eta(d tau)^{r_d}, with integral q-power offset sum(d r)/24 and
+    integral weight sum(r)/2."""
 
     factors: Tuple[Tuple[int, int], ...]  # (multiplier d, exponent r)
 
@@ -163,14 +164,16 @@ class EtaProduct:
         s = sum(d * r for d, r in self.factors)
         if s % 24:
             raise ValueError("sum of d*r must be divisible by 24")
+        if sum(r for _, r in self.factors) % 2:
+            raise ValueError("sum of r must be even: the weight sum(r)/2 must be an integer")
 
     @property
     def offset(self) -> int:
         return sum(d * r for d, r in self.factors) // 24
 
     @property
-    def weight(self):
-        return sum(r for _, r in self.factors) / 2
+    def weight(self) -> int:
+        return sum(r for _, r in self.factors) // 2
 
 
 def _eta1_sparse(n: int) -> List[Tuple[int, int]]:

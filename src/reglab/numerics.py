@@ -54,23 +54,24 @@ class HPReal:
         return self._v
 
     def to_decimal(self) -> str:
-        """Serialize as ``±d.ddd...e±k`` with ``prec`` significant digits."""
+        """Serialize as ``±d.ddd...e±k`` with exactly ``prec`` significant digits
+        (``±de±k`` at prec 1)."""
         v = self._v
         if v == 0:
-            return "+0." + "0" * (self.prec - 1) + "e+0"
-        with mp.workprec(_bits(self.prec)):
-            k = int(mpmath.floor(mpmath.log10(abs(v))))
-            scaled = abs(v) / mpmath.mpf(10) ** k
-            digits = mpmath.nstr(scaled, self.prec, strip_zeros=False)
-        if digits.startswith("10."):  # rounding bumped the leading digit
-            k += 1
-            digits = "1." + "0" * (self.prec - 1)
-        mant = digits if "." in digits else digits + ".0"
-        # pad to exactly prec significant digits
-        intpart, frac = mant.split(".")
-        frac = (frac + "0" * self.prec)[: max(1, self.prec - len(intpart))]
+            intpart, frac, k = "0", "", 0
+        else:
+            with mp.workprec(_bits(self.prec)):
+                k = int(mpmath.floor(mpmath.log10(abs(v))))
+                scaled = abs(v) / mpmath.mpf(10) ** k
+                digits = mpmath.nstr(scaled, self.prec, strip_zeros=False)
+            # rounding bumped the leading digit: "10." at prec >= 2, "1.e+1" at prec 1
+            if digits.startswith("10.") or "e" in digits:
+                k += 1
+                digits = "1."
+            intpart, frac = (digits if "." in digits else digits + ".").split(".")
+        frac = (frac + "0" * self.prec)[: self.prec - len(intpart)]
         sign = "-" if v < 0 else "+"
-        return f"{sign}{intpart}.{frac}e{k:+d}"
+        return f"{sign}{intpart}{'.' + frac if frac else ''}e{k:+d}"
 
     def __repr__(self) -> str:
         return f"HPReal({self.to_decimal()!r}, prec={self.prec})"

@@ -88,14 +88,14 @@ def regulator_boundary_integral(
 ) -> QuadratureResult:
     """(-1)^(n-1)/(2 pi i)^(n-1) times the boundary integral of rho(xi).
 
-    The ambient dimension n is xi.wedge_degree + 2 (n = 3 or 4); the chart
+    The ambient dimension n is xi.degree + 2 (n = 3 or 4); the chart
     is ``kink_chart`` with k = n - 1, the flagship boundary surface (n = 4)
     or curve (n = 3).
     """
     cfg = cfg or QuadratureConfig()
     if xi.is_zero():
         return make_result(0.0, 0.0, 0, cfg)
-    n = xi.wedge_degree + 2
+    n = xi.degree + 2
     if n not in (3, 4):
         raise ValueError("boundary charts are available for n = 3 and n = 4 only")
     dims = n - 2

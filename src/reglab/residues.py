@@ -10,13 +10,15 @@ each component; orders along blown-up components may be recorded only as
 does not depend on the exact order.
 
 Every recorded value is an element of the field QQ(s), s the component's
-parameter, built and parsed by ``symbolic.poly.rational_function``. Field
-arithmetic keeps its elements in lowest terms, so equal values are equal
-elements and the residue pairs are collected under the elements
-themselves. Records that contradict themselves are rejected with
-``ValueError``: order 0 with value 0 or infinity, a positive order with
-value infinity, a negative order with value 0, or a value outside QQ(s)
-(an irrational constant, a float, a second symbol).
+parameter, read by ``symbolic.poly.rational_function``: the polynomial
+grammar of ``parse_poly`` evaluated in QQ(s), with "inf" and
+"root_of_unity" as markers. Field arithmetic keeps its elements in lowest
+terms, so equal values are equal elements and the residue pairs are
+collected under the elements themselves. Records that contradict
+themselves are rejected with ``ValueError``: order 0 with value 0 or
+infinity, a positive order with value infinity, a negative order with
+value 0, or a value outside the grammar (an irrational constant, a
+decimal, a second symbol, a division by zero).
 """
 
 from __future__ import annotations
@@ -287,7 +289,7 @@ def _decide(f: FactoredElement, labels, basis, divisor: DivisorData):
 
 def residue_43(xi: B2WedgeElement, divisor: DivisorData) -> B2Residue:
     """Residue of a B2-wedge element (wedge degree 2) along one component."""
-    if xi.wedge_degree != 2:
+    if xi.degree != 2:
         raise ValueError("residue_43 needs wedge degree 2")
     decided = [
         (c, f, labels, *_decide(f, labels, xi.basis, divisor)) for c, f, labels in xi.terms_list()

@@ -149,10 +149,6 @@ class FactoredElement:
 
     def __str__(self):
         parts = [] if self.const == 1 and self.exps else [str(self.const)]
-        if self.const == -1 and self.exps:
-            parts = ["-1"]
-        elif self.const != 1 and self.exps:
-            parts = [str(self.const)]
         for i, e in sorted(self.exps.items()):
             name = f"({self.basis.names[i]})"
             parts.append(name if e == 1 else f"{name}^{e}")
@@ -198,11 +194,12 @@ def factor_over_basis(f, basis: MultiplicativeBasis) -> FactoredElement:
     return out * FactoredElement(basis, Fraction(c.numerator, c.denominator), exps)
 
 
-# -- exterior algebra -------------------------------------------------------------
+# -- Q-linear combinations ------------------------------------------------------------
 
 
-class WedgeElement:
-    """Q-linear combination of strictly increasing label tuples of fixed degree."""
+class _LinearCombination:
+    """Q-linear combination of hashable keys over one basis: ``terms`` maps each key
+    to a nonzero Fraction; ``degree`` is the wedge degree of every key."""
 
     __slots__ = ("basis", "degree", "terms")
 
@@ -211,21 +208,17 @@ class WedgeElement:
         self.degree = degree
         self.terms = {}
         if terms:
-            for key, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    self.terms[tuple(key)] = c
+            _accumulate(self.terms, terms.items())
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "WedgeElement") -> "WedgeElement":
-        if other.degree != self.degree:
+    def __add__(self, other):
+        if type(other) is not type(self) or other.degree != self.degree:
             raise ValueError("degree mismatch")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
-        return WedgeElement(self.basis, self.degree, terms)
+        out = type(self)(self.basis, self.degree, self.terms)
+        _accumulate(out.terms, other.terms.items())
+        return out
 
     def __neg__(self):
         return self.scale(-1)
@@ -233,16 +226,38 @@ class WedgeElement:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c) -> "WedgeElement":
+    def scale(self, c):
         c = Fraction(c)
-        return WedgeElement(self.basis, self.degree, {k: v * c for k, v in self.terms.items()})
+        return type(self)(self.basis, self.degree, {k: v * c for k, v in self.terms.items()})
 
     def __eq__(self, other):
         return (
-            isinstance(other, WedgeElement)
+            type(other) is type(self)
             and self.degree == other.degree
             and self.terms == other.terms
         )
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+def _accumulate(terms: dict, items) -> None:
+    """Add each (key, coefficient) of ``items`` into ``terms``, dropping keys that reach 0."""
+    for key, c in items:
+        c = terms.get(key, 0) + Fraction(c)
+        if c:
+            terms[key] = c
+        else:
+            terms.pop(key, None)
+
+
+# -- exterior algebra -------------------------------------------------------------
+
+
+class WedgeElement(_LinearCombination):
+    """Q-linear combination of strictly increasing label tuples of fixed degree."""
+
+    __slots__ = ()
 
     def __str__(self):
         if not self.terms:
@@ -253,9 +268,6 @@ class WedgeElement:
             body = " ^ ".join(self.basis.label_name(l) for l in key)
             bits.append(f"({c})·{body}")
         return " + ".join(bits)
-
-    def __repr__(self):
-        return f"WedgeElement({self})"
 
 
 def _sorted_with_sign(labels: Sequence[Label]) -> Optional[Tuple[tuple, int]]:
@@ -274,7 +286,7 @@ def _sorted_with_sign(labels: Sequence[Label]) -> Optional[Tuple[tuple, int]]:
     return tuple(labels), sign
 
 
-def _wedge_of_vectors(basis, coeff: Fraction, vectors: List[dict]) -> dict:
+def _wedge_of_vectors(coeff: Fraction, vectors: List[dict]) -> dict:
     """Expand coeff * v1 ^ ... ^ vk multilinearly into sorted-tuple terms."""
     out = {}
 
@@ -317,101 +329,45 @@ def wedge_normalize(
         elif len(elts) != degree:
             raise ValueError("all wedge tuples must have equal length")
         vecs = [e.torsion_free_labels() for e in elts]
-        for key, c in _wedge_of_vectors(basis, Fraction(coeff), vecs).items():
-            acc[key] = acc.get(key, Fraction(0)) + c
+        _accumulate(acc, _wedge_of_vectors(Fraction(coeff), vecs).items())
     return WedgeElement(basis, degree if degree is not None else 0, acc)
 
 
 # -- B2 (x) wedge ------------------------------------------------------------------
 
 
-class B2WedgeElement:
-    """Formal sum of c * ({f}_2 (x) g_1 ^ ... ^ g_(n-2)) with B2 normalization.
+class B2WedgeElement(_LinearCombination):
+    """Formal sum of c * ({f}_2 (x) g_1 ^ ... ^ g_degree) with B2 normalization.
 
-    Normalization applied on insert: {0}_2 = {1}_2 = {infinity}_2 = 0 and
-    {1/f}_2 = -{f}_2 (f and its inverse share one canonical representative).
+    Terms are keyed by (f, wedge labels). Normalization applied on insert:
+    {0}_2 = {1}_2 = {infinity}_2 = 0 and {1/f}_2 = -{f}_2 (f and its inverse
+    share one canonical representative, the one with the smaller key).
     """
 
-    def __init__(self, basis: MultiplicativeBasis, wedge_degree: int):
-        self.basis = basis
-        self.wedge_degree = wedge_degree
-        self.coeffs: dict = {}  # (fkey, labels) -> Fraction
-        self._reps: dict = {}  # fkey -> FactoredElement
-
-    @staticmethod
-    def _canonical_f(f: FactoredElement) -> Tuple[Optional[FactoredElement], int]:
-        """Canonical representative of {f}_2 modulo inversion; None if it dies."""
-        if f.is_constant() and f.const == 1:
-            return None, 1
-        inv = f.inverse()
-        if inv.key() < f.key():
-            return inv, -1
-        return f, 1
+    __slots__ = ()
 
     def add_term(self, coeff, f: FactoredElement, wedge: WedgeElement) -> None:
         coeff = Fraction(coeff)
-        if coeff == 0 or wedge.is_zero():
+        if f.is_constant() and f.const == 1:
             return
-        rep, sign = self._canonical_f(f)
-        if rep is None:
-            return
-        fkey = rep.key()
-        self._reps[fkey] = rep
-        for labels, c in wedge.terms.items():
-            key = (fkey, labels)
-            self.coeffs[key] = self.coeffs.get(key, Fraction(0)) + sign * coeff * c
-        self._prune()
-
-    def _prune(self):
-        self.coeffs = {k: v for k, v in self.coeffs.items() if v != 0}
+        inv = f.inverse()
+        if inv.key() < f.key():
+            f, coeff = inv, -coeff
+        _accumulate(self.terms, (((f, labels), coeff * c) for labels, c in wedge.terms.items()))
 
     def terms_list(self) -> List[Tuple[Fraction, FactoredElement, tuple]]:
-        """Iterate as (coefficient, f, wedge label tuple) triples."""
-        return [
-            (c, self._reps[fkey], labels) for (fkey, labels), c in sorted(self.coeffs.items())
-        ]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def scale(self, c) -> "B2WedgeElement":
-        out = B2WedgeElement(self.basis, self.wedge_degree)
-        c = Fraction(c)
-        if c != 0:
-            out.coeffs = {k: v * c for k, v in self.coeffs.items()}
-            out._reps = dict(self._reps)
-        return out
-
-    def __add__(self, other: "B2WedgeElement") -> "B2WedgeElement":
-        out = B2WedgeElement(self.basis, self.wedge_degree)
-        out.coeffs = dict(self.coeffs)
-        out._reps = dict(self._reps)
-        for (fkey, labels), c in other.coeffs.items():
-            out.coeffs[(fkey, labels)] = out.coeffs.get((fkey, labels), Fraction(0)) + c
-            out._reps.setdefault(fkey, other._reps[fkey])
-        out._prune()
-        return out
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        return isinstance(other, B2WedgeElement) and self.coeffs == other.coeffs
+        """(coefficient, f, wedge label tuple) triples, sorted by f's key, then labels."""
+        items = sorted(self.terms.items(), key=lambda kv: (kv[0][0].key(), kv[0][1]))
+        return [(c, f, labels) for (f, labels), c in items]
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         bits = []
         for c, f, labels in self.terms_list():
             body = " ^ ".join(self.basis.label_name(l) for l in labels)
             bits.append(f"({c})·{{{f}}}_2 (x) {body}")
         return " + ".join(bits)
-
-    def __repr__(self):
-        return f"B2WedgeElement({self})"
 
 
 # -- tau ---------------------------------------------------------------------------
@@ -424,44 +380,28 @@ def _tau_rational_function(p) -> tuple:
     return num, p.ring({degs: 1})
 
 
-class _TauClosure:
-    """The tau-images of a basis's polynomials as FactoredElements."""
-
-    def __init__(self, basis: MultiplicativeBasis):
-        self.basis = basis
-        self.images = []
-        for b, name in zip(basis.polys, basis.names):
-            num, mono = _tau_rational_function(b)
-            try:
-                img = factor_over_basis((num, mono), basis)
-            except NotFactorable as exc:
-                raise ValueError(
-                    f"basis is not tau-closed: tau({name}) needs factor "
-                    f"{format_poly(exc.remainder)}"
-                ) from exc
-            self.images.append(img)
-
-    def of_factored(self, f: FactoredElement) -> FactoredElement:
-        out = FactoredElement(self.basis, f.const)
-        for i, e in f.exps.items():
-            out = out * self.images[i] ** e
-        return out
-
-    def of_label_vector(self, label: Label) -> dict:
-        if label[0] == "p":
-            return {label: Fraction(1)}
-        return self.images[label[1]].torsion_free_labels()
-
-
 def apply_tau(e: B2WedgeElement) -> B2WedgeElement:
     """Pullback by the involution x_i -> 1/x_i (all variables at once)."""
-    closure = _TauClosure(e.basis)
-    out = B2WedgeElement(e.basis, e.wedge_degree)
+    basis = e.basis
+    images = []  # tau of each basis polynomial, factored over the basis
+    for b, name in zip(basis.polys, basis.names):
+        try:
+            images.append(factor_over_basis(_tau_rational_function(b), basis))
+        except NotFactorable as exc:
+            raise ValueError(
+                f"basis is not tau-closed: tau({name}) needs factor "
+                f"{format_poly(exc.remainder)}"
+            ) from exc
+    out = B2WedgeElement(basis, e.degree)
     for c, f, labels in e.terms_list():
-        tf = closure.of_factored(f)
-        vecs = [closure.of_label_vector(l) for l in labels]
-        acc = _wedge_of_vectors(e.basis, Fraction(1), vecs)
-        out.add_term(c, tf, WedgeElement(e.basis, e.wedge_degree, acc))
+        tf = FactoredElement(basis, f.const)
+        for i, k in f.exps.items():
+            tf = tf * images[i] ** k
+        vecs = [
+            {label: Fraction(1)} if label[0] == "p" else images[label[1]].torsion_free_labels()
+            for label in labels
+        ]
+        out.add_term(c, tf, WedgeElement(basis, e.degree, _wedge_of_vectors(Fraction(1), vecs)))
     return out
 
 

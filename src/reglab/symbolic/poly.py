@@ -8,7 +8,9 @@ elements mix. This module is the one place that builds such rings; the
 symbolic layer, the k3 curves over QQ[t] and the Mahler measures (the
 univariate one over QQ[x]) all compute on them. It is also the one place
 that builds the fields QQ(s) of rational functions in one parameter, in
-which the residue certificates compute.
+which the residue certificates compute. One parser reads both: polynomials
+(``parse_poly``) and the divisor records' values (``rational_function``)
+are the same grammar, evaluated in the ring or in the field.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from sympy import QQ, ZZ, Float, Symbol, sympify
-from sympy.polys.fields import FracElement, field
+from sympy import QQ, ZZ
+from sympy.polys.fields import FracElement, FracField, field
+from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
 
@@ -45,19 +48,13 @@ def rational_field(parameter: str):
 
 
 def rational_function(value, parameter: str) -> FracElement:
-    """``value`` (a string, a number or a sympy expression) as an element of QQ(parameter).
+    """``value`` (a string in the grammar of ``parse_poly``, or an int) as an element
+    of QQ(parameter); ``/`` and negative powers are the field's division.
 
-    ``sympify(..., rational=True)`` parses a string, so "0.5" is 1/2; a float
-    value, an irrational constant or another symbol raises ValueError.
+    Anything else raises ParseError, a ValueError: a decimal such as "0.5",
+    another name, "s**2", a division by zero.
     """
-    expr = sympify(value, locals={parameter: Symbol(parameter)}, rational=True)
-    if expr.has(Float):
-        raise ValueError(f"value {value!r} is a float, not an element of QQ({parameter})")
-    try:
-        return rational_field(parameter).from_expr(expr)
-    except ValueError:
-        message = f"value {value} is not a rational function of {parameter} over QQ"
-        raise ValueError(message) from None
+    return _Parser(str(value), rational_field(parameter)).parse()
 
 
 def _exact(c):
@@ -131,10 +128,13 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 
 
 class _Parser:
-    def __init__(self, text: str, variables):
+    """Recursive descent over the grammar of ``parse_poly``, computing in ``domain``:
+    a ring QQ[vars] or a field QQ(s), whose generators name the variables."""
+
+    def __init__(self, text: str, domain):
         self.text = text
-        self.vars = tuple(variables)
-        self.ring = poly_ring(self.vars)
+        self.domain = domain
+        self.vars = tuple(s.name for s in domain.symbols)
         self.tokens = []
         self._tokenize()
         self.i = 0
@@ -190,27 +190,44 @@ class _Parser:
     def term(self):
         acc = self.factor()
         while True:
-            kind, val, _ = self._peek()
-            if kind == "op" and val == "*":
-                self._next()
+            kind, val, pos = self._peek()
+            if not (kind == "op" and val in "*/"):
+                return acc
+            self._next()
+            if val == "*":
                 acc = acc * self.factor()
             else:
-                return acc
+                acc = self._divide(acc, self.factor(), pos)
+
+    def _divide(self, a, b, pos):
+        """a / b in the domain: exact division in a ring, field division in a field."""
+        if not b:
+            raise ParseError("division by zero", pos)
+        try:
+            return a / b
+        except ExactQuotientFailed:
+            raise ParseError("quotient is not a polynomial", pos) from None
 
     def factor(self):
         base = self.base()
-        kind, val, _ = self._peek()
-        if kind == "op" and val == "^":
-            self._next()
-            n = self.signed_int()
-            if n >= 0:
-                return base ** n
-            # negative power: only monomials and nonzero constants invert exactly
-            if len(base) != 1:
-                raise ParseError("negative powers require a monomial base", self._peek()[2])
-            (exps, c), = base.items()
-            return self.ring({tuple(e * n for e in exps): c**n})
-        return base
+        kind, val, pos = self._peek()
+        if not (kind == "op" and val == "^"):
+            return base
+        self._next()
+        n = self.signed_int()
+        if n > 0:
+            return base**n
+        if not base:
+            raise ParseError("zero to a non-positive power", pos)
+        if n == 0:
+            return self.domain.one
+        if isinstance(self.domain, FracField):
+            return self.domain.one / base**-n
+        # negative power in a ring: only monomials and nonzero constants invert exactly
+        if len(base) != 1:
+            raise ParseError("negative powers require a monomial base", pos)
+        (exps, c), = base.items()
+        return self.domain({tuple(e * n for e in exps): c**n})
 
     def signed_int(self) -> int:
         kind, val, pos = self._next()
@@ -236,29 +253,20 @@ class _Parser:
         if kind == "name":
             if val not in self.vars:
                 raise ParseError(f"unknown variable {val!r}", pos)
-            return self.ring.gens[self.vars.index(val)]
+            return self.domain.gens[self.vars.index(val)]
         if kind == "int":
-            nkind, nval, _ = self._peek()
-            if nkind == "op" and nval == "/":
-                save = self.i
-                self._next()
-                dkind, dval, dpos = self._next()
-                if dkind == "int":
-                    if dval == 0:
-                        raise ParseError("division by zero", dpos)
-                    return self.ring(QQ(val, dval))
-                self.i = save
-            return self.ring(val)
+            return self.domain(val)
         raise ParseError(f"unexpected token {val!r}", pos)
 
 
 def parse_poly(text: str, variables):
     """Parse the polynomial grammar into an element of QQ[variables].
 
-    Grammar: expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
-    factor := base ('^' signed-int)?; base := '(' expr ')' | variable |
-    rational | '-' factor; rational := int | int '/' int.
-    Negative exponents (Laurent monomial denominators) are kept as negative
-    exponents; ``split_laurent`` gives the (numerator, monomial) view.
+    Grammar: expr := term (('+'|'-') term)*; term := factor (('*'|'/') factor)*;
+    factor := base ('^' signed-int)?; base := '(' expr ')' | variable | int |
+    '-' factor. ``/`` is exact division: "3/2*x" and "(x^2-1)/(x-1)" parse,
+    "x/y" does not. Negative exponents of a monomial (Laurent monomial
+    denominators) are kept as negative exponents; ``split_laurent`` gives the
+    (numerator, monomial) view.
     """
-    return _Parser(text, variables).parse()
+    return _Parser(text, poly_ring(variables)).parse()

@@ -392,6 +392,7 @@ def test_verify_main_abort_documents_carry_manifest(capsys, monkeypatch, corrupt
         ["mahler", "--poly", "1/0"],
         ["dirichlet", "--d", "0"],
         ["lvalue", "--newform", "eta:0^24", "--s", "2"],
+        ["lvalue", "--newform", "eta:24^1", "--s", "2"],  # weight 1/2
         ["k3", "--curve", "0,0,0,t,1", "--torsion", "0"],
         ["k3", "--curve", "0,0,0,t,1", "--rank", "-3"],
         ["dilog", "--z", "1e400i"],

@@ -100,15 +100,23 @@ def test_definition_scan_sees_functions_classes_and_methods():
     assert sorted(_definitions(tree)) == [(1, "A"), (2, "m"), (4, "f"), (5, "g"), (6, "h")]
 
 
+# sympy's heuristic simplifier, and its expression parsers: values and polynomials are
+# read by the grammar of symbolic/poly.py
+_SYMPY_HEURISTICS = {"simplify", "sympify", "parse_expr"}
+
+
 def _simplify_uses(tree):
-    """Lines that reach sympy's heuristic ``simplify``, by attribute, name or import."""
+    """Lines that reach sympy's ``simplify``, ``sympify`` or ``parse_expr``, by attribute,
+    name or import."""
     lines = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "simplify":
+        if isinstance(node, ast.Attribute) and node.attr in _SYMPY_HEURISTICS:
             lines.append(node.lineno)
-        elif isinstance(node, ast.Name) and node.id == "simplify":
+        elif isinstance(node, ast.Name) and node.id in _SYMPY_HEURISTICS:
             lines.append(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and any(a.name == "simplify" for a in node.names):
+        elif isinstance(node, ast.ImportFrom) and any(
+            a.name in _SYMPY_HEURISTICS for a in node.names
+        ):
             lines.append(node.lineno)
     return sorted(set(lines))
 
@@ -120,8 +128,9 @@ def test_exact_layers_never_simplify():
         for line in _simplify_uses(ast.parse(path.read_text(), str(path)))
     ]
     assert not uses, (
-        "sympy simplify is a heuristic; compute exactly in the rings QQ[vars] and fields"
-        " QQ(s) of symbolic/poly.py:\n" + "\n".join(uses)
+        "sympy simplify is a heuristic and sympify a second parser; parse with"
+        " symbolic/poly.py and compute exactly in its rings QQ[vars] and fields QQ(s):\n"
+        + "\n".join(uses)
     )
 
 
@@ -129,8 +138,10 @@ def test_simplify_scan_sees_attributes_names_and_imports():
     tree = ast.parse(
         "import sympy\nfrom sympy import simplify as s\nsympy.simplify(x)\n"
         "e.simplify()\nsympy.cancel(x)\n"
+        "sympy.sympify(v, rational=True)\n"
+        "from sympy.parsing.sympy_parser import parse_expr\n"
     )
-    assert _simplify_uses(tree) == [2, 3, 4]
+    assert _simplify_uses(tree) == [2, 3, 4, 6, 7]
 
 
 @functools.lru_cache(maxsize=None)
@@ -161,6 +172,13 @@ def test_verify_main_leaves_sympy_physics_unimported():
     # that the exact layers do not need
     modules = _modules_after_verify_main()
     assert [m for m in modules if m.split(".")[:2] == ["sympy", "physics"]] == []
+
+
+def test_verify_main_leaves_sympy_combinatorics_unimported():
+    # sympify pulled in sympy.combinatorics and sympy.tensor on the first divisor
+    # value, most of a cold load_divisors call; the grammar of symbolic/poly.py does not
+    modules = _modules_after_verify_main()
+    assert [m for m in modules if m.split(".")[:2] == ["sympy", "combinatorics"]] == []
 
 
 def test_verify_main_leaves_scipy_unimported():

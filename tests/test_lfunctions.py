@@ -137,6 +137,8 @@ def test_eta_product_validation():
         EtaProduct(((1, 1),))  # 1 not divisible by 24
     with pytest.raises(ValueError):
         EtaProduct(((0, 24),))  # eta(0 tau) is not a modular form
+    with pytest.raises(ValueError):
+        EtaProduct(((24, 1),))  # weight 1/2
     e = EtaProduct(((1, 3), (7, 3)))
     assert e.offset == 1
     assert e.weight == 3

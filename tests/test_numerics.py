@@ -26,6 +26,39 @@ def test_hpreal_roundtrip_and_format():
     assert float(HPReal(s, 20)) == 0.25
 
 
+@pytest.mark.parametrize(
+    "value, prec, text",
+    [
+        (math.log(13500), 1, "+1e+1"),  # 9.51 rounds up into the next decade
+        (0.6041, 1, "+6e-1"),
+        (-9.96, 1, "-1e+1"),
+        (0, 1, "+0e+0"),
+        (math.log(13500), 2, "+9.5e+0"),
+        (9.96, 2, "+1.0e+1"),
+        (0.6041, 2, "+6.0e-1"),
+        (0, 3, "+0.00e+0"),
+        (0.6041, 3, "+6.04e-1"),
+    ],
+)
+def test_to_decimal_prints_prec_significant_digits(value, prec, text):
+    assert HPReal(value, prec).to_decimal() == text
+
+
+@given(st.floats(-1e30, 1e30, allow_nan=False), st.integers(1, 30))
+@settings(max_examples=300, deadline=None)
+def test_to_decimal_parses_back_within_half_a_unit(value, prec):
+    x = HPReal(value, prec)
+    text = x.to_decimal()
+    mantissa, exponent = text[1:].split("e")
+    digits = mantissa.replace(".", "")
+    assert len(digits) == prec
+    assert digits[0] != "0" or value == 0
+    with mpmath.workprec(300):
+        unit = mpmath.mpf(10) ** (int(exponent) - prec + 1)
+        # half a unit, plus the rounding of the guard-bit working precision
+        assert abs(mpmath.mpf(text) - x.mpf()) <= 0.51 * unit
+
+
 def test_hpreal_carries_value_and_precision():
     x = HPReal(Fraction(1, 3), 30)
     assert x.prec == 30

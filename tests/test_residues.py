@@ -32,7 +32,7 @@ from reglab.symbolic import (
     load_decomposition,
     parse_poly,
 )
-from reglab.symbolic.poly import rational_function
+from reglab.symbolic.poly import rational_field, rational_function
 
 S = sympy.Symbol("s")
 
@@ -55,7 +55,7 @@ def test_tame_symbol_spec_cases():
 def test_tame_symbol_antisymmetry():
     cases = [
         (rec(0, 3), rec(2, 5)),
-        (rec(1, 2), rec(0, S + 1)),
+        (rec(1, 2), rec(0, "s + 1")),
         (rec(2, 3), rec(3, 7)),
     ]
     for f, g in cases:
@@ -104,7 +104,7 @@ def test_residue_steinberg_kill():
         {
             "x": rec(0, -1),
             "y": rec(0, -1),
-            "z": rec(0, S - 1),
+            "z": rec(0, "s - 1"),
         },
     )
     res = residue_43(xi, d)
@@ -145,7 +145,7 @@ def test_nontrivial_control_case():
         "s",
         {
             "x": rec(1, 0),
-            "y": rec(0, S),
+            "y": rec(0, "s"),
             "z": rec(0, 2),
         },
     )
@@ -161,7 +161,7 @@ def test_residue_linearity():
         "s",
         {
             "x": rec(1, 0),
-            "y": rec(0, S),
+            "y": rec(0, "s"),
             "z": rec(0, 2),
         },
     )
@@ -206,6 +206,10 @@ def test_divisor_loader_validates():
         (0, "s + t"),  # two parameters
         (0, "t"),  # not the divisor's parameter
         (0, "exp(s)"),
+        (0, "0.5"),  # a decimal, not an exact value
+        (0, "s**2"),  # the grammar's power is ^
+        (0, "0^-1"),
+        (0, "1/0"),
         (1.5, "2"),  # order neither an integer nor a tag
     ]
     for order, value in contradictory:
@@ -218,7 +222,7 @@ def test_divisor_loader_validates():
     with pytest.raises(ValueError):
         FunctionRecord(0, S)  # a sympy expression, not an element of QQ(s)
     with pytest.raises(ValueError):
-        DivisorData("d", "u", {"x": rec(0, S)})
+        DivisorData("d", "u", {"x": rec(0, "s")})
     # the unknown-order records of the shipped data, and a positive order
     # whose leading coefficient is not recorded, are consistent
     d = _one_divisor(
@@ -230,8 +234,28 @@ def test_divisor_loader_validates():
     )
     assert d.records["y"].value is INFINITY
     assert str(d.records["z"].value) == "(-s - 1)/s"
+    # negative powers and quotients are the field's division
+    s = rational_field("s").gens[0]
+    field_values = [
+        ("s^-1", 1 / s),
+        ("(s+1)^-2", 1 / (s + 1) ** 2),
+        ("(s-1)/(s+1)", (s - 1) / (s + 1)),
+    ]
+    for text, value in field_values:
+        assert _one_divisor({"x": {"order": 0, "value": text}}).records["x"].value == value
     assert rec(1, 0).value == 0
     assert rec(1, 1).value == 1
+
+
+def test_shipped_values_parse_as_sympy_reads_them():
+    # sympy is only the reference here: each value string of the shipped records
+    # parses to the element that sympify and from_expr give; "inf" is the pole marker
+    with open(os.path.join(data_dir(), "divisors_n4.json")) as fh:
+        texts = {r["value"] for d in json.load(fh) for r in d["functions"].values()}
+    assert len(texts) == 6 and "inf" in texts
+    field = rational_field("s")
+    for text in sorted(texts - {"inf"}):
+        assert rational_function(text, "s") == field.from_expr(sympy.sympify(text))
 
 
 def test_loader_shares_one_record_per_distinct_string():
@@ -325,19 +349,19 @@ def test_shipped_report_pinned():
     "records, residue",
     [
         (
-            {"x": (0, (S + 1) / S), "y": (1, S - 1), "z": (0, -S)},
+            {"x": (0, "(s + 1)/s"), "y": (1, "s - 1"), "z": (0, "-s")},
             [["1", "(-s - 1)/s", "-1/s"], ["-1", "1/s", "(s + 1)/s"]],
         ),
         (
-            {"x": (1, 0), "y": (0, S), "z": (0, 2)},
+            {"x": (1, 0), "y": (0, "s"), "z": (0, 2)},
             [["1", "-1/s", "1/2"], ["-1", "-1/2", "1/s"]],
         ),
         (
-            {"x": (0, S), "y": (0, S**2 - 1), "z": (1, 3)},
+            {"x": (0, "s"), "y": (0, "s^2 - 1"), "z": (1, 3)},
             [["-1", "-1/s", "s**2 - 1"], ["1", "-1/(s**2 - 1)", "s"]],
         ),
         (
-            {"x": (0, -(S + 1) / S), "y": (2, S - 1), "z": (-1, 2 * S)},
+            {"x": (0, "-(s + 1)/s"), "y": (2, "s - 1"), "z": (-1, "2*s")},
             [["1", "(s + 1)/s", "1/(4*s**3 - 4*s**2)"]],
         ),
     ],

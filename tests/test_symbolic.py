@@ -24,6 +24,7 @@ from reglab.symbolic import (
     split_laurent,
     wedge_normalize,
 )
+from reglab.symbolic.poly import rational_function
 
 VARS3 = ["x", "y", "z"]
 
@@ -37,6 +38,8 @@ def test_parse_roundtrip():
 def test_parse_rational_and_power():
     p = parse_poly("3/2*x^2 - x + 1/2", ["x"])
     assert eval_poly(p, {"x": Fraction(2)}) == Fraction(3, 2) * 4 - 2 + Fraction(1, 2)
+    # '/' is the ring's exact division
+    assert parse_poly("(x^2-1)/(x-1)", ["x"]) == parse_poly("x + 1", ["x"])
 
 
 def test_parse_errors():
@@ -46,6 +49,23 @@ def test_parse_errors():
         parse_poly("w + 1", ["x"])
     with pytest.raises(ParseError):
         parse_poly("1/0", ["x"])
+    with pytest.raises(ParseError):
+        parse_poly("x/y", ["x", "y"])  # not exact
+
+
+_TOKENS = ["x", "y", "s", "0", "1", "2", "+", "-", "*", "/", "^", "^-", "(", ")", ".", " "]
+
+
+@given(st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=9).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_malformed_input_raises_only_parse_error(text):
+    # ring or field, a bad quotient, 0^-1 or a bad power is a ParseError, not a
+    # ZeroDivisionError, ExactQuotientFailed or TypeError from the domain
+    for parse in (lambda t: parse_poly(t, ["x", "y"]), lambda t: rational_function(t, "s")):
+        try:
+            parse(text)
+        except ParseError:
+            pass
 
 
 def test_laurent_terms():
