@@ -34,6 +34,7 @@ from . import __version__
 from .k3 import (
     WeierstrassCurveQt,
     data_dir,
+    factored_name,
     load_curve,
     surface_invariants,
 )
@@ -311,7 +312,7 @@ def cmd_k3(args):
         inputs.append(path)
     inv = surface_invariants(curve, rank, torsion, require_k3=not args.no_k3)
     payload = inv.to_dict()
-    payload["delta"] = sympy.sstr(sympy.factor(curve.discriminant()[0].as_expr()))
+    payload["delta"] = factored_name(curve.discriminant()[0])
     payload["exact"] = True
     return payload, inputs, EXIT_OK
 

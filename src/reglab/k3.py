@@ -146,13 +146,30 @@ def _order(poly, factor) -> float:
         k += 1
 
 
-def _place_name(f) -> str:
-    """sympy's printed form of the polynomial f, from an unevaluated sum of its terms:
-    the first evaluated sympy sum imports sympy.tensor and sympy.combinatorics, about
-    40 ms, which nothing else on the exact layers needs."""
+def _rational(c) -> sympy.Rational:
+    return sympy.Rational(int(c.numerator), int(c.denominator))
+
+
+def _unevaluated_sum(f) -> sympy.Expr:
+    """The polynomial f as an unevaluated sympy sum of its terms: the first evaluated
+    sympy sum imports sympy.tensor and sympy.combinatorics, about 40 ms, which nothing
+    else on the exact layers needs. It prints as the evaluated sum does."""
     t = f.ring.symbols[0]
-    terms = [sympy.Rational(int(c.numerator), int(c.denominator)) * t**e for (e,), c in f.items()]
-    return sympy.sstr(sympy.Add(*terms, evaluate=False))
+    return sympy.Add(*[_rational(c) * t**e for (e,), c in f.items()], evaluate=False)
+
+
+def factored_name(f) -> str:
+    """``sympy.sstr(sympy.factor(f.as_expr()))``, printed from ``f.factor_list()`` as an
+    unevaluated product of unevaluated sums."""
+    coeff, factors = f.factor_list()
+    c = _rational(coeff)
+    if c == -1 and len(factors) == 1 and factors[0][1] == 1:
+        # sympy.factor distributes a content of -1 over a single factor
+        c, factors = sympy.S.One, [(-factors[0][0], 1)]
+    parts = [_unevaluated_sum(g) ** m for g, m in factors]
+    if c != 1 or not parts:
+        parts.insert(0, c)
+    return sympy.sstr(sympy.Mul(*parts, evaluate=False))
 
 
 def finite_fibers(curve: WeierstrassCurveQt) -> List[FiberData]:
@@ -160,7 +177,7 @@ def finite_fibers(curve: WeierstrassCurveQt) -> List[FiberData]:
     _, factors = disc.factor_list()
     out = []
     for f, mult in factors:
-        place = _place_name(f)
+        place = sympy.sstr(_unevaluated_sum(f))
         out.append(kodaira_type(_order(c4, f), _order(c6, f), mult, place, degree=f.degree()))
     return out
 

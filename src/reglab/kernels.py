@@ -8,17 +8,15 @@ there (Zagier, "The dilogarithm function", 2007). On the unit circle D is
 the Clausen function: D(e^(i theta)) = Cl2(theta).
 """
 
-import mpmath
 import numpy as np
 
+from .numerics import li2_series_coef
+
 # Li2(w) = u - u^2/4 + sum_j B_2j u^(2j+1) / (2j+1)!, u = -log(1-w).
-# BERN_COEF[j-1] = B_2j / (2j+1)! as a double; at |u| <= pi/3 the last
-# term kept is below 2e-20.
+# BERN_COEF[j-1] = B_2j / (2j+1)!, the exact value rounded to a double; at
+# |u| <= pi/3 the last term kept is below 2e-20.
 BERN_TERMS = 12
-BERN_COEF = [
-    float(mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j + 1))
-    for j in range(1, BERN_TERMS + 1)
-]
+BERN_COEF = [float(li2_series_coef(j)) for j in range(1, BERN_TERMS + 1)]
 
 
 def _scalar_out(z, out):

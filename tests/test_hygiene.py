@@ -145,14 +145,13 @@ def test_simplify_scan_sees_attributes_names_and_imports():
 
 
 @functools.lru_cache(maxsize=None)
-def _modules_after_verify_main():
-    """Modules a fresh interpreter holds after ``import reglab.cli`` and
-    ``verify-main --level 40``."""
+def _modules_after(*argv):
+    """Modules a fresh interpreter holds after ``import reglab.cli`` and one command."""
     script = (
         "import contextlib, io, json, sys\n"
         "from reglab.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        "    code = main(['verify-main', '--level', '40'])\n"
+        f"    code = main({list(argv)!r})\n"
         "assert code == 0, code\n"
         "print(json.dumps(sorted(sys.modules)))\n"
     )
@@ -167,6 +166,10 @@ def _modules_after_verify_main():
     return json.loads(out.stdout)
 
 
+def _modules_after_verify_main():
+    return _modules_after("verify-main", "--level", "40")
+
+
 def test_verify_main_leaves_sympy_physics_unimported():
     # sympy imports sympy.physics.units on the first simplify call, 0.2 s
     # that the exact layers do not need
@@ -178,6 +181,13 @@ def test_verify_main_leaves_sympy_combinatorics_unimported():
     # sympify pulled in sympy.combinatorics and sympy.tensor on the first divisor
     # value, most of a cold load_divisors call; the grammar of symbolic/poly.py does not
     modules = _modules_after_verify_main()
+    assert [m for m in modules if m.split(".")[:2] == ["sympy", "combinatorics"]] == []
+
+
+def test_k3_leaves_sympy_combinatorics_unimported():
+    # an evaluated sympy sum pulls in sympy.combinatorics; the k3 document prints delta
+    # from unevaluated sums
+    modules = _modules_after("k3")
     assert [m for m in modules if m.split(".")[:2] == ["sympy", "combinatorics"]] == []
 
 

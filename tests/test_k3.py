@@ -8,6 +8,7 @@ from reglab.k3 import (
     ExcludedDiscriminantError,
     WeierstrassCurveQt,
     all_fibers,
+    factored_name,
     fiber_at_infinity,
     finite_fibers,
     kodaira_type,
@@ -163,3 +164,43 @@ def test_surface_invariants_reject_impossible_rank_or_torsion(rank, torsion):
     curve, _, _ = _flagship()
     with pytest.raises(ValueError):
         surface_invariants(curve, rank, torsion)
+
+
+# curves whose discriminants have a content of 1, -1 (spread over a single factor by
+# sympy.factor), an integer or a fraction, and one or several factors with multiplicity
+FACTORED_CURVES = [
+    "1,0,t,0,t^3-2",
+    "0,0,0,t,1",
+    "t,t^2+1,0,t^3,t",
+    "1+t-t^2,t^2-t^3,t^2-t^3,0,0",
+    "0,0,0,t/2,t^3/3+1",
+    "0,0,0,1,1",
+    "0,t,0,-t^2/5,0",
+    "0,0,0,0,-(t-1)^2",
+    "0,0,0,0,t/3+1/3",
+    "0,0,0,-t^2,0",
+    "0,0,0,0,t",
+]
+
+
+def _random_curve(rng):
+    def poly(degree):
+        coeffs = [rng.choice(["0", "1", "-1", "2", "-3", "1/2", "-2/3"]) for _ in range(degree + 1)]
+        return "+".join(f"({c})*t^{e}" for e, c in enumerate(coeffs))
+
+    return ",".join(poly(d) for d in (1, 2, 1, 3, 4))
+
+
+def test_factored_name_prints_as_sympy_factor():
+    rng = random.Random(17)
+    curves = FACTORED_CURVES + [_random_curve(rng) for _ in range(20)]
+    for text in curves:
+        disc = WeierstrassCurveQt.from_string(text).discriminant()[0]
+        assert factored_name(disc) == sympy.sstr(sympy.factor(disc.as_expr())), text
+    # the -1 content that sympy.factor spreads over one factor, and the -16 it does not
+    assert factored_name(WeierstrassCurveQt.from_string("1,0,t,0,t^3-2").discriminant()[0]) == (
+        "-432*t**6 - 216*t**5 + 9*t**4 + 1728*t**3 + 432*t**2 - 72*t - 1726"
+    )
+    assert factored_name(WeierstrassCurveQt.from_string("0,0,0,t,1").discriminant()[0]) == (
+        "-16*(4*t**3 + 27)"
+    )

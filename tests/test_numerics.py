@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reglab import kernels
+from reglab import kernels, numerics
 from reglab.numerics import HPReal, bloch_wigner
 
 
@@ -123,23 +123,61 @@ def test_kernel_bloch_wigner_matches_mp():
         assert abs(kernels.bloch_wigner(z) - float(polylog_D(z))) < 5e-14
 
 
+D_POINTS = (
+    0.3 + 0.4j,  # no step
+    0.8 + 0.3j,  # reflection only
+    -2.0 + 1.0j,  # inversion only
+    1.2 + 0.3j,  # inversion, then reflection
+    1e-12 + 3e-12j,  # near 0
+    1 + 1e-10j,  # near 1
+    1 - 1e-9 + 1e-9j,
+    complex(np.exp(1j * math.pi / 3)),  # where both steps meet
+    1e8 * complex(np.exp(0.7j)),
+    1e-8 * complex(np.exp(2.1j)),
+)
+
+
 def test_bloch_wigner_40_digits_against_polylog():
-    points = (
-        0.3 + 0.4j,  # no step
-        0.8 + 0.3j,  # reflection only
-        -2.0 + 1.0j,  # inversion only
-        1.2 + 0.3j,  # inversion, then reflection
-        1e-12 + 3e-12j,  # near 0
-        1 + 1e-10j,  # near 1
-        1 - 1e-9 + 1e-9j,
-        complex(np.exp(1j * math.pi / 3)),  # where both steps meet
-        1e8 * complex(np.exp(0.7j)),
-        1e-8 * complex(np.exp(2.1j)),
-    )
-    for z in points:
+    for z in D_POINTS:
         got = bloch_wigner(z, 40).mpf()
         with mpmath.workdps(70):
             assert abs(got - polylog_D(z, 70)) < mpmath.mpf("1e-38"), z
+
+
+@pytest.mark.parametrize("prec", [15, 30, 60, 100])
+def test_bloch_wigner_across_precisions(prec, monkeypatch):
+    # at e^(i pi/3) (1 +- 1e-12) |u| sits at the pi/3 corner that fixes the term count
+    corner = complex(np.exp(1j * math.pi / 3))
+    table = numerics._li2_series_table
+    widths = set()
+
+    def recording_table(wp):
+        widths.add(wp)
+        return table(wp)
+
+    monkeypatch.setattr(numerics, "_li2_series_table", recording_table)
+    for z in D_POINTS + (corner * (1 + 1e-12), corner * (1 - 1e-12)):
+        got = bloch_wigner(z, prec).mpf()
+        with mpmath.workdps(prec + 30):
+            assert abs(got - polylog_D(z, prec + 30)) < mpmath.mpf(10) ** -prec, z
+    assert widths
+    for wp in widths:
+        j = len(table(wp))
+        c = numerics.li2_series_coef(j)
+        with mpmath.workprec(wp + 64):
+            last = mpmath.mpf(c.numerator) / c.denominator * (mpmath.pi / 3) ** (2 * j + 1)
+            assert abs(last) < mpmath.mpf(2) ** (-wp - 5), wp
+
+
+@pytest.mark.parametrize("prec", [15, 40])
+def test_bloch_wigner_keeps_relative_precision_near_zero_and_the_real_line(prec):
+    # D is of the size of Im w there, so an absolute error bound says little
+    points = (0.3 + 1e-25j, -2.5 - 3e-18j, 4.0 + 1e-30j, 1e-20 + 2e-20j, 1e15 * complex(np.exp(0.4j)))
+    for z in points:
+        got = bloch_wigner(z, prec).mpf()
+        with mpmath.workdps(prec + 40):
+            want = polylog_D(z, prec + 40)
+            assert abs(got - want) < abs(want) * mpmath.mpf(10) ** (1 - prec), z
 
 
 @given(
