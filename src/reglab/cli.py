@@ -41,8 +41,6 @@ from .k3 import (
 from .lattice import find_integer_relation
 from .lfunctions import (
     DirichletChar,
-    EtaProduct,
-    NewformSpec,
     PRESETS,
     completed_lambda,
     dirichlet_L,
@@ -116,25 +114,6 @@ def _parse_complex(text: str) -> complex:
     if not cmath.isfinite(z):
         raise ValueError(f"z = {text} is not finite")
     return z
-
-
-def _parse_newform(args) -> NewformSpec:
-    spec = args.newform
-    if spec in PRESETS:
-        return PRESETS[spec]
-    if spec.startswith("eta:"):
-        factors = []
-        for part in spec[4:].split(","):
-            d, _, r = part.partition("^")
-            factors.append((int(d), int(r or 1)))
-        ep = EtaProduct(tuple(factors))
-        return NewformSpec(
-            args.nf_level or max(d for d, _ in factors),
-            args.weight if args.weight is not None else ep.weight,
-            args.eps,
-            ep,
-        )
-    raise ValueError(f"unknown newform spec {spec!r} (use a preset or eta:d^r,...)")
 
 
 def _num(value: HPReal, prec: int, error) -> dict:
@@ -238,7 +217,7 @@ def cmd_dilog(args):
 
 
 def cmd_lvalue(args):
-    f = _parse_newform(args)
+    f = PRESETS[args.newform]
     lam = completed_lambda(f, args.s, args.prec, A=args.split)
     L = lvalue(f, args.s, args.prec)
     return {
@@ -253,7 +232,7 @@ def cmd_lvalue(args):
 
 
 def cmd_lprime_minus1(args):
-    f = _parse_newform(args)
+    f = PRESETS[args.newform]
     val = lprime_minus1(f, args.prec)
     return {
         "newform": args.newform,
@@ -450,10 +429,7 @@ def _add_poly(p):
 
 
 def _add_newform(p):
-    p.add_argument("--newform", default="f7")
-    p.add_argument("--level", type=int, default=None, dest="nf_level")
-    p.add_argument("--weight", type=int, default=None)
-    p.add_argument("--eps", type=int, default=1, choices=[1, -1])
+    p.add_argument("--newform", default="f7", help=f"one of {', '.join(PRESETS)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -536,7 +512,10 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:
-        return EXIT_INPUT if e.code not in (0, None) else 0
+        if e.code in (0, None):
+            return 0
+        print("input error: bad command line (see the usage above)", file=sys.stderr)
+        return EXIT_INPUT
     t0 = time.time()
     try:
         payload, inputs, code = args.fn(args)

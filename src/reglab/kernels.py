@@ -24,6 +24,21 @@ def _scalar_out(z, out):
     return out[()] if z.ndim == 0 else out
 
 
+def _reduce(w):
+    """Map w in place by D(1/z) = D(1 - z) = -D(z) into |w| <= 1, Re w <= 1/2 and
+    return the masks of the two steps; the copies of z it needs die on return."""
+    big = np.abs(w) > 1.0
+    zbig = w[big]
+    w[big] = 1.0 / zbig
+    refl = w.real > 0.5
+    w[refl & ~big] = 1.0 - w[refl & ~big]
+    # after both steps w = 1 - 1/z, formed as (z - 1)/z: near z = 1 the rounded
+    # 1/z would lose the digits of z - 1, which is exact
+    zbig = zbig[refl[big]]
+    w[refl & big] = (zbig - 1.0) / zbig
+    return big, refl
+
+
 def bloch_wigner(z):
     """Double-precision Bloch-Wigner D(z), elementwise; 0 on the real line."""
     z = np.asarray(z, dtype=np.complex128)
@@ -32,10 +47,7 @@ def bloch_wigner(z):
     if not nontriv.any():
         return _scalar_out(z, out)
     w = z[nontriv]
-    big = np.abs(w) > 1.0
-    w[big] = 1.0 / w[big]
-    refl = w.real > 0.5
-    w[refl] = 1.0 - w[refl]
+    big, refl = _reduce(w)
     u = np.log(1.0 - w)
     u *= -1.0
     u2 = u * u

@@ -1,5 +1,11 @@
-"""Dirichlet L-values, zeta'(-2), eta-product q-expansions, and completed
+"""Dirichlet L-values, zeta'(-2), newforms from their a_p, and completed
 L-functions of newforms via two-sided incomplete-gamma sums.
+
+A newform is given by its a_p; its a_n follow by multiplicativity and the
+Hecke recursion. The weight-3 CM forms of the imaginary quadratic fields with
+class number 1 and units +-1 come from the Hecke character (alpha) -> alpha^2
+(``cm_newform``; F7 is the form of Q(sqrt(-7))), elliptic curves from point
+counts of their equation (``elliptic_newform``; F15 is Cremona's 15a1).
 
 The completed function is Lambda(s) = (sqrt(N)/2pi)^s Gamma(s) L(f, s) with
 functional equation Lambda(s) = eps Lambda(k - s); it is computed by the
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import mpmath
 import sympy
@@ -148,106 +154,25 @@ def zeta_prime_minus2(prec: int = 15) -> HPReal:
         return HPReal(-mpmath.zeta(3) / (4 * mpmath.pi**2), prec)
 
 
-# -- eta products ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EtaProduct:
-    """prod_d eta(d tau)^{r_d}, with integral q-power offset sum(d r)/24 and
-    integral weight sum(r)/2."""
-
-    factors: Tuple[Tuple[int, int], ...]  # (multiplier d, exponent r)
-
-    def __post_init__(self):
-        if any(d < 1 for d, _ in self.factors):
-            raise ValueError("eta multipliers d must be at least 1")
-        s = sum(d * r for d, r in self.factors)
-        if s % 24:
-            raise ValueError("sum of d*r must be divisible by 24")
-        if sum(r for _, r in self.factors) % 2:
-            raise ValueError("sum of r must be even: the weight sum(r)/2 must be an integer")
-
-    @property
-    def offset(self) -> int:
-        return sum(d * r for d, r in self.factors) // 24
-
-    @property
-    def weight(self) -> int:
-        return sum(r for _, r in self.factors) // 2
-
-
-def _eta1_sparse(n: int) -> List[Tuple[int, int]]:
-    """prod (1 - q^k) by the pentagonal number theorem, exponents <= n."""
-    out = [(0, 1)]
-    j = 1
-    while True:
-        e1 = j * (3 * j - 1) // 2
-        e2 = j * (3 * j + 1) // 2
-        if e1 > n and e2 > n:
-            break
-        sign = -1 if j % 2 else 1
-        if e1 <= n:
-            out.append((e1, sign))
-        if e2 <= n:
-            out.append((e2, sign))
-        j += 1
-    return out
-
-
-def _eta3_sparse(n: int) -> List[Tuple[int, int]]:
-    """prod (1 - q^k)^3 = sum (-1)^k (2k+1) q^{k(k+1)/2}."""
-    out = []
-    k = 0
-    while k * (k + 1) // 2 <= n:
-        out.append((k * (k + 1) // 2, (2 * k + 1) * (-1 if k % 2 else 1)))
-        k += 1
-    return out
-
-
-def _mul_sparse(series: Dict[int, int], sparse, n: int) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    for e0, c0 in series.items():
-        for e1, c1 in sparse:
-            e = e0 + e1
-            if e <= n:
-                out[e] = out.get(e, 0) + c0 * c1
-    return {e: c for e, c in out.items() if c}
-
-
-def eta_qexp(e: EtaProduct, n_terms: int) -> Tuple[int, List[int]]:
-    """Exact integer q-expansion: (offset, [c_0, ..., c_{n_terms}]) where the
-    series is q^offset * sum_i c_i q^i."""
-    series: Dict[int, int] = {0: 1}
-    for d, r in e.factors:
-        if r < 0:
-            raise ValueError("negative eta exponents not supported")
-        cap = n_terms // d if d <= n_terms else 0
-        cubes, singles = divmod(r, 3)
-        for _ in range(cubes):
-            sp = [(d * k, c) for k, c in _eta3_sparse(cap)]
-            series = _mul_sparse(series, sp, n_terms)
-        for _ in range(singles):
-            sp = [(d * k, c) for k, c in _eta1_sparse(cap)]
-            series = _mul_sparse(series, sp, n_terms)
-    out = [0] * (n_terms + 1)
-    for k, c in series.items():
-        out[k] = c
-    return e.offset, out
-
-
 # -- newforms -------------------------------------------------------------------------
 
 
 class NewformSpec:
-    """Level, weight, sign, and a coefficient source (eta product or list)."""
+    """A newform of level N, weight k, sign eps and character chi, given by its a_p.
 
-    def __init__(self, level: int, weight: int, eps: int, source):
+    The a_n follow by multiplicativity and the Hecke recursion
+    a_{p^(r+1)} = a_p a_{p^r} - chi(p) p^(k-1) a_{p^(r-1)}, with
+    a_{p^r} = a_p^r at primes that divide N.
+    """
+
+    def __init__(self, level: int, weight: int, eps: int, chi: DirichletChar, ap):
         if eps not in (+1, -1):
             raise ValueError("eps must be +1 or -1")
         self.level = level
         self.weight = weight
         self.eps = eps
-        self.source = source
+        self.chi = chi
+        self.ap = ap
         self._coeffs: List[int] = []
         self._validated = False
 
@@ -255,20 +180,18 @@ class NewformSpec:
         """a_1 .. a_{n_terms} (index 0 unused, kept 0)."""
         if len(self._coeffs) > n_terms:
             return self._coeffs[: n_terms + 1]
-        if isinstance(self.source, EtaProduct):
-            offset, c = eta_qexp(self.source, max(0, n_terms - self.source.offset))
-            out = [0] * (n_terms + 1)
-            for i, ci in enumerate(c):
-                if offset + i <= n_terms:
-                    out[offset + i] = ci
-            self._coeffs = out
-        else:
-            src = list(self.source)
-            if len(src) < n_terms + 1:
-                raise ValueError(
-                    f"need {n_terms} coefficients but only {len(src) - 1} supplied"
-                )
-            self._coeffs = src[: n_terms + 1]
+        a = [0] + [1] * n_terms
+        for p in sympy.primerange(2, n_terms + 1):
+            c = 0 if self.level % p == 0 else self.chi(p) * p ** (self.weight - 1)
+            ap = self.ap(p)
+            prev, cur, q = 1, ap, p
+            while q <= n_terms:
+                # cur = a_q multiplies a_m for every m that q = p^r exactly divides
+                for m in range(q, n_terms + 1, q):
+                    if m // q % p:
+                        a[m] *= cur
+                prev, cur, q = cur, ap * cur - c * prev, q * p
+        self._coeffs = a
         if not self._validated:
             self.validate()
             self._validated = True
@@ -296,8 +219,63 @@ class NewformSpec:
                 raise ValueError(f"Deligne bound fails at p = {p}")
 
 
-F7 = NewformSpec(7, 3, +1, EtaProduct(((1, 3), (7, 3))))
-F15 = NewformSpec(15, 2, +1, EtaProduct(((1, 1), (3, 1), (5, 1), (15, 1))))
+# imaginary quadratic fields with class number 1 and units +-1
+CM_DISCRIMINANTS = (-7, -8, -11, -19, -43, -67, -163)
+
+
+def cm_newform(d_K: int) -> NewformSpec:
+    """The weight-3 CM newform of K = Q(sqrt(d_K)), of level |d_K| and sign +1, given
+    by the Hecke character (alpha) -> alpha^2 (Schuett, "CM newforms with rational
+    coefficients", 2009): a_p = -p at p | d_K, 0 at inert p, and at split p
+    a_p = alpha^2 + conj(alpha)^2 = (u^2 + d_K v^2)/2 for alpha = (u + v sqrt(d_K))/2
+    of norm p. Only d_K in ``CM_DISCRIMINANTS`` are accepted: there a_p does not
+    depend on the choice of alpha."""
+    if d_K not in CM_DISCRIMINANTS:
+        raise ValueError(f"d_K = {d_K} is not one of {CM_DISCRIMINANTS}")
+    chi = DirichletChar.quadratic(d_K)
+
+    def ap(p: int) -> int:
+        if chi(p) == 0:
+            return -p
+        if chi(p) == -1:
+            return 0
+        v = 1  # 4p = u^2 - d_K v^2 has a solution with v >= 1
+        while math.isqrt(4 * p + d_K * v * v) ** 2 != 4 * p + d_K * v * v:
+            v += 1
+        return 2 * p + d_K * v * v  # (u^2 + d_K v^2)/2 with u^2 = 4p + d_K v^2
+
+    return NewformSpec(abs(d_K), 3, +1, chi, ap)
+
+
+def elliptic_newform(a_invariants, level: int, eps: int) -> NewformSpec:
+    """The weight-2 newform of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6, of
+    conductor ``level`` and root number ``eps``: a_p = p + 1 - #E(F_p), counting every
+    projective point of the reduced equation, bad primes included."""
+    a1, a2, a3, a4, a6 = a_invariants
+
+    def ap(p: int) -> int:
+        if p == 2:
+            affine = sum(
+                (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
+                for x in (0, 1)
+                for y in (0, 1)
+            )
+        else:
+            # y^2 + b y = c has as many solutions as y^2 = b^2 + 4c
+            roots = [0] * p
+            for y in range(p):
+                roots[y * y % p] += 1
+            affine = sum(
+                roots[((a1 * x + a3) ** 2 + 4 * (x**3 + a2 * x * x + a4 * x + a6)) % p]
+                for x in range(p)
+            )
+        return p - affine  # one point at infinity
+
+    return NewformSpec(level, 2, eps, DirichletChar.quadratic(1), ap)
+
+
+F7 = cm_newform(-7)
+F15 = elliptic_newform((1, 1, 1, -10, -10), 15, +1)  # Cremona 15a1
 
 PRESETS = {"f7": F7, "f15": F15}
 

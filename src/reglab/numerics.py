@@ -127,12 +127,15 @@ def bloch_wigner(z, prec: int = 15) -> HPReal:
     with mp.workprec(_bits(prec) + 10):
         if zv.imag == 0:
             return HPReal(0, prec)
-        sign = 1
-        if abs(zv) > 1:
-            zv, sign = 1 / zv, -sign
-        if zv.real > 0.5:
-            zv, sign = 1 - zv, -sign
-        u = -mpmath.log(1 - zv)
+        big = abs(zv) > 1
+        w = 1 / zv if big else zv
+        refl = w.real > 0.5
+        if refl:
+            # after both steps w = 1 - 1/z, formed as (z - 1)/z: near z = 1 the
+            # rounded 1/z would lose the digits of z - 1, which is exact
+            w = (zv - 1) / zv if big else 1 - w
+        sign = -1 if big != refl else 1
+        u = -mpmath.log(1 - w)
         # real parts of u and its powers carry rb >= wp fractional bits and
         # imaginary parts ib >= rb, so that Im Li2 keeps wp bits relative to
         # Im u; the real and imaginary parts of s carry wp and wp + ib - rb
@@ -153,5 +156,5 @@ def bloch_wigner(z, prec: int = 15) -> HPReal:
         tr = ((u2r * sr) >> wp) - ((u2i * si) >> (wp + 2 * d))
         ti = (u2r * si + u2i * sr) >> wp
         im_li2 = ui + ((ur * ti + ui * tr) >> rb) - (u2i >> 2)
-        val = mpmath.mpf((im_li2, -ib)) - u.imag * mpmath.log(abs(zv))
+        val = mpmath.mpf((im_li2, -ib)) - u.imag * mpmath.log(abs(w))
         return HPReal(sign * val, prec)

@@ -2,7 +2,10 @@ import argparse
 import json
 import math
 import os
+import pathlib
+import shlex
 
+import mpmath
 import pytest
 
 from reglab import cli
@@ -185,26 +188,6 @@ def test_lprime_minus1(capsys):
     code, out, _ = run(capsys, "lprime-minus1", "--prec", "20")
     assert code == 0
     assert abs(float(json.loads(out)["value"]) + 0.0658960685455824) < 1e-13
-
-
-def test_lvalue_custom_eta_syntax(capsys):
-    code, out, _ = run(
-        capsys,
-        "lvalue",
-        "--newform",
-        "eta:1^3,7^3",
-        "--level",
-        "7",
-        "--weight",
-        "3",
-        "--s",
-        "2",
-        "--prec",
-        "20",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["level"] == 7 and doc["weight"] == 3
 
 
 def test_dirichlet(capsys):
@@ -392,12 +375,14 @@ def test_verify_main_abort_documents_carry_manifest(capsys, monkeypatch, corrupt
         ["mahler", "--poly", "1/0"],
         ["dirichlet", "--d", "0"],
         ["lvalue", "--newform", "eta:0^24", "--s", "2"],
-        ["lvalue", "--newform", "eta:24^1", "--s", "2"],  # weight 1/2
+        ["lvalue", "--newform", "eta:24^1", "--s", "2"],
         ["k3", "--curve", "0,0,0,t,1", "--torsion", "0"],
         ["k3", "--curve", "0,0,0,t,1", "--rank", "-3"],
         ["dilog", "--z", "1e400i"],
         ["dirichlet", "--d", "3"],
         ["k3", "--curve", "0,0,0,1,1"],  # d_K = -4 is excluded without --no-k3
+        ["lvalue", "--newform", "f7", "--weight", "3", "--s", "2"],
+        ["lvalue", "--newform", "eta:1^3,7^3", "--s", "2"],  # a newform is a preset name
     ],
 )
 def test_bad_input_exits_2_without_a_document(capsys, argv):
@@ -405,3 +390,20 @@ def test_bad_input_exits_2_without_a_document(capsys, argv):
     assert code == 2
     assert out == ""
     assert "input error" in err
+
+
+def _readme_cli_examples():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return [line.strip() for line in section.splitlines() if line.startswith("    reglab ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_examples())
+def test_readme_cli_example_runs(capsys, monkeypatch, tmp_path, line):
+    monkeypatch.chdir(tmp_path)
+    with mpmath.workdps(40):
+        phi = (1 + mpmath.sqrt(5)) / 2  # phi^2 - phi - 1 = 0
+        (tmp_path / "vals.json").write_text(json.dumps([str(phi**2), str(phi), "1"]))
+    code, out, _ = run(capsys, *shlex.split(line)[1:])
+    assert code == 0
+    strict_loads(out)

@@ -18,7 +18,7 @@ from reglab.k3 import (
     surface_invariants,
     transcendental_det,
 )
-from reglab.lfunctions import EtaProduct, NewformSpec, completed_lambda
+from reglab.lfunctions import F7, NewformSpec, cm_newform, completed_lambda
 
 T = sympy.Symbol("t")
 
@@ -133,10 +133,10 @@ def test_schuett_level():
 def test_schuett_level_of_an_even_discriminant_is_its_eta_product_level():
     # the CM form of Q(sqrt(-2)) is eta(z)^2 eta(2z) eta(4z) eta(8z)^2; its completed
     # L-function is independent of the split A only at its true level
-    eta = EtaProduct(((1, 2), (2, 1), (4, 1), (8, 2)))
+    f8 = cm_newform(-8)
 
     def split_defect(level):
-        f = NewformSpec(level, 3, +1, eta)
+        f = NewformSpec(level, 3, +1, f8.chi, f8.ap)
         return abs(float(completed_lambda(f, 1, 15, 1)) - float(completed_lambda(f, 1, 15, 1.3)))
 
     _, _, level = schuett_level(2)
@@ -151,6 +151,13 @@ def test_surface_invariants_flagship():
     assert inv.det_T == 7
     assert inv.level == 7
     assert inv.euler_sum == 24
+
+
+def test_k3_stage_names_the_l_function_of_the_flagship():
+    inv = surface_invariants(*load_curve())
+    f = cm_newform(inv.d_K)
+    assert f.level == inv.level
+    assert f.coefficients(1000) == F7.coefficients(1000)
 
 
 def test_k3_rank_bound_enforced():

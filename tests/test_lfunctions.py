@@ -10,14 +10,14 @@ from reglab.lfunctions import (
     CHI_M7,
     F7,
     F15,
+    CM_DISCRIMINANTS,
     DirichletChar,
-    EtaProduct,
     NewformSpec,
+    cm_newform,
     completed_lambda,
     dirichlet_L,
     dirichlet_L_continued,
     dirichlet_Lprime_neg,
-    eta_qexp,
     lprime_minus1,
     lvalue,
     zeta_prime_minus2,
@@ -132,35 +132,46 @@ def test_zeta_prime_minus2():
     assert abs(float(zeta_prime_minus2(25)) - float(mpmath.zeta(-2, derivative=1))) < 1e-20
 
 
-def test_eta_product_validation():
+def eta_product(factors, n_terms):
+    """a_0 .. a_n_terms of prod_d eta(d z)^(r_d) for sum(d r_d) = 24, that is of
+    q prod_d prod_n (1 - q^(d n))^(r_d), by the naive power-series product."""
+    c = [1] + [0] * (n_terms - 1)  # c[i] multiplies q^(i + 1)
+    for d, r in factors:
+        for k in range(d, n_terms, d):
+            for _ in range(r):
+                c[k:] = [x - y for x, y in zip(c[k:], c)]  # times (1 - q^k)
+    return [0] + c
+
+
+@pytest.mark.parametrize(
+    "f, factors",
+    [
+        (F7, ((1, 3), (7, 3))),
+        (F15, ((1, 1), (3, 1), (5, 1), (15, 1))),
+        (cm_newform(-8), ((1, 2), (2, 1), (4, 1), (8, 2))),
+    ],
+)
+def test_newforms_equal_their_eta_products(f, factors):
+    assert f.coefficients(1000) == eta_product(factors, 1000)
+
+
+@pytest.mark.parametrize("d_K", CM_DISCRIMINANTS)
+def test_cm_newforms_pass_split_and_functional_equation(d_K):
+    f = cm_newform(d_K)
+    assert (f.level, f.weight, f.eps, f.chi) == (-d_K, 3, +1, DirichletChar.quadratic(d_K))
+    # Lambda is independent of the split A and satisfies Lambda(s) = Lambda(3 - s)
+    # only at the true level, sign and coefficients
+    lam = float(completed_lambda(f, 1, 15, A=1))
+    assert abs(lam - float(completed_lambda(f, 1, 15, A=1.3))) < 1e-13 * abs(lam)
+    lam = float(completed_lambda(f, 1.2, 15))
+    assert abs(lam - float(completed_lambda(f, 1.8, 15))) < 1e-13 * abs(lam)
+
+
+@pytest.mark.parametrize("d_K", [-3, -4, -15, -20, -23])
+def test_cm_newform_rejects_other_discriminants(d_K):
+    # -3 and -4 have extra units, -15, -20 and -23 class number 2 or 3
     with pytest.raises(ValueError):
-        EtaProduct(((1, 1),))  # 1 not divisible by 24
-    with pytest.raises(ValueError):
-        EtaProduct(((0, 24),))  # eta(0 tau) is not a modular form
-    with pytest.raises(ValueError):
-        EtaProduct(((24, 1),))  # weight 1/2
-    e = EtaProduct(((1, 3), (7, 3)))
-    assert e.offset == 1
-    assert e.weight == 3
-
-
-def test_eta_qexp_examples():
-    off, c = eta_qexp(EtaProduct(((1, 3), (7, 3))), 4)
-    assert off == 1
-    assert c[:4] == [1, -3, 0, 5]
-    off, c = eta_qexp(EtaProduct(((1, 24),)), 2)
-    assert off == 1
-    assert c[:2] == [1, -24]
-    off, c = eta_qexp(EtaProduct(()), 3)
-    assert (off, c) == (0, [1, 0, 0, 0])
-
-
-def test_eta_qexp_pentagonal_vs_cube():
-    # (eta^1)^3 must agree with the Jacobi cube expansion
-    a = eta_qexp(EtaProduct(((1, 24),)), 50)[1]
-    b3 = eta_qexp(EtaProduct(((2, 12),)), 50)[1]
-    # sanity: eta(2 tau)^12 has integer coefficients and offset 1
-    assert all(isinstance(x, int) for x in a + b3)
+        cm_newform(d_K)
 
 
 def test_f7_coefficients():
@@ -188,9 +199,10 @@ def test_f7_deligne_bound():
 
 
 def test_newform_validation_catches_corruption():
-    bad = NewformSpec(7, 3, +1, [0, 1, -3, 0, 5, 0, 99, -7, -3, 9, 0])
-    with pytest.raises(ValueError):
-        bad.coefficients(10)
+    # an a_p rule with a_11 = 99 > 2 * 11 breaks the Deligne bound
+    bad = NewformSpec(7, 3, +1, CHI_M7, lambda p: 99 if p == 11 else F7.ap(p))
+    with pytest.raises(ValueError, match="Deligne bound fails at p = 11"):
+        bad.coefficients(20)
 
 
 def test_completed_lambda_split_independence():

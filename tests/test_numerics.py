@@ -180,6 +180,25 @@ def test_bloch_wigner_keeps_relative_precision_near_zero_and_the_real_line(prec)
             assert abs(got - want) < abs(want) * mpmath.mpf(10) ** (1 - prec), z
 
 
+@pytest.mark.parametrize("prec", [30, 60])
+def test_bloch_wigner_keeps_relative_precision_near_one_outside_the_disc(prec):
+    # both symmetry steps apply, and w = 1 - 1/z must keep the digits of z - 1
+    z = 1.000000000000001 - 9.723882561222697e-16j
+    assert abs(z) > 1 and (1 / z).real > 0.5
+    got = bloch_wigner(z, prec).mpf()
+    with mpmath.workdps(120):
+        want = polylog_D(z, 120)
+        assert abs(got - want) <= abs(want) * mpmath.mpf(10) ** -prec
+
+
+def test_kernel_keeps_relative_precision_near_one_outside_the_disc():
+    z = 1 + 1e-9 * np.exp(1j * np.array([-1.2, -0.5, 0.4, 1.1]))
+    assert (np.abs(z) > 1).all()
+    for zi, di in zip(z, kernels.bloch_wigner(z)):
+        want = float(polylog_D(complex(zi), 40))
+        assert abs(di - want) < 1e-14 * abs(want), zi
+
+
 @given(
     st.complex_numbers(
         min_magnitude=1e-2, max_magnitude=50, allow_nan=False, allow_infinity=False
