@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import mpmath
 import sympy
@@ -162,7 +162,8 @@ class NewformSpec:
 
     The a_n follow by multiplicativity and the Hecke recursion
     a_{p^(r+1)} = a_p a_{p^r} - chi(p) p^(k-1) a_{p^(r-1)}, with
-    a_{p^r} = a_p^r at primes that divide N.
+    a_{p^r} = a_p^r at primes that divide N. Each a_p is computed once;
+    a request for more terms redoes only the multiplicative build.
     """
 
     def __init__(self, level: int, weight: int, eps: int, chi: DirichletChar, ap):
@@ -173,6 +174,7 @@ class NewformSpec:
         self.eps = eps
         self.chi = chi
         self.ap = ap
+        self._ap_values: Dict[int, int] = {}
         self._coeffs: List[int] = []
         self._validated = False
 
@@ -181,9 +183,11 @@ class NewformSpec:
         if len(self._coeffs) > n_terms:
             return self._coeffs[: n_terms + 1]
         a = [0] + [1] * n_terms
-        for p in sympy.primerange(2, n_terms + 1):
+        for p in sympy.sieve.primerange(2, n_terms + 1):
             c = 0 if self.level % p == 0 else self.chi(p) * p ** (self.weight - 1)
-            ap = self.ap(p)
+            if p not in self._ap_values:
+                self._ap_values[p] = self.ap(p)
+            ap = self._ap_values[p]
             prev, cur, q = 1, ap, p
             while q <= n_terms:
                 # cur = a_q multiplies a_m for every m that q = p^r exactly divides

@@ -2,10 +2,18 @@
 Gauss-Kronrod cubature.
 
 Both rules take a batch integrand f(points) -> values with points of shape
-(N, dims), and return (value, error_estimate, evaluations). Error estimates
-are heuristic: the Gauss-Legendre estimate is the delta against a half-level
-run, but no less than the rounding error log2(N) eps sum |f w| of the N-node
-sum (at high levels the delta alone can fall below the true error).
+(N, dims), each column contiguous in memory, and return (value,
+error_estimate, evaluations); evaluations is the number of rows handed to f.
+With ``circle=True`` (the torus integrands over [-pi, pi]^dims) f gets the
+unit-circle coordinates x_j = e^(i theta_j) instead of the angles theta_j.
+The exponentials are taken once per 1-D axis node, before the tensor
+product: n per axis and region for n^dims points, with the same bits as
+e^(i theta) taken at each point.
+
+Error estimates are heuristic: the Gauss-Legendre estimate is the delta
+against a half-level run, but no less than the rounding error
+log2(N) eps sum |f w| of the N-node sum (at high levels the delta alone can
+fall below the true error).
 
 The adaptive rule is global: it keeps a list of cubic regions, each with its
 GK21 product estimate K and error |K - G|, where G is the Gauss-10 product rule
@@ -72,29 +80,43 @@ def _panels(lo: float, hi: float, depth: int) -> np.ndarray:
     return np.linspace(lo, hi, 2**depth + 1)
 
 
-def gl_grid(lo, hi, level: int, depth: int, dims: int):
-    """Tensor nodes/weights on [lo,hi]^dims with 2^depth panels per axis."""
+def gl_grid(lo, hi, level: int, depth: int, dims: int, circle: bool = False):
+    """Tensor nodes/weights on [lo,hi]^dims with 2^depth panels per axis; with
+    ``circle`` each 1-D node theta is mapped to e^(i theta) before the product."""
     x, w = leggauss(level)
     edges = _panels(lo, hi, depth)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
         weights.append(0.5 * (b - a) * w)
-    return _product(np.concatenate(nodes), np.concatenate(weights), dims)
+    nodes = np.concatenate(nodes)
+    return _product(np.exp(1j * nodes) if circle else nodes, np.concatenate(weights), dims)
+
+
+def _grid(axes):
+    """The tensor grids of R regions from their nodes per axis, axes (R, n, dims).
+
+    Returns points (R n^dims, dims), region by region; within a region the
+    first axis varies slowest. Each column is contiguous in memory.
+    """
+    count, n, dims = axes.shape
+    pts = np.empty((dims, count) + (n,) * dims, dtype=axes.dtype)
+    for j in range(dims):
+        pts[j] = axes[:, :, j].reshape((count,) + (1,) * j + (n,) + (1,) * (dims - 1 - j))
+    return pts.reshape(dims, -1).T
 
 
 def _product(x, w, dims: int):
     """The tensor product of a 1-D rule (x, w): nodes (len(x)^dims, dims), weights."""
-    grids = np.meshgrid(*([x] * dims), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    pts = _grid(np.broadcast_to(x[:, None], (len(x), dims))[None])
     wt = w
     for _ in range(dims - 1):
         wt = np.multiply.outer(wt, w)
     return pts, wt.reshape(-1)
 
 
-def _gl_pass(f, lo, hi, level, depth, dims):
-    pts, wt = gl_grid(lo, hi, level, depth, dims)
+def _gl_pass(f, lo, hi, level, depth, dims, circle):
+    pts, wt = gl_grid(lo, hi, level, depth, dims, circle)
     vals = np.asarray(f(pts), dtype=np.float64)
     # fixed-order pairwise summation for bit-stable accumulation
     terms = vals * wt
@@ -107,16 +129,20 @@ def _gl_pass(f, lo, hi, level, depth, dims):
 
 
 def integrate_box(
-    f: Callable, lo: float, hi: float, dims: int, cfg: QuadratureConfig
+    f: Callable, lo: float, hi: float, dims: int, cfg: QuadratureConfig, circle: bool = False
 ) -> Tuple[float, float, int]:
-    """Integrate f over [lo, hi]^dims with the configured rule."""
+    """Integrate f over [lo, hi]^dims with the configured rule.
+
+    With ``circle`` f is handed the unit-circle coordinates e^(i theta) of the
+    nodes theta instead of the nodes themselves.
+    """
     if cfg.rule == "gauss_legendre_tensor":
-        coarse, _, n1 = _gl_pass(f, lo, hi, max(2, cfg.level // 2), cfg.depth, dims)
-        fine, mass, n2 = _gl_pass(f, lo, hi, cfg.level, cfg.depth, dims)
+        coarse, _, n1 = _gl_pass(f, lo, hi, max(2, cfg.level // 2), cfg.depth, dims, circle)
+        fine, mass, n2 = _gl_pass(f, lo, hi, cfg.level, cfg.depth, dims, circle)
         floor = math.log2(n2) * np.finfo(float).eps * mass
         return fine, max(abs(fine - coarse), floor), n1 + n2
     if cfg.rule == "adaptive_gk":
-        return _adaptive(f, lo, hi, dims, cfg)
+        return _adaptive(f, lo, hi, dims, cfg, circle)
     raise ValueError(cfg.rule)
 
 
@@ -164,33 +190,39 @@ def gk21():
 CHUNK = 2**15
 
 
-def _gk_regions(f, centers, half, nodes, wk, wg):
-    """K and |K - G| on the cubes centers +- half, evaluated in chunks of whole regions."""
-    per_call = max(1, CHUNK // len(nodes))
+def _gk_regions(f, centers, half, x, wk, wg, circle):
+    """K and |K - G| on the cubes centers +- half, evaluated in chunks of whole regions.
+
+    x holds the 21 Kronrod nodes on [-1, 1]; each region's 21 nodes per axis
+    (and, with ``circle``, their e^(i theta)) are taken before the tensor product.
+    """
+    dims = centers.shape[1]
+    per_call = max(1, CHUNK // len(wk))
     k, g = np.empty(len(centers)), np.empty(len(centers))
     for i in range(0, len(centers), per_call):
         c, h = centers[i : i + per_call], half[i : i + per_call]
-        pts = (c[:, None, :] + h[:, None, None] * nodes).reshape(-1, nodes.shape[1])
+        axes = h[:, None, None] * x[:, None] + c[:, None, :]
+        pts = _grid(np.exp(1j * axes) if circle else axes)
         vals = np.asarray(f(pts), dtype=np.float64).reshape(len(c), -1)
         k[i : i + per_call] = (vals * wk).sum(axis=1)
         g[i : i + per_call] = (vals * wg).sum(axis=1)
-    volume = half ** nodes.shape[1]
+    volume = half**dims
     return k * volume, np.abs(k - g) * volume
 
 
-def _adaptive(f, lo, hi, dims, cfg):
+def _adaptive(f, lo, hi, dims, cfg, circle):
     tol = 10.0 ** (-min(cfg.prec, 12))
     cap = 10000 * (cfg.depth + 1)
     x, wk, wg = gk21()
-    nodes, wk = _product(x, wk, dims)
+    wk = _product(x, wk, dims)[1]
     wg = _product(x, wg, dims)[1]
     # the 2^dims children of a cube: their centers' offsets in half-widths
     corners = _product(np.array([-0.5, 0.5]), np.ones(2), dims)[0]
 
     centers = np.full((1, dims), 0.5 * (lo + hi))
     half = np.array([0.5 * (hi - lo)])
-    est, err = _gk_regions(f, centers, half, nodes, wk, wg)
-    evals, splits = len(nodes), 0
+    est, err = _gk_regions(f, centers, half, x, wk, wg, circle)
+    evals, splits = len(wk), 0
     while True:
         value, error = float(est.sum()), float(err.sum())
         target = tol + tol * abs(value)
@@ -205,12 +237,12 @@ def _adaptive(f, lo, hi, dims, cfg):
             centers[split, None, :] + half[split, None, None] * corners
         ).reshape(-1, dims)
         child_half = np.repeat(half[split] / 2, len(corners))
-        child_est, child_err = _gk_regions(f, child_centers, child_half, nodes, wk, wg)
+        child_est, child_err = _gk_regions(f, child_centers, child_half, x, wk, wg, circle)
         centers = np.concatenate([centers[keep], child_centers])
         half = np.concatenate([half[keep], child_half])
         est = np.concatenate([est[keep], child_est])
         err = np.concatenate([err[keep], child_err])
-        evals += len(child_centers) * len(nodes)
+        evals += len(child_centers) * len(wk)
         splits += count
     converged = error <= target
     if not (converged and math.isfinite(value + error)):

@@ -4,6 +4,15 @@ iterated torus integrals with the univariate measure as the inner integral
 (Jensen's formula). The inner integrand finds the double-precision roots of
 all nodes at once, as eigenvalues of stacked companion matrices.
 
+Row layout of the inner integrand: the rule hands it the N nodes as
+unit-circle coordinates x_j = e^(i theta_j) (``integrate_box(...,
+circle=True)``), and each power x_j^e of a coefficient is formed once per
+batch. The coefficients of P in its last variable, C (N, deg+1), are stored
+one contiguous row of N values per power, so the root finding, the
+backward-error test and the Jensen sum each loop over the deg+1 coefficient
+columns and the deg root columns with whole-batch operations. A batch whose
+rows all have the same degree is read without an index array.
+
 m(p) = log|lead(p)| + sum over roots of log max(1, |root|);
 m(P) = (2*pi)^-(n-1) times the integral over the torus of the inner measure
 in the last variable.
@@ -85,69 +94,91 @@ _ROOT_RESIDUAL_TOL = 2.0**-26
 
 def _backward_error(c: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Largest |p(r)| / sum_k |c_k| |r|^k over the roots r of each row of c."""
-    p = np.zeros_like(r)
-    scale = np.zeros(r.shape)
-    a = np.abs(r)
-    for k in range(c.shape[1] - 1, -1, -1):
-        p *= r
-        p += c[:, k, None]
-        scale *= a
-        scale += np.abs(c[:, k, None])
-    return (np.abs(p) / np.maximum(scale, np.finfo(float).tiny)).max(axis=1)
+    coeffs = [c[:, k] for k in range(c.shape[1])]
+    sizes = [np.abs(col) for col in coeffs]
+    worst = None
+    for root in r.T:
+        a = np.abs(root)
+        p, scale = coeffs[-1] * root, sizes[-1] * a
+        for k in range(len(coeffs) - 2, 0, -1):
+            p += coeffs[k]
+            p *= root
+            scale += sizes[k]
+            scale *= a
+        p += coeffs[0]
+        scale += sizes[0]
+        err = np.abs(p)
+        err /= np.maximum(scale, np.finfo(float).tiny, out=scale)
+        worst = err if worst is None else np.maximum(worst, err, out=worst)
+    return worst
 
 
 def _roots_by_degree(C: np.ndarray):
     """Roots of each row of C (ascending coefficients), grouped by true degree.
 
-    Returns (top, groups): top[i] is the index of row i's last nonzero
-    coefficient, and groups holds one (rows, roots) pair per degree d >= 1
-    that occurs, roots of shape (len(rows), d). The roots are the eigenvalues
-    of the companion matrices, stacked per degree (numpy's ``roots`` solves
-    one row the same way); a 1x1 companion matrix is its own eigenvalue.
-    RootFindingError if a root fails the backward-error test or a
-    coefficient is NaN or inf.
+    Returns (lead, groups): lead[i] is row i's last nonzero coefficient, and
+    groups holds one (rows, roots) pair per degree d >= 1 that occurs, roots
+    of shape (len(rows), d). rows indexes C; it is ``slice(None)`` when every
+    row has degree d, which is then read without fancy indexing. The roots
+    are the eigenvalues of the companion matrices, stacked per degree
+    (numpy's ``roots`` solves one row the same way); a 1x1 companion matrix
+    is its own eigenvalue. RootFindingError if a root fails the
+    backward-error test or a coefficient is NaN or inf.
     """
-    nonzero = C != 0
-    if not nonzero.any(axis=1).all():
-        raise ValueError("P vanishes identically in its last variable at a node")
-    top = C.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
-    worst = np.zeros(len(C))
+    n, width = C.shape
+    cols = [C[:, k] for k in range(width)]
+    if (cols[-1] != 0).all():
+        lead, by_degree = cols[-1], [(width - 1, slice(None))]
+    else:
+        top = np.zeros(n, dtype=np.intp)
+        for k in range(1, width):
+            top[cols[k] != 0] = k
+        if not ((top > 0) | (cols[0] != 0)).all():
+            raise ValueError("P vanishes identically in its last variable at a node")
+        lead = C[np.arange(n), top]
+        by_degree = [(deg, np.flatnonzero(top == deg)) for deg in range(1, width)]
+    worst = np.zeros(n)
     groups = []
-    for deg in range(1, C.shape[1]):
-        rows = np.flatnonzero(top == deg)
-        if not len(rows):
+    for deg, rows in by_degree:
+        c = C[rows, : deg + 1]
+        if deg == 0 or not len(c):
             continue
-        # a view, not a copy, when every row has this degree
-        c = C[:, : deg + 1] if len(rows) == len(C) else C[rows, : deg + 1]
-        first = -c[:, -2::-1] / c[:, -1:]
         if deg == 1:
-            r = first
+            r = (-c[:, 0] / c[:, 1])[:, None]
         else:
+            first = -c[:, -2::-1] / c[:, -1:]
             ok = np.isfinite(first).all(axis=1)
             companion = np.zeros((np.count_nonzero(ok), deg, deg), dtype=np.complex128)
             companion[:, 0, :] = first[ok]
             companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-            r = np.full((len(rows), deg), np.nan + 0j)
+            r = np.full((len(c), deg), np.nan + 0j)
             try:
                 r[ok] = np.linalg.eigvals(companion)
             except np.linalg.LinAlgError:  # QR iteration failed: NaN roots, flagged below
                 pass
         worst[rows] = _backward_error(c, r)
         groups.append((rows, r))
-    worst[~np.isfinite(C).all(axis=1)] = np.nan
+    finite = np.isfinite(cols[0])
+    for col in cols[1:]:
+        finite &= np.isfinite(col)
+    worst[~finite] = np.nan
     if not (worst <= _ROOT_RESIDUAL_TOL).all():
         raise RootFindingError(
             "double-precision roots failed the backward-error test", worst.tolist()
         )
-    return top, groups
+    return lead, groups
 
 
 def _inner_mahler_batch(C: np.ndarray) -> np.ndarray:
     """log|lead| + sum log+ |root| for each row of ascending coefficients."""
-    top, groups = _roots_by_degree(C)
-    out = np.log(np.abs(C[np.arange(len(C)), top]))
+    lead, groups = _roots_by_degree(C)
+    out = np.log(np.abs(lead))
     for rows, r in groups:
-        out[rows] += np.log(np.maximum(np.abs(r), 1.0)).sum(axis=1)
+        outside = np.zeros(len(r))
+        for root in r.T:
+            size = np.abs(root)
+            outside += np.log(np.maximum(size, 1.0, out=size), out=size)
+        out[rows] += outside
     return out
 
 
@@ -166,18 +197,39 @@ def _coeff_table(P):
     return slices, degree
 
 
-def _eval_slices(slices, thetas: np.ndarray) -> np.ndarray:
-    """Evaluate coefficient slices at x_j = exp(i theta_j); (N, deg+1)."""
-    N = thetas.shape[0]
-    C = np.zeros((N, len(slices)), dtype=np.complex128)
-    for k, terms in enumerate(slices):
+def _eval_slices(slices, xs: np.ndarray) -> np.ndarray:
+    """Evaluate coefficient slices at the points xs (N, dims) of the torus.
+
+    Returns C (N, deg+1) whose column k, the coefficient of the k-th power of
+    the last variable, is one contiguous row in memory. Each power x_j^e that
+    occurs is formed once: x_j for e = 1, its conjugate for e = -1, and
+    products of those for |e| >= 2.
+    """
+    rows = np.zeros((len(slices), len(xs)), dtype=np.complex128)
+    powers = {}
+
+    def power(j, e):
+        # not recursive: a closure that calls itself is a reference cycle, which
+        # would keep each batch's powers (and the points they view) alive until
+        # the cyclic garbage collector runs
+        if (j, e) not in powers:
+            x = np.ascontiguousarray(xs[:, j]) if e > 0 else np.conj(xs[:, j])
+            p = x
+            for _ in range(abs(e) - 1):
+                p = p * x
+            powers[j, e] = p
+        return powers[j, e]
+
+    for row, terms in zip(rows, slices):
         for exps, c in terms.items():
-            mono = np.ones(N, dtype=np.complex128) * complex(c)
+            mono = None if c == 1 else complex(c)
             for j, e in enumerate(exps):
                 if e:
-                    mono = mono * np.exp(1j * e * thetas[:, j])
-            C[:, k] += mono
-    return C
+                    # the factor order is part of the result: under FMA a complex
+                    # product rounds differently when its operands swap
+                    mono = power(j, e) if mono is None else power(j, e) * mono
+            row += 1.0 if mono is None else mono
+    return rows.T
 
 
 def _is_kink_product(P) -> bool:
@@ -267,12 +319,11 @@ def _measure(P, cfg: QuadratureConfig) -> QuadratureResult:
         val = univariate_mahler([terms.get((), 0) for terms in slices], cfg.prec)
         return QuadratureResult(val, HPReal(f"1e{1 - cfg.prec}", cfg.prec), degree)
 
-    def f(points):
-        C = _eval_slices(slices, points)
-        return _inner_mahler_batch(C)
+    def f(xs):
+        return _inner_mahler_batch(_eval_slices(slices, xs))
 
     dims = nv - 1
-    value, err, evals = integrate_box(f, -math.pi, math.pi, dims, cfg)
+    value, err, evals = integrate_box(f, -math.pi, math.pi, dims, cfg, circle=True)
     scale = (2 * math.pi) ** dims
     return make_result(value / scale, err / scale, evals, cfg)
 
@@ -308,35 +359,34 @@ def deninger_gamma_check(P, cfg: QuadratureConfig | None = None) -> QuadratureRe
     ]
     powers = np.arange(degree + 1)
 
-    def f(points):
-        C = _eval_slices(slices, points)
-        out = np.zeros(len(points))
+    def f(xs):
+        C = _eval_slices(slices, xs)
+        out = np.zeros(len(xs))
         # (node, root) pairs with |root| >= 1
         rows, roots = [], []
         for idx, r in _roots_by_degree(C)[1]:
             keep = np.abs(r) >= 1.0
-            rows.append(np.repeat(idx, keep.sum(axis=1)))
+            rows.append(np.repeat(np.arange(len(xs))[idx], keep.sum(axis=1)))
             roots.append(r[keep])
         if not rows:
             return out
         rows, r = np.concatenate(rows), np.concatenate(roots)
         order = np.argsort(rows, kind="stable")
         rows, r = rows[order], r[order]
-        theta = points[rows]
+        x = xs[rows]
         # implicit derivative of the root sheet: dr/dtheta_j = -P_theta_j / P_y
         y_pows = r[:, None] ** powers
         dPdy = np.sum(C[rows, 1:] * powers[1:] * y_pows[:, :-1], axis=1)
         grads = np.stack(
-            [-np.sum(_eval_slices(ds, theta) * y_pows, axis=1) / dPdy for ds in dslices], axis=1
+            [-np.sum(_eval_slices(ds, x) * y_pows, axis=1) / dPdy for ds in dslices], axis=1
         )
-        e = np.exp(1j * theta)
-        xs = [Jet(e[:, j], 1j * e[:, j, None] * tangents[j]) for j in range(dims)]
-        xs.append(Jet(r, grads))
-        val = eta_eval(xs, tangents)
+        jets = [Jet(x[:, j], 1j * x[:, j, None] * tangents[j]) for j in range(dims)]
+        jets.append(Jet(r, grads))
+        val = eta_eval(jets, tangents)
         np.add.at(out, rows, val.imag if dims % 2 else val.real)
         return out
 
-    value, err, evals = integrate_box(f, -math.pi, math.pi, dims, cfg)
+    value, err, evals = integrate_box(f, -math.pi, math.pi, dims, cfg, circle=True)
     # (-1)^(n-1)/(2 pi i)^(n-1) applied to the integral, which is in i R for n = 2
     # (f keeps its imaginary part) and in R for n = 3: -value / (2 pi)^(n-1)
     scale = (2 * math.pi) ** dims

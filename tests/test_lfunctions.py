@@ -2,6 +2,7 @@ import math
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from reglab.lfunctions import (
@@ -190,8 +191,6 @@ def test_f7_hecke_recursion_good_primes():
 
 def test_f7_deligne_bound():
     a = F7.coefficients(1000)
-    import sympy
-
     for p in sympy.primerange(2, 1000):
         if p == 7:
             continue
@@ -203,6 +202,20 @@ def test_newform_validation_catches_corruption():
     bad = NewformSpec(7, 3, +1, CHI_M7, lambda p: 99 if p == 11 else F7.ap(p))
     with pytest.raises(ValueError, match="Deligne bound fails at p = 11"):
         bad.coefficients(20)
+
+
+def test_coefficients_compute_each_ap_once():
+    # a longer request redoes the multiplicative build, not the a_p
+    calls = []
+
+    def ap(p):
+        calls.append(p)
+        return F7.ap(p)
+
+    f = NewformSpec(7, 3, +1, CHI_M7, ap)
+    assert f.coefficients(1000) == F7.coefficients(1000)
+    assert f.coefficients(4000) == NewformSpec(7, 3, +1, CHI_M7, F7.ap).coefficients(4000)
+    assert sorted(calls) == list(sympy.primerange(2, 4001))
 
 
 def test_completed_lambda_split_independence():

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import warnings
@@ -55,6 +56,98 @@ def test_gl_determinism():
     a = integrate_box(f, -1.0, 2.0, 2, cfg)
     b = integrate_box(f, -1.0, 2.0, 2, cfg)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "cfg", [dict(rule="adaptive_gk", prec=6), dict(level=12, depth=1)], ids=["gk", "gl"]
+)
+def test_circle_hands_the_integrand_unit_circle_coordinates(cfg):
+    # the same integrand written on angles and on coordinates: the rule takes the
+    # same steps, and the coordinates are e^(i theta) of the plain call's nodes
+    cfg = QuadratureConfig(**cfg)
+    seen = {False: [], True: []}
+
+    def g(x):
+        return 1 / ((1.05 - x[:, 0].real) * (1.05 - x[:, 1].real))
+
+    def on_angles(theta):
+        seen[False].append(theta)
+        return g(np.exp(1j * theta))
+
+    def on_circle(x):
+        seen[True].append(x)
+        return g(x)
+
+    plain = integrate_box(on_angles, -math.pi, math.pi, 2, cfg)
+    circle = integrate_box(on_circle, -math.pi, math.pi, 2, cfg, circle=True)
+    assert plain == circle
+    assert [len(t) for t in seen[False]] == [len(x) for x in seen[True]]
+    theta, x = np.concatenate(seen[False]), np.concatenate(seen[True])
+    assert np.array_equal(x, np.exp(1j * theta))
+    assert np.abs(np.abs(x) - 1).max() <= 2 * np.finfo(float).eps
+
+
+def _slices_by_monomial(slices, theta):
+    """The coefficient slices at x_j = e^(i theta_j), one exp(i e theta_j) per factor."""
+    C = np.zeros((len(theta), len(slices)), dtype=np.complex128)
+    for k, terms in enumerate(slices):
+        for exps, c in terms.items():
+            mono = complex(c) * np.ones(len(theta))
+            for j, e in enumerate(exps):
+                if e:
+                    mono = mono * np.exp(1j * e * theta[:, j])
+            C[:, k] += mono
+    return C
+
+
+@pytest.mark.parametrize(
+    "poly, variables, ulps",
+    [("x + x^-1 + y + y^-1 + 1", "xy", 0), ("(1+x)^2*(1+y) + z*x^-2 + y^3", "xyz", 4)],
+)
+def test_eval_slices_on_coordinates_matches_monomial_exponentials(poly, variables, ulps):
+    # exponents +-1 are x and conj(x), equal to exp(+-i theta); higher powers are
+    # products, within a few units of the slice's scale sum |c|
+    slices, _ = _coeff_table(parse_poly(poly, list(variables)))
+    theta = np.random.default_rng(3).uniform(-math.pi, math.pi, (2000, len(variables) - 1))
+    got = _eval_slices(slices, np.exp(1j * theta))
+    want = _slices_by_monomial(slices, theta)
+    scale = np.array([sum(abs(c) for c in terms.values()) for terms in slices], dtype=float)
+    assert np.all(np.abs(got - want) <= ulps * np.finfo(float).eps * scale)
+    assert all(got[:, k].flags.c_contiguous for k in range(len(slices)))
+
+
+def test_eval_slices_frees_its_batch_without_the_cycle_collector():
+    # the cached powers view the points: a reference cycle would hold every
+    # batch in memory until the cyclic collector runs
+    slices, _ = _coeff_table(parse_poly("(1+x)^2*(1+y) + z*x^-2 + y^3", list("xyz")))
+    xs = np.exp(1j * np.random.default_rng(4).uniform(-math.pi, math.pi, (1000, 2)))
+    gc.collect()
+    gc.disable()
+    try:
+        _eval_slices(slices, xs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _within_ulps(got, want, ulps=2):
+    return abs(got - want) <= ulps * math.ulp(want)
+
+
+@pytest.mark.parametrize(
+    "poly, variables, prec, evaluations, value, error",
+    [
+        ("1+x+y+z", "xyz", 8, 1_956_717, 0.42627839777667387, 3.1371144231005033e-09),
+        ("1+x+y", "xy", 12, 1_407, 0.3230659472194979, 3.8293081310895304e-13),
+    ],
+)
+def test_adaptive_rule_pinned_on_smith_cases(poly, variables, prec, evaluations, value, error):
+    # the adaptive rule's splits, value and error estimate on m(1+x+y+z) and m(1+x+y)
+    cfg = QuadratureConfig(rule="adaptive_gk", prec=prec)
+    res = mahler_measure(parse_poly(poly, list(variables)), cfg)
+    assert res.evaluations == evaluations
+    assert _within_ulps(float(res.value), value)
+    assert _within_ulps(float(res.error_estimate), error)
 
 
 def test_univariate_mahler_exact_cases():
@@ -238,12 +331,12 @@ def _deninger_reference(P, cfg):
     def f(points):
         out = np.zeros(len(points))
         for i, theta in enumerate(points[:, 0]):
-            row = _eval_slices(slices, np.array([[theta]]))[0]
+            x = np.exp(1j * theta)
+            row = _eval_slices(slices, np.array([[x]]))[0]
             drow = _eval_slices(
                 [{e: c * 1j * e[0] for e, c in t.items() if e[0]} for t in slices],
-                np.array([[theta]]),
+                np.array([[x]]),
             )[0]
-            x = np.exp(1j * theta)
             for r in np.roots(np.trim_zeros(row, "b")[::-1]):
                 if abs(r) < 1.0:
                     continue
@@ -441,6 +534,29 @@ def test_inner_mahler_mixed_batch_matches_per_row_roots():
 
     with pytest.raises(ValueError, match="vanishes identically"):
         _inner_mahler_batch(np.vstack([C, np.zeros(4)]))
+
+
+def test_batched_roots_flag_failed_eigenvalues_and_inaccurate_roots(monkeypatch):
+    # roots {1, 2}, {i, -i} and {-2, -3}; each row has degree 2
+    C = np.array([[2, -3, 1], [1, 0, 1], [6, 5, 1]], dtype=np.complex128)
+    want = _inner_mahler_batch(C)
+    eigvals = np.linalg.eigvals
+
+    def fail(a):
+        raise np.linalg.LinAlgError("QR iteration did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(RootFindingError) as info:
+        _inner_mahler_batch(C)
+    assert all(math.isnan(w) for w in info.value.residuals)
+
+    # roots off by 1e-6 fail the 2^-26 backward-error test; off by 1e-12 they pass
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) * (1 + 1e-6))
+    with pytest.raises(RootFindingError) as info:
+        _inner_mahler_batch(C)
+    assert min(info.value.residuals) > 2.0**-26
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) * (1 + 1e-12))
+    assert np.allclose(_inner_mahler_batch(C), want, rtol=0, atol=1e-11)
 
 
 @pytest.mark.parametrize("poly", ["(x-1)*(y+2)", "x-1"])
