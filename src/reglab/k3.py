@@ -233,6 +233,15 @@ def _imaginary_quadratic_field(d: int) -> Tuple[int, int]:
     return (-dK // 4 if dK % 4 == 0 else -dK), dK
 
 
+def _cm_level(d0: int, dK: int) -> int:
+    """The level |d_K| of the CM newform of K = Q(sqrt(-d0)); d_K = -3, -4 are excluded."""
+    if dK in (-3, -4):
+        raise ExcludedDiscriminantError(
+            f"d_K = {dK} is excluded (extra units in Q(sqrt({-d0})))"
+        )
+    return -dK
+
+
 def schuett_level(d: int) -> Tuple[int, int, int]:
     """(squarefree d, fundamental discriminant d_K of Q(sqrt(-d)), level |d_K|).
 
@@ -240,11 +249,7 @@ def schuett_level(d: int) -> Tuple[int, int, int]:
     has level |d_K| (Schuett, "CM newforms with rational coefficients", 2009).
     """
     d0, dK = _imaginary_quadratic_field(d)
-    if dK in (-3, -4):
-        raise ExcludedDiscriminantError(
-            f"d_K = {dK} is excluded (extra units in Q(sqrt({-d0})))"
-        )
-    return d0, dK, -dK
+    return d0, dK, _cm_level(d0, dK)
 
 
 @dataclass
@@ -291,7 +296,7 @@ def surface_invariants(
         raise ValueError(f"rho = {rho} > 20: not a K3 configuration")
     det = int(transcendental_det(fibers, torsion_order))
     d0, dK = _imaginary_quadratic_field(det)
-    level = None if not require_k3 and dK in (-3, -4) else schuett_level(det)[2]
+    level = None if not require_k3 and dK in (-3, -4) else _cm_level(d0, dK)
     return SurfaceInvariants(
         mw_rank=mw_rank,
         torsion_order=torsion_order,

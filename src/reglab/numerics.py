@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import to_fixed, to_rational
 
 _LOG2_10 = 3.321928094887362
 _GUARD_BITS = 10  # roughly a 2-digit guard
@@ -59,24 +59,23 @@ class HPReal:
         return self._v
 
     def to_decimal(self) -> str:
-        """Serialize as ``±d.ddd...e±k`` with exactly ``prec`` significant digits
-        (``±de±k`` at prec 1)."""
-        v = self._v
-        if v == 0:
-            intpart, frac, k = "0", "", 0
-        else:
-            with mp.workprec(_bits(self.prec)):
-                k = int(mpmath.floor(mpmath.log10(abs(v))))
-                scaled = abs(v) / mpmath.mpf(10) ** k
-                digits = mpmath.nstr(scaled, self.prec, strip_zeros=False)
-            # rounding bumped the leading digit: "10." at prec >= 2, "1.e+1" at prec 1
-            if digits.startswith("10.") or "e" in digits:
-                k += 1
-                digits = "1."
-            intpart, frac = (digits if "." in digits else digits + ".").split(".")
-        frac = (frac + "0" * self.prec)[: self.prec - len(intpart)]
-        sign = "-" if v < 0 else "+"
-        return f"{sign}{intpart}{'.' + frac if frac else ''}e{k:+d}"
+        """Serialize as ``±d.ddd...e±k`` (``±de±k`` at prec 1): the stored binary value
+        rounded half-even to exactly ``prec`` significant digits."""
+        if not mpmath.isfinite(self._v):
+            raise ValueError(f"cannot print the non-finite value {self._v}")
+        q = abs(Fraction(*to_rational(self._v._mpf_)))
+        k = 0
+        if q:
+            # 10^(a - b - 1) < q < 10^(a - b + 1) for a- and b-digit numerator and denominator
+            k = len(str(q.numerator)) - len(str(q.denominator))
+            if q < Fraction(10) ** k:
+                k -= 1
+        digits = round(q / Fraction(10) ** (k - self.prec + 1))
+        if digits == 10**self.prec:  # rounded up into the next decade
+            digits, k = digits // 10, k + 1
+        text = str(digits).zfill(self.prec)
+        sign = "-" if self._v < 0 else "+"
+        return f"{sign}{text[0]}{'.' + text[1:] if self.prec > 1 else ''}e{k:+d}"
 
     def __repr__(self) -> str:
         return f"HPReal({self.to_decimal()!r}, prec={self.prec})"

@@ -10,6 +10,7 @@ pullbacks.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -414,6 +415,8 @@ class DecompositionDocument:
     Fields: the variable list, the multiplicative basis, substitutions that
     eliminate dependent variables (e.g. the last coordinate on the zero
     locus), and the Steinberg-shaped right-hand side terms (c, f, g-list).
+    The terms are factored over the basis, and the decomposition checked,
+    once each, on first use.
     """
 
     def __init__(self, variables, basis_polys, substitutions, terms, lhs=None, name=""):
@@ -428,17 +431,9 @@ class DecompositionDocument:
     def n(self) -> int:
         return len(self.lhs_names)
 
-    def lhs_factored(self) -> List[FactoredElement]:
-        out = []
-        for v in self.lhs_names:
-            p = self.substitutions[v] if v in self.substitutions else parse_poly(v, self.variables)
-            out.append(factor_over_basis(p, self.basis))
-        return out
-
-    def lhs_wedge(self) -> WedgeElement:
-        return wedge_normalize([(Fraction(1), self.lhs_factored())], self.basis)
-
-    def rhs_terms_factored(self):
+    @functools.cached_property
+    def factored_terms(self) -> List[tuple]:
+        """Each term as (c, f, 1 - f, [g...]), factored over the basis."""
         out = []
         for c, f, gs in self.terms:
             fe = factor_over_basis(f, self.basis)
@@ -447,6 +442,21 @@ class DecompositionDocument:
             ges = [factor_over_basis(g, self.basis) for g in gs]
             out.append((Fraction(c), fe, one_minus, ges))
         return out
+
+    @functools.cached_property
+    def difference(self) -> WedgeElement:
+        """lhs - sum c_j f_j ^ (1 - f_j) ^ g_j1 ^ ...: zero exactly when the
+        decomposition holds."""
+        lhs = [
+            factor_over_basis(
+                self.substitutions[v] if v in self.substitutions
+                else parse_poly(v, self.variables),
+                self.basis,
+            )
+            for v in self.lhs_names
+        ]
+        rhs = [(c, [fe, one_minus] + ges) for c, fe, one_minus, ges in self.factored_terms]
+        return wedge_normalize([(Fraction(1), lhs)], self.basis) - wedge_normalize(rhs, self.basis)
 
 
 def load_decomposition(path_or_dict) -> DecompositionDocument:
@@ -468,17 +478,12 @@ def load_decomposition(path_or_dict) -> DecompositionDocument:
 
 
 def check_decomposition(doc: DecompositionDocument):
-    """Verify lhs = sum c_j f_j ^ (1 - f_j) ^ g_j1 ^ ... exactly.
+    """Verify lhs = sum c_j f_j ^ (1 - f_j) ^ g_j1 ^ ... exactly; the document
+    keeps the result.
 
     Returns (equal: bool, difference: WedgeElement).
     """
-    lhs = doc.lhs_wedge()
-    rhs_terms = []
-    for c, fe, one_minus, ges in doc.rhs_terms_factored():
-        rhs_terms.append((c, [fe, one_minus] + ges))
-    rhs = wedge_normalize(rhs_terms, doc.basis)
-    diff = lhs - rhs
-    return diff.is_zero(), diff
+    return doc.difference.is_zero(), doc.difference
 
 
 def build_xi(doc: DecompositionDocument):
@@ -487,12 +492,11 @@ def build_xi(doc: DecompositionDocument):
     xi = sum c_j {f_j}_2 (x) g_j1 ^ ... ^ g_j(n-2); xi* is its tau pullback;
     lambda = (xi + (-1)^(n-1) xi*) / 2.
     """
-    equal, diff = check_decomposition(doc)
-    if not equal:
-        raise ValueError(f"decomposition does not hold; difference = {diff}")
+    if not doc.difference.is_zero():
+        raise ValueError(f"decomposition does not hold; difference = {doc.difference}")
     n = doc.n
     xi = B2WedgeElement(doc.basis, n - 2)
-    for c, fe, _one_minus, ges in doc.rhs_terms_factored():
+    for c, fe, _one_minus, ges in doc.factored_terms:
         w = wedge_normalize([(Fraction(1), ges)], doc.basis) if ges else WedgeElement(
             doc.basis, 0, {(): Fraction(1)}
         )

@@ -12,6 +12,7 @@ from reglab import cli
 from reglab.cli import main
 from reglab.lattice import RelationReport
 from reglab.numerics import HPReal
+from reglab.symbolic import algebra
 
 
 def run(capsys, *argv):
@@ -292,6 +293,41 @@ def test_verify_main_aborts_on_corrupted_decomposition(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify-main", "--level", "40")
     assert json.loads(out)["verdict"] == "abort: decomposition"
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["residues", "boundary-integral"])
+def test_corrupted_decomposition_file_exits_2_without_a_document(capsys, tmp_path, command):
+    with open(os.path.join(cli.data_dir(), "decomposition_n4.json")) as fh:
+        raw = json.load(fh)
+    raw["terms"][0][0] = 2  # corrupt one coefficient
+    path = tmp_path / "corrupted.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, command, "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert "decomposition does not hold" in err
+
+
+def test_verify_main_factors_the_decomposition_terms_once(capsys, monkeypatch):
+    # stage 1 checks the decomposition and stage 2 builds xi from the same factored terms
+    docs, calls = [], []
+    load, factor = cli.load_decomposition, algebra.factor_over_basis
+
+    def loading(path):
+        docs.append(load(path))
+        return docs[-1]
+
+    def counting(f, basis):
+        calls.append(f)
+        return factor(f, basis)
+
+    monkeypatch.setattr(cli, "load_decomposition", loading)
+    monkeypatch.setattr(algebra, "factor_over_basis", counting)
+    code, _, _ = run(capsys, "verify-main", "--skip-boundary", "--level", "32", "--prec", "12")
+    assert code == 0
+    (doc,) = docs
+    polys = [p for _, f, gs in doc.terms for p in [f, *gs]]
+    assert [sum(call is p for call in calls) for p in polys] == [1] * len(polys)
 
 
 FAST_ARGS = {

