@@ -31,13 +31,7 @@ import numpy as np
 import sympy
 
 from . import __version__
-from .k3 import (
-    WeierstrassCurveQt,
-    data_dir,
-    factored_name,
-    load_curve,
-    surface_invariants,
-)
+from .k3 import WeierstrassCurveQt, data_dir, load_curve, surface_invariants
 from .lattice import find_integer_relation
 from .lfunctions import (
     DirichletChar,
@@ -59,7 +53,7 @@ from .quadrature import (
 )
 from .quadrature.engine import RULES
 from .residues import certify_all_residues, load_divisors
-from .symbolic import build_xi, check_decomposition, load_decomposition, parse_poly
+from .symbolic import build_xi, check_decomposition, format_factored, load_decomposition, parse_poly
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -116,9 +110,9 @@ def _parse_complex(text: str) -> complex:
     return z
 
 
-def _num(value: HPReal, prec: int, error) -> dict:
-    """The value as printed and an error estimate that bounds the printed value: half a
-    unit of its last printed digit is added to ``error``."""
+def _num(value: HPReal, error) -> dict:
+    """The value as printed at its precision and an error estimate that bounds the
+    printed value: half a unit of its last printed digit is added to ``error``."""
     text = value.to_decimal()
     exponent = int(text.rsplit("e", 1)[1]) - value.prec
     if isinstance(error, HPReal):
@@ -126,7 +120,7 @@ def _num(value: HPReal, prec: int, error) -> dict:
             error = HPReal(error.mpf() + 5 * mpmath.mpf(10) ** exponent, error.prec).to_decimal()
     else:
         error = error + 5 * 10.0**exponent
-    return {"value": text, "prec": prec, "error_estimate": error}
+    return {"value": text, "prec": value.prec, "error_estimate": error}
 
 
 # -- subcommands ----------------------------------------------------------------------
@@ -143,7 +137,7 @@ def cmd_mahler(args):
     return {
         "poly": args.poly,
         "variables": variables,
-        **_num(res.value, args.prec, res.error_estimate),
+        **_num(res.value, res.error_estimate),
         "evaluations": res.evaluations,
     }, [], EXIT_OK
 
@@ -158,8 +152,8 @@ def cmd_deninger_check(args):
     consistent = delta <= budget
     return {
         "poly": args.poly,
-        "direct": _num(direct.value, args.prec, direct.error_estimate),
-        "chain": _num(chain.value, args.prec, chain.error_estimate),
+        "direct": _num(direct.value, direct.error_estimate),
+        "chain": _num(chain.value, chain.error_estimate),
         "difference": delta,
         "consistent": consistent,
     }, [], EXIT_OK if consistent else EXIT_NUMERIC
@@ -176,7 +170,7 @@ def cmd_boundary_integral(args):
     res = regulator_boundary_integral(lam, _quad_config(args))
     return {
         "n": doc.n,
-        **_num(res.value, args.prec, res.error_estimate),
+        **_num(res.value, res.error_estimate),
         "evaluations": res.evaluations,
     }, [path], EXIT_OK
 
@@ -210,7 +204,7 @@ def cmd_dilog(args):
         L = mpmath.polylog(2, mpmath.mpc(z))
     return {
         "z": args.z,
-        **_num(D, args.prec, 10.0 ** (2 - args.prec)),
+        **_num(D, 10.0 ** (2 - args.prec)),
         "li2_re": HPReal(L.real, args.prec).to_decimal(),
         "li2_im": HPReal(L.imag, args.prec).to_decimal(),
     }, [], EXIT_OK
@@ -226,7 +220,7 @@ def cmd_lvalue(args):
         "weight": f.weight,
         "eps": f.eps,
         "s": args.s,
-        **_num(L, args.prec, 10.0 ** (5 - args.prec)),
+        **_num(L, 10.0 ** (5 - args.prec)),
         "completed_lambda": lam.to_decimal(),
     }, [], EXIT_OK
 
@@ -238,17 +232,17 @@ def cmd_lprime_minus1(args):
         "newform": args.newform,
         "level": f.level,
         "weight": f.weight,
-        **_num(val, args.prec, 10.0 ** (5 - args.prec)),
+        **_num(val, 10.0 ** (5 - args.prec)),
     }, [], EXIT_OK
 
 
 def cmd_zeta_prime_minus2(args):
     val = zeta_prime_minus2(args.prec)
-    return _num(val, args.prec, 10.0 ** (2 - args.prec)), [], EXIT_OK
+    return _num(val, 10.0 ** (2 - args.prec)), [], EXIT_OK
 
 
 def cmd_dirichlet(args):
-    chi = DirichletChar.quadratic(args.d)
+    chi = DirichletChar(args.d)
     payload = {"d": args.d, "modulus": chi.modulus, "parity": chi.parity}
     if args.deriv_neg1:
         val = dirichlet_Lprime_neg(chi, args.prec)
@@ -256,7 +250,7 @@ def cmd_dirichlet(args):
     else:
         val = dirichlet_L(chi, args.s, args.prec)
         payload["quantity"] = f"L(chi, {args.s})"
-    payload.update(_num(val, args.prec, 10.0 ** (2 - args.prec)))
+    payload.update(_num(val, 10.0 ** (2 - args.prec)))
     return payload, [], EXIT_OK
 
 
@@ -291,7 +285,7 @@ def cmd_k3(args):
         inputs.append(path)
     inv = surface_invariants(curve, rank, torsion, require_k3=not args.no_k3)
     payload = inv.to_dict()
-    payload["delta"] = factored_name(curve.discriminant()[0])
+    payload["delta"] = format_factored(curve.discriminant()[0])
     payload["exact"] = True
     return payload, inputs, EXIT_OK
 
@@ -329,7 +323,7 @@ def cmd_verify_main(args):
     cfg = _quad_config(args)
     P = parse_poly("(1+x)*(1+y)*(1+z)+t", ["x", "y", "z", "t"])
     direct = mahler_measure(P, cfg)
-    report["stages"]["direct_measure"] = _num(direct.value, args.prec, direct.error_estimate)
+    report["stages"]["direct_measure"] = _num(direct.value, direct.error_estimate)
     diag(f"stage 3: m(P) = {float(direct.value):.10f} (direct)")
 
     # stage 4: boundary regulator integral
@@ -338,9 +332,7 @@ def cmd_verify_main(args):
         diag("stage 4: skipped")
     else:
         boundary = regulator_boundary_integral(lam, cfg)
-        report["stages"]["boundary_integral"] = _num(
-            boundary.value, args.prec, boundary.error_estimate
-        )
+        report["stages"]["boundary_integral"] = _num(boundary.value, boundary.error_estimate)
         diag(f"stage 4: boundary integral = {float(boundary.value):.10f}")
 
     # stage 5: L-values

@@ -7,10 +7,11 @@ the coordinates of a chart), carried by forward-mode arithmetic, so the only
 numerical error at a point is double-precision roundoff. Every form is
 evaluated at all N points at once and returns N values.
 
-A k-form is evaluated on an ordered k-tuple of tangent vectors in parameter
-space as the determinant of the k x k matrix of 1-form values, written out in
-closed form for k <= 3; d arg is computed as Im(dg/g), which never crosses a
-branch cut. The alternation operator carries a leading minus sign:
+A k-form is evaluated on jets in k parameters u_1, ..., u_k and returned as
+its density on du_1 ^ ... ^ du_k: the determinant of the k x k matrix of
+1-form values on the coordinate directions, written out in closed form for
+k <= 3. d arg is computed as Im(dg/g), which never crosses a branch cut. The
+alternation operator carries a leading minus sign:
 Alt_n G = -sum_sigma sgn(sigma) G(sigma).
 """
 
@@ -109,27 +110,23 @@ class Jet:
 
 
 # -- 1-form ingredients ---------------------------------------------------------------
-# A 1-form is given by its values on the tangents: an (N, m) array whose column j
-# is the form on tangent j at each point.
+# A 1-form is given by its values on the parameter directions: an (N, k) array whose
+# column j is the form on d/du_j at each point.
 
 
-def _dlog(g: Jet, tangents) -> np.ndarray:
-    """dg/g on each (real) tangent: shape (N, m)."""
-    k = g.grad.shape[1]
-    t = np.asarray(tangents, dtype=np.float64).reshape(-1, k)
-    # k <= 3 terms written out: faster than a complex matmul of shape (N, k) x (k, m)
-    dg = sum(g.grad[:, i, None] * t[:, i] for i in range(k))
-    return dg / g.val[:, None]
+def _dlog(g: Jet) -> np.ndarray:
+    """dg/g on each parameter direction: shape (N, k)."""
+    return g.grad / g.val[:, None]
 
 
-def dlog_abs(g: Jet, tangents) -> np.ndarray:
-    """dlog|g| on each tangent."""
-    return _dlog(g, tangents).real
+def dlog_abs(g: Jet) -> np.ndarray:
+    """dlog|g| on each parameter direction."""
+    return _dlog(g).real
 
 
-def diarg(g: Jet, tangents) -> np.ndarray:
-    """i d arg g on each tangent, via Im(dg/g) (no branch cut)."""
-    return 1j * _dlog(g, tangents).imag
+def diarg(g: Jet) -> np.ndarray:
+    """i d arg g on each parameter direction, via Im(dg/g) (no branch cut)."""
+    return 1j * _dlog(g).imag
 
 
 def log_abs(g: Jet) -> np.ndarray:
@@ -137,11 +134,11 @@ def log_abs(g: Jet) -> np.ndarray:
 
 
 def wedge_value(rows: Sequence[np.ndarray]):
-    """omega_1 ^ ... ^ omega_m on (v_1, ..., v_m), where rows[i][:, j] is
-    omega_i(v_j) at each point; m <= 3."""
+    """omega_1 ^ ... ^ omega_m on (d/du_1, ..., d/du_m), where rows[i][:, j] is
+    omega_i(d/du_j) at each point; m <= 3."""
     m = len(rows)
     if any(r.shape[-1] != m for r in rows):
-        raise ValueError("wedge degree must match number of tangents")
+        raise ValueError("wedge degree must match the number of parameters")
     if m == 0:
         return 1.0 + 0j
     if m == 1:
@@ -176,6 +173,15 @@ def _c(j: int, n: int) -> float:
     return 1.0 / (math.factorial(2 * j + 1) * math.factorial(n - 2 * j - 1))
 
 
+def _require_degree(jets: Sequence[Jet], degree: int, what: str) -> None:
+    """A ``degree``-form is a density in as many parameters as its degree."""
+    for g in jets:
+        if g.grad.shape[1] != degree:
+            raise ValueError(
+                f"{what} is a {degree}-form; its jets carry {g.grad.shape[1]} parameters"
+            )
+
+
 def _require_nonzero(gs: Sequence[Jet], what: str) -> None:
     for g in gs:
         if np.any(g.val == 0):
@@ -185,14 +191,13 @@ def _require_nonzero(gs: Sequence[Jet], what: str) -> None:
 # -- the forms --------------------------------------------------------------------------
 
 
-def eta_eval(xs: Sequence[Jet], tangents) -> np.ndarray:
-    """eta(x_1, ..., x_n), an (n-1)-form, on n-1 tangents at every point."""
+def eta_eval(xs: Sequence[Jet]) -> np.ndarray:
+    """eta(x_1, ..., x_n), an (n-1)-form in n-1 parameters, at every point."""
     n = len(xs)
-    if len(tangents) != n - 1:
-        raise ValueError("eta is an (n-1)-form")
+    _require_degree(xs, n - 1, "eta")
     _require_nonzero(xs, "a coordinate")
     eps = [log_abs(x) for x in xs]
-    dl = [_dlog(x, tangents) / 2.0 for x in xs]
+    dl = [_dlog(x) / 2.0 for x in xs]
     holo, antiholo = dl, [np.conj(d) for d in dl]  # (1,0) and (0,1) parts of dlog|x|
     pre = 2.0 ** (n - 1) / math.factorial(n)
     total = 0.0 + 0j
@@ -203,14 +208,13 @@ def eta_eval(xs: Sequence[Jet], tangents) -> np.ndarray:
     return pre * total
 
 
-def rnn_eval(gs: Sequence[Jet], tangents) -> np.ndarray:
-    """r_n(n)(g_1 ^ ... ^ g_n), an (n-1)-form, on n-1 tangents at every point."""
+def rnn_eval(gs: Sequence[Jet]) -> np.ndarray:
+    """r_n(n)(g_1 ^ ... ^ g_n), an (n-1)-form in n-1 parameters, at every point."""
     n = len(gs)
-    if len(tangents) != n - 1:
-        raise ValueError("r_n(n) is an (n-1)-form")
+    _require_degree(gs, n - 1, "r_n(n)")
     _require_nonzero(gs, "a wedge entry")
     eps = [log_abs(g) for g in gs]
-    dl = [_dlog(g, tangents) for g in gs]
+    dl = [_dlog(g) for g in gs]
     dabs, iarg = [d.real for d in dl], [1j * d.imag for d in dl]
     total = 0.0 + 0j
     for p, sign in _perms_with_sign(n):
@@ -222,18 +226,17 @@ def rnn_eval(gs: Sequence[Jet], tangents) -> np.ndarray:
     return -total  # Alt_n carries a leading minus
 
 
-def rho_eval(fv: Jet, gs: Sequence[Jet], tangents) -> np.ndarray:
-    """r_n(n-1)({f}_2 (x) g_1 ^ ... ^ g_(n-2)), an (n-2)-form, on n-2 tangents
-    at every point."""
+def rho_eval(fv: Jet, gs: Sequence[Jet]) -> np.ndarray:
+    """r_n(n-1)({f}_2 (x) g_1 ^ ... ^ g_(n-2)), an (n-2)-form in n-2 parameters, at
+    every point."""
     n = len(gs) + 2
-    if len(tangents) != n - 2:
-        raise ValueError("r_n(n-1) is an (n-2)-form")
+    _require_degree([fv, *gs], n - 2, "r_n(n-1)")
     if np.any((fv.val == 0.0) | (fv.val == 1.0)):
         raise ValueError("Steinberg degeneracy: f in {0, 1} at the point")
     _require_nonzero(gs, "a wedge entry")
     m2 = n - 2
     eps = [log_abs(g) for g in gs]
-    dl = [_dlog(g, tangents) for g in gs]
+    dl = [_dlog(g) for g in gs]
     dabs, iarg = [d.real for d in dl], [1j * d.imag for d in dl]
 
     d_part = 0.0 + 0j
@@ -247,7 +250,7 @@ def rho_eval(fv: Jet, gs: Sequence[Jet], tangents) -> np.ndarray:
     # theta(1-f, f) = log|1-f| dlog|f| - log|f| dlog|1-f|, wedged in front
     one_minus = 1 - fv
     la, lb = log_abs(one_minus), log_abs(fv)
-    theta = la[:, None] * dlog_abs(fv, tangents) - lb[:, None] * dlog_abs(one_minus, tangents)
+    theta = la[:, None] * dlog_abs(fv) - lb[:, None] * dlog_abs(one_minus)
 
     t_part = 0.0 + 0j
     for p, sign in _perms_with_sign(m2):
@@ -263,7 +266,7 @@ def rho_eval(fv: Jet, gs: Sequence[Jet], tangents) -> np.ndarray:
     return -total
 
 
-def rho_of_element_at(xi, xs: Sequence[Jet], tangents) -> np.ndarray:
+def rho_of_element_at(xi, xs: Sequence[Jet]) -> np.ndarray:
     """rho applied termwise to a B2WedgeElement at explicit coordinate jets
     (one jet per basis variable; wedge labels must be basis polynomials)."""
     values = dict(zip(xi.basis.vars, xs))
@@ -277,5 +280,5 @@ def rho_of_element_at(xi, xs: Sequence[Jet], tangents) -> np.ndarray:
         fv = f.evaluate(values)
         if not isinstance(fv, Jet):
             fv = Jet(np.broadcast_to(fv, xs[0].val.shape), np.zeros_like(xs[0].grad))
-        total = total + float(c) * rho_eval(fv, gs, tangents)
+        total = total + float(c) * rho_eval(fv, gs)
     return total

@@ -6,8 +6,8 @@ Shioda-Tate Picard rank, the transcendental-lattice determinant
 
 and the weight-3 newform level attached to a singular K3 surface: the CM
 form of K = Q(sqrt(-d)), d = |det T|, has level |d_K|, d_K the discriminant
-of K. The a_i and (Delta, c4, c6) are elements of the ring QQ[t]; sympy
-expressions appear only where place names and Delta are printed.
+of K. The a_i and (Delta, c4, c6) are elements of the ring QQ[t]; place
+names and Delta are printed in the grammar of ``parse_poly``.
 
 The base field has characteristic 0, so the Kodaira type is read off the
 minimalized vanishing orders (v(c4), v(c6), v(Delta)); no wild ramification
@@ -23,10 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-import sympy
-
 from .lfunctions import fundamental_discriminant
-from .symbolic import parse_poly
+from .symbolic import format_poly, parse_poly
 
 
 def _discriminant(a1, a2, a3, a4, a6):
@@ -146,38 +144,12 @@ def _order(poly, factor) -> float:
         k += 1
 
 
-def _rational(c) -> sympy.Rational:
-    return sympy.Rational(int(c.numerator), int(c.denominator))
-
-
-def _unevaluated_sum(f) -> sympy.Expr:
-    """The polynomial f as an unevaluated sympy sum of its terms: the first evaluated
-    sympy sum imports sympy.tensor and sympy.combinatorics, about 40 ms, which nothing
-    else on the exact layers needs. It prints as the evaluated sum does."""
-    t = f.ring.symbols[0]
-    return sympy.Add(*[_rational(c) * t**e for (e,), c in f.items()], evaluate=False)
-
-
-def factored_name(f) -> str:
-    """``sympy.sstr(sympy.factor(f.as_expr()))``, printed from ``f.factor_list()`` as an
-    unevaluated product of unevaluated sums."""
-    coeff, factors = f.factor_list()
-    c = _rational(coeff)
-    if c == -1 and len(factors) == 1 and factors[0][1] == 1:
-        # sympy.factor distributes a content of -1 over a single factor
-        c, factors = sympy.S.One, [(-factors[0][0], 1)]
-    parts = [_unevaluated_sum(g) ** m for g, m in factors]
-    if c != 1 or not parts:
-        parts.insert(0, c)
-    return sympy.sstr(sympy.Mul(*parts, evaluate=False))
-
-
 def finite_fibers(curve: WeierstrassCurveQt) -> List[FiberData]:
     disc, c4, c6 = curve.discriminant()
     _, factors = disc.factor_list()
     out = []
     for f, mult in factors:
-        place = sympy.sstr(_unevaluated_sum(f))
+        place = format_poly(f)
         out.append(kodaira_type(_order(c4, f), _order(c6, f), mult, place, degree=f.degree()))
     return out
 
@@ -234,22 +206,14 @@ def _imaginary_quadratic_field(d: int) -> Tuple[int, int]:
 
 
 def _cm_level(d0: int, dK: int) -> int:
-    """The level |d_K| of the CM newform of K = Q(sqrt(-d0)); d_K = -3, -4 are excluded."""
+    """The level |d_K| of the weight-3 CM newform with rational coefficients of
+    K = Q(sqrt(-d0)) (Schuett, "CM newforms with rational coefficients", 2009);
+    d_K = -3, -4 are excluded."""
     if dK in (-3, -4):
         raise ExcludedDiscriminantError(
             f"d_K = {dK} is excluded (extra units in Q(sqrt({-d0})))"
         )
     return -dK
-
-
-def schuett_level(d: int) -> Tuple[int, int, int]:
-    """(squarefree d, fundamental discriminant d_K of Q(sqrt(-d)), level |d_K|).
-
-    The weight-3 CM newform with rational coefficients attached to K = Q(sqrt(-d))
-    has level |d_K| (Schuett, "CM newforms with rational coefficients", 2009).
-    """
-    d0, dK = _imaginary_quadratic_field(d)
-    return d0, dK, _cm_level(d0, dK)
 
 
 @dataclass

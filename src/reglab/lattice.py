@@ -1,7 +1,8 @@
 """Exact LLL reduction and LLL-based integer-relation detection.
 
 The reduction runs entirely over rationals (fractions.Fraction Gram-Schmidt)
-so that the Lovasz condition can be certified exactly after the fact.
+so that the Lovasz condition, with the classical delta = 3/4 of Lenstra,
+Lenstra and Lovasz, can be certified exactly after the fact.
 Relation detection uses the classical embedding: scale the real values by
 10^prec, round to integers, append an identity block, reduce, and look for a
 short vector whose first coordinate (the scaled residual) is tiny.
@@ -18,6 +19,8 @@ import mpmath
 from mpmath import mp
 
 from .numerics import HPReal, _bits
+
+_DELTA = Fraction(3, 4)  # the Lovasz constant
 
 
 class IntMatrix:
@@ -62,7 +65,7 @@ def _gram_schmidt(rows: List[List[int]]):
     return bstar, mu, norms
 
 
-def lovasz_holds(B: IntMatrix, delta: Fraction = Fraction(3, 4)) -> bool:
+def lovasz_holds(B: IntMatrix) -> bool:
     """Exact check of size reduction and the Lovasz condition."""
     _, mu, norms = _gram_schmidt(B.rows)
     n = B.shape[0]
@@ -71,7 +74,7 @@ def lovasz_holds(B: IntMatrix, delta: Fraction = Fraction(3, 4)) -> bool:
             if abs(mu[i][j]) > Fraction(1, 2):
                 return False
     for i in range(1, n):
-        if norms[i] < (delta - mu[i][i - 1] ** 2) * norms[i - 1]:
+        if norms[i] < (_DELTA - mu[i][i - 1] ** 2) * norms[i - 1]:
             return False
     return True
 
@@ -98,15 +101,13 @@ def _det_pm1(T: List[List[int]]) -> bool:
     return abs(sign * a[-1][-1]) == 1
 
 
-def lll_reduce(B: IntMatrix, delta: Fraction = Fraction(3, 4)) -> IntMatrix:
-    """delta-LLL reduction with exact rational arithmetic.
+def lll_reduce(B: IntMatrix) -> IntMatrix:
+    """LLL reduction with delta = 3/4 in exact rational arithmetic.
 
     The unimodular transform taking the input to the output is tracked and
     its determinant is verified to be +/-1; the Lovasz condition is
     re-checked on the result before returning.
     """
-    if not Fraction(1, 4) < delta < 1:
-        raise ValueError("delta must lie in (1/4, 1)")
     rows = [r[:] for r in B.rows]
     n = len(rows)
     T = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -126,7 +127,7 @@ def lll_reduce(B: IntMatrix, delta: Fraction = Fraction(3, 4)) -> IntMatrix:
     while k < n:
         for j in range(k - 1, -1, -1):
             size_reduce(k, j)
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+        if norms[k] >= (_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             rows[k - 1], rows[k] = rows[k], rows[k - 1]
@@ -137,7 +138,7 @@ def lll_reduce(B: IntMatrix, delta: Fraction = Fraction(3, 4)) -> IntMatrix:
     out = IntMatrix(rows)
     if not _det_pm1(T):
         raise RuntimeError("internal error: transform is not unimodular")
-    if not lovasz_holds(out, delta):
+    if not lovasz_holds(out):
         raise RuntimeError("internal error: Lovasz condition fails on output")
     return out
 

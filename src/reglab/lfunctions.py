@@ -49,7 +49,7 @@ def fundamental_discriminant(n: int) -> int:
 class DirichletChar:
     """The real character n -> (D|n) modulo |D| of D = 1 or a fundamental discriminant:
     D = 1 mod 4 squarefree, or D = 4m with m = 2, 3 mod 4 squarefree. Only then is
-    (D|.) a primitive character modulo |D|; it is built by ``quadratic(D)``."""
+    (D|.) a primitive character modulo |D|; any other D is refused."""
 
     D: int
 
@@ -60,11 +60,6 @@ class DirichletChar:
     @functools.cached_property
     def values(self) -> Tuple[int, ...]:
         return tuple(int(sympy.kronecker_symbol(self.D, n)) for n in range(self.modulus))
-
-    @classmethod
-    def quadratic(cls, D: int) -> "DirichletChar":
-        """The character (D|.) modulo |D|; D must be 1 or a fundamental discriminant."""
-        return cls(D)
 
     @property
     def modulus(self) -> int:
@@ -79,9 +74,9 @@ class DirichletChar:
         return "even" if self.D > 0 else "odd"
 
 
-CHI_M3 = DirichletChar.quadratic(-3)
-CHI_M4 = DirichletChar.quadratic(-4)
-CHI_M7 = DirichletChar.quadratic(-7)
+CHI_M3 = DirichletChar(-3)
+CHI_M4 = DirichletChar(-4)
+CHI_M7 = DirichletChar(-7)
 
 
 def dirichlet_L(chi: DirichletChar, s, prec: int = 15) -> HPReal:
@@ -187,7 +182,7 @@ def cm_newform(d_K: int) -> NewformSpec:
     depend on the choice of alpha."""
     if d_K not in CM_DISCRIMINANTS:
         raise ValueError(f"d_K = {d_K} is not one of {CM_DISCRIMINANTS}")
-    chi = DirichletChar.quadratic(d_K)
+    chi = DirichletChar(d_K)
 
     def ap(p: int) -> int:
         if chi(p) == 0:
@@ -226,7 +221,7 @@ def elliptic_newform(a_invariants, level: int, eps: int) -> NewformSpec:
             )
         return p - affine  # one point at infinity
 
-    return NewformSpec(level, 2, eps, DirichletChar.quadratic(1), ap)
+    return NewformSpec(level, 2, eps, DirichletChar(1), ap)
 
 
 F7 = cm_newform(-7)

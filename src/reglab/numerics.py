@@ -41,9 +41,6 @@ class HPReal:
         self.prec = int(prec)
         if isinstance(value, HPReal):
             self._v = value._v
-        elif isinstance(value, str):
-            with mp.workprec(_bits(self.prec)):
-                self._v = mpmath.mpf(value)
         elif isinstance(value, Fraction):
             with mp.workprec(_bits(self.prec)):
                 self._v = mpmath.mpf(value.numerator) / value.denominator

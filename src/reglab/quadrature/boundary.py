@@ -99,13 +99,12 @@ def regulator_boundary_integral(
     if n not in (3, 4):
         raise ValueError("boundary charts are available for n = 3 and n = 4 only")
     dims = n - 2
-    tangents = np.eye(dims)
 
     def f(points):
         thetas, _, V = kink_chart(points)
         xs = [_dexp_i(theta) for theta in thetas]
-        up = rho_of_element_at(xi, xs + [_dexp_i(V)], tangents)
-        dn = rho_of_element_at(xi, xs + [_dexp_i(-V)], tangents)
+        up = rho_of_element_at(xi, xs + [_dexp_i(V)])
+        dn = rho_of_element_at(xi, xs + [_dexp_i(-V)])
         return (up - dn).imag if n % 2 == 0 else (up - dn).real
 
     raw, err, evals = integrate_box(f, -math.pi / 2, math.pi / 2, dims, cfg)

@@ -351,7 +351,6 @@ def deninger_gamma_check(P, cfg: QuadratureConfig | None = None) -> QuadratureRe
     t = P.ring.gens[-1]
     m_lead = float(_measure(P.coeff_wrt(t, P.degree(t)).drop(t), cfg).value)
 
-    tangents = np.eye(dims)
     # coefficients of dP/dtheta_j, as polynomials in the last variable
     dslices = [
         [{e: c * 1j * e[j] for e, c in terms.items() if e[j]} for terms in slices]
@@ -380,9 +379,9 @@ def deninger_gamma_check(P, cfg: QuadratureConfig | None = None) -> QuadratureRe
         grads = np.stack(
             [-np.sum(_eval_slices(ds, x) * y_pows, axis=1) / dPdy for ds in dslices], axis=1
         )
-        jets = [Jet(x[:, j], 1j * x[:, j, None] * tangents[j]) for j in range(dims)]
+        jets = [Jet(x[:, j], 1j * x[:, j, None] * e) for j, e in enumerate(np.eye(dims))]
         jets.append(Jet(r, grads))
-        val = eta_eval(jets, tangents)
+        val = eta_eval(jets)
         np.add.at(out, rows, val.imag if dims % 2 else val.real)
         return out
 

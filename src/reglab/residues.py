@@ -12,7 +12,8 @@ does not depend on the exact order.
 Every recorded value is an element of the field QQ(s), s the component's
 parameter, read by ``symbolic.poly.rational_function``: the polynomial
 grammar of ``parse_poly`` evaluated in QQ(s), with "inf" and
-"root_of_unity" as markers. Field arithmetic keeps its elements in lowest
+"root_of_unity" as markers. Certificates print their values back in the
+same grammar (``format_rational_function``). Field arithmetic keeps its elements in lowest
 terms, so equal values are equal elements and the residue pairs are
 collected under the elements themselves. Records that contradict
 themselves are rejected with ``ValueError``: order 0 with value 0 or
@@ -29,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .symbolic import B2WedgeElement, FactoredElement
-from .symbolic.poly import FracElement, rational_field, rational_function
+from .symbolic.poly import FracElement, format_rational_function, rational_field, rational_function
 
 UNKNOWN_POSITIVE = "unknown_positive"
 UNKNOWN_NEGATIVE = "unknown_negative"
@@ -282,7 +283,7 @@ def _decide(f: FactoredElement, labels, basis, divisor: DivisorData):
         why = "f(p) is finite and nonzero but its value is not recorded"
         return ("undecidable", None, why), None
     inv = 1 / fval
-    if str(inv) < str(fval):
+    if format_rational_function(inv) < format_rational_function(fval):
         return None, (-1, inv, t)
     return None, (1, fval, t)
 
@@ -304,7 +305,7 @@ def residue_43(xi: B2WedgeElement, divisor: DivisorData) -> B2Residue:
         entry = {"coeff": str(c), "f": str(f), "wedge": [str(l) for l in labels]}
         if pair:
             _, a, t = pair
-            entry["pair"] = [str(a), str(t)]
+            entry["pair"] = [format_rational_function(a), format_rational_function(t)]
             decision = _NONTRIVIAL if sums[a, t] else _SUMS_TO_ZERO
         entry["status"], reason, why = decision
         if reason:
@@ -335,23 +336,12 @@ def certify_all_residues(xi: B2WedgeElement, divisor_list: List[DivisorData]) ->
             "terms": res.trace,
         }
         if verdict == "nontrivial":
-            cert["residue"] = [[str(c), str(a), str(t)] for c, a, t in res.terms]
+            cert["residue"] = [
+                [str(c), format_rational_function(a), format_rational_function(t)]
+                for c, a, t in res.terms
+            ]
         report["divisors"].append(cert)
         if verdict != "trivial" and report["overall"] == "trivial":
             report["overall"] = verdict
     return report
 
-
-def recheck_certificate(xi: B2WedgeElement, divisor_list: List[DivisorData], report: dict) -> bool:
-    """Recompute every verdict and compare with a stored report."""
-    fresh = certify_all_residues(xi, divisor_list)
-    if fresh["overall"] != report.get("overall"):
-        return False
-    old = {c["divisor"]: c for c in report.get("divisors", [])}
-    for cert in fresh["divisors"]:
-        prev = old.get(cert["divisor"])
-        if prev is None or prev["verdict"] != cert["verdict"]:
-            return False
-        if sorted(prev.get("reasons", [])) != cert["reasons"]:
-            return False
-    return True

@@ -3,7 +3,15 @@ printed and evaluated by ``poly``), factored field elements, wedges, B2 terms.
 The same ring carries the k3 curves' coefficients and the univariate Mahler
 measure's polynomial."""
 
-from .poly import ParseError, eval_poly, format_poly, parse_poly, poly_ring, split_laurent
+from .poly import (
+    ParseError,
+    eval_poly,
+    format_factored,
+    format_poly,
+    parse_poly,
+    poly_ring,
+    split_laurent,
+)
 from .algebra import (
     B2WedgeElement,
     DecompositionDocument,
@@ -26,6 +34,7 @@ __all__ = [
     "split_laurent",
     "eval_poly",
     "format_poly",
+    "format_factored",
     "MultiplicativeBasis",
     "FactoredElement",
     "WedgeElement",

@@ -160,14 +160,12 @@ class FactoredElement:
 
 
 def factor_over_basis(f, basis: MultiplicativeBasis) -> FactoredElement:
-    """Factor a polynomial / rational function / rational over the basis.
+    """Factor a polynomial or rational function over the basis.
 
-    Accepts a ring element (possibly Laurent), a (numerator, denominator)
-    pair, or a plain rational. Raises NotFactorable when trial exact
-    division leaves a non-constant remainder.
+    Accepts a ring element (possibly Laurent) or a (numerator, denominator)
+    pair of them. Raises NotFactorable when trial exact division leaves a
+    non-constant remainder.
     """
-    if isinstance(f, (int, Fraction)):
-        return FactoredElement(basis, Fraction(f))
     if isinstance(f, tuple):
         num, den = f
         return factor_over_basis(num, basis) * factor_over_basis(den, basis).inverse()
@@ -309,19 +307,13 @@ def _wedge_of_vectors(coeff: Fraction, vectors: List[dict]) -> dict:
 
 
 def wedge_normalize(
-    terms: Iterable[Tuple[object, Sequence[FactoredElement]]],
-    basis: MultiplicativeBasis | None = None,
+    terms: Iterable[Tuple[object, Sequence[FactoredElement]]], basis: MultiplicativeBasis
 ) -> WedgeElement:
     """Canonical form of a sum of wedge products of FactoredElements.
 
     Multilinear over Q; repeated basis vectors kill a term; the sign part of
     constants is dropped (torsion); prime parts expand as extra basis labels.
     """
-    terms = list(terms)
-    if basis is None:
-        if not terms:
-            raise ValueError("empty input needs an explicit basis")
-        basis = terms[0][1][0].basis
     degree = None
     acc: dict = {}
     for coeff, elts in terms:

@@ -1,4 +1,4 @@
-"""Exact (Laurent) polynomials over Q: the parser, the printer and a numeric evaluator.
+"""Exact (Laurent) polynomials over Q: the parser, the printers and a numeric evaluator.
 
 A polynomial is an element of sympy's ring QQ[variables]
 (``sympy.polys.rings``), which stores negative exponents as they are, so
@@ -10,7 +10,9 @@ univariate one over QQ[x]) all compute on them. It is also the one place
 that builds the fields QQ(s) of rational functions in one parameter, in
 which the residue certificates compute. One parser reads both: polynomials
 (``parse_poly``) and the divisor records' values (``rational_function``)
-are the same grammar, evaluated in the ring or in the field.
+are the same grammar, evaluated in the ring or in the field. The printers
+(``format_poly``, ``format_factored``, ``format_rational_function``) write
+that grammar back.
 """
 
 from __future__ import annotations
@@ -120,6 +122,37 @@ def format_poly(p) -> str:
         else:
             parts.append(f"{c}*{body}")
     return " + ".join(parts).replace("+ -", "- ")
+
+
+def _as_factor(p) -> str:
+    """``format_poly(p)``, in parentheses unless it is a number, a variable or a power
+    of one, which the grammar reads as a single factor."""
+    text = format_poly(p)
+    return text if re.fullmatch(r"\w+(\^\d+)?", text) else f"({text})"
+
+
+def format_factored(p) -> str:
+    """p as its content times its irreducible factors over Q, in the parser's syntax:
+    ``-16*(4*t^3 + 27)``, ``t^7*(t - 1)^7``."""
+    content, factors = p.factor_list()
+    body = "*".join(_as_factor(g) + (f"^{m}" if m > 1 else "") for g, m in factors)
+    c = _exact(content)
+    if not body:
+        return str(c)
+    if c == 1:
+        return body
+    return f"-{body}" if c == -1 else f"{c}*{body}"
+
+
+def format_rational_function(v: FracElement) -> str:
+    """v in the grammar of ``rational_function``: the numerator over the denominator,
+    e.g. ``(s + 1)/s`` or ``-1/(4*s^3 - 4*s^2)``."""
+    num = format_poly(v.numer)
+    if v.denom == 1:
+        return num
+    if len(v.numer) > 1:
+        num = f"({num})"
+    return f"{num}/{_as_factor(v.denom)}"
 
 
 # -- parser ---------------------------------------------------------------------------

@@ -109,13 +109,13 @@ def test_k3_document_of_the_shipped_curve(capsys):
     assert doc == {
         "d": 7,
         "d_K": -7,
-        "delta": "t**7*(t - 1)**7*(t**3 - 8*t**2 + 5*t + 1)",
+        "delta": "(t - 1)^7*t^7*(t^3 - 8*t^2 + 5*t + 1)",
         "detT": 7,
         "exact": True,
         "fibers": [
             _multiplicative("t - 1", 7),
             _multiplicative("t", 7),
-            _multiplicative("t**3 - 8*t**2 + 5*t + 1", 1, degree=3),
+            _multiplicative("t^3 - 8*t^2 + 5*t + 1", 1, degree=3),
             _multiplicative("t = oo", 7),
         ],
         "level": 7,
@@ -132,8 +132,8 @@ def test_k3_document_of_an_even_discriminant(capsys):
     doc = json.loads(out)
     del doc["manifest"]
     nonic = (
-        "25*t**9 - 64*t**8 + 40*t**7 - 125*t**6 + 376*t**5 - 300*t**4 + 288*t**3"
-        " - 240*t**2 - 432*t - 64"
+        "25*t^9 - 64*t^8 + 40*t^7 - 125*t^6 + 376*t^5 - 300*t^4 + 288*t^3"
+        " - 240*t^2 - 432*t - 64"
     )
     assert doc == {
         "d": 2,

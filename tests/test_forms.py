@@ -41,6 +41,13 @@ def _frame(rng, k):
     return [rng.normal(size=k) for _ in range(k)]
 
 
+def _on_frame(jets, frame):
+    """The jets with parameter j moved along frame[j]: gradient column j is the
+    directional derivative along frame[j]."""
+    t = np.transpose(frame)
+    return [Jet(g.val, g.grad @ t) for g in jets]
+
+
 def test_dual_arithmetic():
     e = np.eye(1)
     x = Jet(2.0 + 1.0j, e[0])
@@ -68,38 +75,34 @@ def test_eta_two_variables_closed_form():
     # n = 2: eta(x, y) = i (log|x| d arg y - log|y| d arg x)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        xs = _random_jets(rng, 2, 1)
-        t = _frame(rng, 1)
-        got = eta_eval(xs, t)[0]
+        xs = _on_frame(_random_jets(rng, 2, 1), _frame(rng, 1))
+        got = eta_eval(xs)[0]
         x, y = xs
-        want = (log_abs(x) * diarg(y, t)[:, 0] - log_abs(y) * diarg(x, t)[:, 0])[0]
+        want = (log_abs(x) * diarg(y)[:, 0] - log_abs(y) * diarg(x)[:, 0])[0]
         assert abs(got - want) < 1e-12 * max(1, abs(want))
 
 
 def test_eta_antisymmetric_in_arguments():
     rng = np.random.default_rng(1)
-    xs = _random_jets(rng, 3, 2)
-    t = _frame(rng, 2)
-    a = eta_eval(xs, t)[0]
-    b = eta_eval([xs[1], xs[0], xs[2]], t)[0]
+    xs = _on_frame(_random_jets(rng, 3, 2), _frame(rng, 2))
+    a = eta_eval(xs)[0]
+    b = eta_eval([xs[1], xs[0], xs[2]])[0]
     assert abs(a + b) < 1e-12 * max(1, abs(a))
 
 
 def test_eta_vanishes_on_repeated_argument():
     rng = np.random.default_rng(2)
-    xs = _random_jets(rng, 2, 2)
-    t = _frame(rng, 2)
-    assert abs(eta_eval([xs[0], xs[0], xs[1]], t)[0]) < 1e-12
+    xs = _on_frame(_random_jets(rng, 2, 2), _frame(rng, 2))
+    assert abs(eta_eval([xs[0], xs[0], xs[1]])[0]) < 1e-12
 
 
 def test_eta_equals_minus_rnn():
     rng = np.random.default_rng(3)
     for n in (2, 3, 4):
         for _ in range(30):
-            xs = _random_jets(rng, n, n - 1)
-            t = _frame(rng, n - 1)
-            a = eta_eval(xs, t)[0]
-            b = rnn_eval(xs, t)[0]
+            xs = _on_frame(_random_jets(rng, n, n - 1), _frame(rng, n - 1))
+            a = eta_eval(xs)[0]
+            b = rnn_eval(xs)[0]
             scale = max(abs(a), abs(b), 1e-8)
             assert abs(a + b) < 1e-10 * scale, (n, a, b)
 
@@ -112,23 +115,24 @@ def test_rho_matches_explicit_display_n4():
     for _ in range(20):
         f = _random_jets(rng, 1, 3)[0]
         g1, g2 = _random_jets(rng, 2, 3)
-        t = [rng.normal(size=3) for _ in range(2)]
-        got = rho_eval(f, [g1, g2], t)[0]
+        # a 2-form on the plane spanned by two random directions in the 3 parameters
+        f, g1, g2 = _on_frame([f, g1, g2], [rng.normal(size=3) for _ in range(2)])
+        got = rho_eval(f, [g1, g2])[0]
 
         one_minus_f = 1 - f
 
         def theta(a, b):
-            return log_abs(a)[:, None] * dlog_abs(b, t) - log_abs(b)[:, None] * dlog_abs(a, t)
+            return log_abs(a)[:, None] * dlog_abs(b) - log_abs(b)[:, None] * dlog_abs(a)
 
         D = kernels.bloch_wigner(f.val)
         term1 = 1j * D * (
-            wedge_value([diarg(g1, t), diarg(g2, t)])
-            + wedge_value([dlog_abs(g1, t) / 3, dlog_abs(g2, t)])
+            wedge_value([diarg(g1), diarg(g2)])
+            + wedge_value([dlog_abs(g1) / 3, dlog_abs(g2)])
         )
         term2 = wedge_value(
             [
                 theta(one_minus_f, f),
-                (log_abs(g1)[:, None] * diarg(g2, t) - log_abs(g2)[:, None] * diarg(g1, t)) / 3,
+                (log_abs(g1)[:, None] * diarg(g2) - log_abs(g2)[:, None] * diarg(g1)) / 3,
             ]
         )
         want = (term1 + term2)[0]
@@ -141,21 +145,21 @@ def test_batched_forms_match_pointwise():
     N = 16
     for k in (1, 2, 3):
         t = _frame(rng, k)
-        xs = _random_jets(rng, k + 1, k, N)
-        f = _random_jets(rng, 1, k, N)[0]
-        gs = _random_jets(rng, k, k, N)
+        xs = _on_frame(_random_jets(rng, k + 1, k, N), t)
+        f = _on_frame(_random_jets(rng, 1, k, N), t)[0]
+        gs = _on_frame(_random_jets(rng, k, k, N), t)
         batched = {
-            "eta": eta_eval(xs, t),
-            "rnn": rnn_eval(xs, t),
-            "rho": rho_eval(f, gs, t),
+            "eta": eta_eval(xs),
+            "rnn": rnn_eval(xs),
+            "rho": rho_eval(f, gs),
         }
         for name, got in batched.items():
             assert got.shape == (N,), (name, k)
         for i in range(N):
             single = {
-                "eta": eta_eval([_point(x, i) for x in xs], t),
-                "rnn": rnn_eval([_point(x, i) for x in xs], t),
-                "rho": rho_eval(_point(f, i), [_point(g, i) for g in gs], t),
+                "eta": eta_eval([_point(x, i) for x in xs]),
+                "rnn": rnn_eval([_point(x, i) for x in xs]),
+                "rho": rho_eval(_point(f, i), [_point(g, i) for g in gs]),
             }
             for name, want in single.items():
                 assert want.shape == (1,)
@@ -166,20 +170,39 @@ def test_batched_forms_match_pointwise():
 def test_degenerate_point_in_batch_raises():
     rng = np.random.default_rng(12)
     t = _frame(rng, 2)
-    xs = _random_jets(rng, 3, 2, 5)
-    f = _random_jets(rng, 1, 2, 5)[0]
-    gs = _random_jets(rng, 2, 2, 5)
+    xs = _on_frame(_random_jets(rng, 3, 2, 5), t)
+    f = _on_frame(_random_jets(rng, 1, 2, 5), t)[0]
+    gs = _on_frame(_random_jets(rng, 2, 2, 5), t)
     for bad in (0.0, 1.0):
         fv = Jet(np.where(np.arange(5) == 3, bad, f.val), f.grad)
         with pytest.raises(ValueError, match="Steinberg degeneracy"):
-            rho_eval(fv, gs, t)
+            rho_eval(fv, gs)
     zero = Jet(np.where(np.arange(5) == 1, 0.0, gs[0].val), gs[0].grad)
     with pytest.raises(ValueError, match="wedge entry vanishes"):
-        rho_eval(f, [zero, gs[1]], t)
+        rho_eval(f, [zero, gs[1]])
     with pytest.raises(ValueError, match="wedge entry vanishes"):
-        rnn_eval([xs[0], zero, xs[2]], t)
+        rnn_eval([xs[0], zero, xs[2]])
     with pytest.raises(ValueError, match="coordinate vanishes"):
-        eta_eval([xs[0], zero, xs[2]], t)
+        eta_eval([xs[0], zero, xs[2]])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_forms_reject_jets_with_the_wrong_number_of_parameters(k):
+    """A k-form is a density in k parameters: jets in k - 1 or k + 1 parameters, or
+    one jet of another parameter count among them, are refused."""
+    rng = np.random.default_rng(13)
+    for wrong in (k - 1, k + 1):
+        xs = _random_jets(rng, k + 1, wrong, 4)
+        with pytest.raises(ValueError, match="eta is a"):
+            eta_eval(xs)
+        with pytest.raises(ValueError, match="r_n\\(n\\) is a"):
+            rnn_eval(xs)
+        f = _random_jets(rng, 1, k, 4)[0]
+        gs = _random_jets(rng, k, k, 4)
+        with pytest.raises(ValueError, match="r_n\\(n-1\\) is a"):
+            rho_eval(_random_jets(rng, 1, wrong, 4)[0], gs)
+        with pytest.raises(ValueError, match="r_n\\(n-1\\) is a"):
+            rho_eval(f, gs[:-1] + _random_jets(rng, 1, wrong, 4))
 
 
 def test_d_rho_xi_equals_eta_finite_difference():
@@ -188,10 +211,9 @@ def test_d_rho_xi_equals_eta_finite_difference():
     xi, _, _ = build_xi(doc)
     rng = np.random.default_rng(7)
 
-    def surface_coords(u):
-        # chart: x, y, z free; t = -(1+x)(1+y)(1+z)
-        e = np.eye(3)
-        xs = [Jet(u[i], e[i]) for i in range(3)]
+    def surface_coords(u, frame):
+        # chart: x, y, z free; t = -(1+x)(1+y)(1+z); parameter j moves u along frame[j]
+        xs = [Jet(u[i], [v[i] for v in frame]) for i in range(3)]
         t = -((1 + xs[0]) * (1 + xs[1]) * (1 + xs[2]))
         return xs, t
 
@@ -203,12 +225,12 @@ def test_d_rho_xi_equals_eta_finite_difference():
         t3 = [rng.normal(size=3) for _ in range(3)]
 
         def eta_at(u):
-            xs, t = surface_coords(u)
-            return eta_eval(xs + [t], t3)[0]
+            xs, t = surface_coords(u, t3)
+            return eta_eval(xs + [t])[0]
 
         def rho_pair(u, ta, tb):
-            xs, _ = surface_coords(u)
-            return rho_of_element_at(xi, xs, [ta, tb])[0]
+            xs, _ = surface_coords(u, [ta, tb])
+            return rho_of_element_at(xi, xs)[0]
 
         def d_rho(u, h):
             total = 0.0

@@ -185,8 +185,8 @@ def test_verify_main_leaves_sympy_combinatorics_unimported():
 
 
 def test_k3_leaves_sympy_combinatorics_unimported():
-    # an evaluated sympy sum pulls in sympy.combinatorics; the k3 document prints delta
-    # from unevaluated sums
+    # sympy expressions pull in sympy.combinatorics; the k3 document prints delta and
+    # the places with symbolic/poly.py, from the ring elements themselves
     modules = _modules_after("k3")
     assert [m for m in modules if m.split(".")[:2] == ["sympy", "combinatorics"]] == []
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -7,18 +8,20 @@ import sympy
 from reglab.k3 import (
     ExcludedDiscriminantError,
     WeierstrassCurveQt,
+    _cm_level,
+    _imaginary_quadratic_field,
     all_fibers,
-    factored_name,
     fiber_at_infinity,
     finite_fibers,
     kodaira_type,
     load_curve,
-    schuett_level,
     shioda_tate_rho,
     surface_invariants,
     transcendental_det,
 )
+from reglab.cli import main
 from reglab.lfunctions import F7, NewformSpec, cm_newform, completed_lambda
+from reglab.symbolic import parse_poly
 
 T = sympy.Symbol("t")
 
@@ -121,13 +124,17 @@ def test_transcendental_det():
 
 
 def test_schuett_level():
-    assert schuett_level(7) == (7, -7, 7)
-    assert schuett_level(2) == (2, -8, 8)
-    assert schuett_level(28) == (7, -7, 7)  # squarefree reduction
+    # (squarefree d, d_K) of Q(sqrt(-d)) and the level |d_K|, as surface_invariants
+    # derives them from det T
+    assert _imaginary_quadratic_field(7) == (7, -7) and _cm_level(7, -7) == 7
+    assert _imaginary_quadratic_field(2) == (2, -8) and _cm_level(2, -8) == 8
+    assert _imaginary_quadratic_field(28) == (7, -7)  # squarefree reduction
+    for d in (1, 3):  # d_K = -4, -3
+        with pytest.raises(ExcludedDiscriminantError):
+            _cm_level(*_imaginary_quadratic_field(d))
+    # det T = 1 gives d_K = -4, which a K3 surface's invariants refuse
     with pytest.raises(ExcludedDiscriminantError):
-        schuett_level(1)
-    with pytest.raises(ExcludedDiscriminantError):
-        schuett_level(3)
+        surface_invariants(WeierstrassCurveQt.from_string("0,0,0,1,1"))
 
 
 def test_schuett_level_of_an_even_discriminant_is_its_eta_product_level():
@@ -139,7 +146,7 @@ def test_schuett_level_of_an_even_discriminant_is_its_eta_product_level():
         f = NewformSpec(level, 3, +1, f8.chi, f8.ap)
         return abs(float(completed_lambda(f, 1, 15, 1)) - float(completed_lambda(f, 1, 15, 1.3)))
 
-    _, _, level = schuett_level(2)
+    level = _cm_level(*_imaginary_quadratic_field(2))
     assert split_defect(level) < 1e-12
     assert split_defect(2) > 1e-4
 
@@ -173,8 +180,8 @@ def test_surface_invariants_reject_impossible_rank_or_torsion(rank, torsion):
         surface_invariants(curve, rank, torsion)
 
 
-# curves whose discriminants have a content of 1, -1 (spread over a single factor by
-# sympy.factor), an integer or a fraction, and one or several factors with multiplicity
+# curves whose discriminants have a content of 1, -1, an integer or a fraction, and one
+# or several factors with multiplicity
 FACTORED_CURVES = [
     "1,0,t,0,t^3-2",
     "0,0,0,t,1",
@@ -198,16 +205,21 @@ def _random_curve(rng):
     return ",".join(poly(d) for d in (1, 2, 1, 3, 4))
 
 
-def test_factored_name_prints_as_sympy_factor():
+def test_k3_document_strings_parse_back(capsys):
+    """Delta and each finite place in the ``reglab k3`` document parse back with
+    parse_poly to the polynomial they print."""
     rng = random.Random(17)
-    curves = FACTORED_CURVES + [_random_curve(rng) for _ in range(20)]
-    for text in curves:
+    for text in FACTORED_CURVES + [_random_curve(rng) for _ in range(20)]:
+        assert main(["k3", "--curve", text, "--no-k3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
         disc = WeierstrassCurveQt.from_string(text).discriminant()[0]
-        assert factored_name(disc) == sympy.sstr(sympy.factor(disc.as_expr())), text
-    # the -1 content that sympy.factor spreads over one factor, and the -16 it does not
-    assert factored_name(WeierstrassCurveQt.from_string("1,0,t,0,t^3-2").discriminant()[0]) == (
-        "-432*t**6 - 216*t**5 + 9*t**4 + 1728*t**3 + 432*t**2 - 72*t - 1726"
+        assert parse_poly(doc["delta"], ["t"]) == disc, text
+        places = [f["place"] for f in doc["fibers"] if f["place"] != "t = oo"]
+        assert [parse_poly(p, ["t"]) for p in places] == [g for g, _ in disc.factor_list()[1]]
+    # a content of -1 stays in front of a single factor
+    assert main(["k3", "--curve", "1,0,t,0,t^3-2", "--no-k3"]) == 0
+    assert json.loads(capsys.readouterr().out)["delta"] == (
+        "-(432*t^6 + 216*t^5 - 9*t^4 - 1728*t^3 - 432*t^2 + 72*t + 1726)"
     )
-    assert factored_name(WeierstrassCurveQt.from_string("0,0,0,t,1").discriminant()[0]) == (
-        "-16*(4*t**3 + 27)"
-    )
+    assert main(["k3", "--curve", "0,0,0,t,1", "--no-k3"]) == 0
+    assert json.loads(capsys.readouterr().out)["delta"] == "-16*(4*t^3 + 27)"

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import mpmath
 import pytest
@@ -32,11 +31,6 @@ def test_dim2_shear_example():
 def test_dependent_rows_rejected():
     with pytest.raises(ValueError):
         lll_reduce(IntMatrix([[1, 2], [2, 4]]))
-
-
-def test_delta_range_validated():
-    with pytest.raises(ValueError):
-        lll_reduce(IntMatrix([[1, 0], [0, 1]]), delta=Fraction(1, 8))
 
 
 def test_golden_ratio_relation():

@@ -27,10 +27,10 @@ from reglab.lfunctions import (
 
 def test_kronecker_basic():
     # (-7|n) table for n = 1..7
-    chi = DirichletChar.quadratic(-7)
+    chi = DirichletChar(-7)
     assert [chi(n) for n in range(1, 8)] == [1, 1, -1, 1, -1, -1, 0]
-    assert DirichletChar.quadratic(-4)(3) == -1
-    assert DirichletChar.quadratic(-4)(5) == 1
+    assert DirichletChar(-4)(3) == -1
+    assert DirichletChar(-4)(5) == 1
 
 
 def test_character_tables():
@@ -43,19 +43,19 @@ def test_character_tables():
 
 def test_character_validation():
     with pytest.raises(ValueError):
-        DirichletChar.quadratic(0)  # modulus 0
+        DirichletChar(0)  # modulus 0
 
 
 @pytest.mark.parametrize("D", [0, 3, -1, -12, 9, 16, 20])
 def test_quadratic_rejects_non_fundamental_discriminants(D):
     # (3|.) tabulated mod 3 is not a character: 3 = 3 mod 4 is no discriminant
     with pytest.raises(ValueError, match="fundamental discriminant"):
-        DirichletChar.quadratic(D)
+        DirichletChar(D)
 
 
 @pytest.mark.parametrize("D", [1, -3, -4, -7, -8, 5, 8, 12])
 def test_quadratic_accepts_fundamental_discriminants(D):
-    chi = DirichletChar.quadratic(D)
+    chi = DirichletChar(D)
     assert chi.modulus == abs(D)
     assert chi.parity == ("even" if D > 0 else "odd")
     assert chi(-1) == (1 if D > 0 else -1)  # the table agrees with the parity
@@ -85,7 +85,7 @@ def test_dirichlet_Lprime_neg_vs_numerical_differentiation():
 
 
 def test_dirichlet_Lprime_rejects_even():
-    chi5 = DirichletChar.quadratic(5)
+    chi5 = DirichletChar(5)
     assert chi5.parity == "even"
     with pytest.raises(ValueError):
         dirichlet_Lprime_neg(chi5)
@@ -124,7 +124,7 @@ def test_newforms_equal_their_eta_products(f, factors):
 @pytest.mark.parametrize("d_K", CM_DISCRIMINANTS)
 def test_cm_newforms_pass_split_and_functional_equation(d_K):
     f = cm_newform(d_K)
-    assert (f.level, f.weight, f.eps, f.chi) == (-d_K, 3, +1, DirichletChar.quadratic(d_K))
+    assert (f.level, f.weight, f.eps, f.chi) == (-d_K, 3, +1, DirichletChar(d_K))
     # Lambda is independent of the split A and satisfies Lambda(s) = Lambda(3 - s)
     # only at the true level, sign and coefficients
     lam = float(completed_lambda(f, 1, 15, A=1))

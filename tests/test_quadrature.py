@@ -342,7 +342,7 @@ def _deninger_reference(P, cfg):
                     continue
                 pows = r ** np.arange(degree + 1)
                 dr = -np.sum(drow * pows) / np.sum(row[1:] * np.arange(1, degree + 1) * pows[:-1])
-                eta = eta_eval([Jet(x, [1j * x]), Jet(r, [dr])], [[1.0]])[0]
+                eta = eta_eval([Jet(x, [1j * x]), Jet(r, [dr])])[0]
                 out[i] += eta.imag
         return out
 
