@@ -9,8 +9,8 @@ evaluated at all N points at once and returns N values.
 
 A k-form is evaluated on jets in k parameters u_1, ..., u_k and returned as
 its density on du_1 ^ ... ^ du_k: the determinant of the k x k matrix of
-1-form values on the coordinate directions, written out in closed form for
-k <= 3. d arg is computed as Im(dg/g), which never crosses a branch cut. The
+1-form values on the coordinate directions, by expansion along the first
+row. d arg is computed as Im(dg/g), which never crosses a branch cut. The
 alternation operator carries a leading minus sign:
 Alt_n G = -sum_sigma sgn(sigma) G(sigma).
 """
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import bloch_wigner
-from .symbolic import eval_poly
+from .symbolic import eval_poly, sorted_with_sign
 
 
 def _const(c):
@@ -135,38 +135,30 @@ def log_abs(g: Jet) -> np.ndarray:
 
 def wedge_value(rows: Sequence[np.ndarray]):
     """omega_1 ^ ... ^ omega_m on (d/du_1, ..., d/du_m), where rows[i][:, j] is
-    omega_i(d/du_j) at each point; m <= 3."""
+    omega_i(d/du_j) at each point."""
     m = len(rows)
     if any(r.shape[-1] != m for r in rows):
         raise ValueError("wedge degree must match the number of parameters")
     if m == 0:
         return 1.0 + 0j
-    if m == 1:
-        return rows[0][:, 0]
-    if m == 2:
-        a, b = rows
-        return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    if m == 3:
-        a, b, c = rows
-        return (
-            a[:, 0] * (b[:, 1] * c[:, 2] - b[:, 2] * c[:, 1])
-            - a[:, 1] * (b[:, 0] * c[:, 2] - b[:, 2] * c[:, 0])
-            + a[:, 2] * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-        )
-    raise ValueError("wedges of degree above 3 are not supported")
+    return _minor(rows, tuple(range(m)))
 
 
-def _perms_with_sign(n: int):
-    base = list(range(n))
-    for p in permutations(base):
-        sign = 1
-        q = list(p)
-        for i in range(n):
-            while q[i] != i:
-                j = q[i]
-                q[i], q[j] = q[j], q[i]
-                sign = -sign
-        yield p, sign
+def _minor(rows: Sequence[np.ndarray], cols: tuple):
+    """det of rows[i][:, cols] at each point, expanded along the first row."""
+    first = rows[0]
+    if len(rows) == 1:
+        return first[:, cols[0]]
+    total = first[:, cols[0]] * _minor(rows[1:], cols[1:])
+    for j in range(1, len(cols)):
+        term = first[:, cols[j]] * _minor(rows[1:], cols[:j] + cols[j + 1 :])
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def _signed_permutations(n: int):
+    """Each permutation of range(n) with its sign."""
+    return [(p, sorted_with_sign(p)[1]) for p in permutations(range(n))]
 
 
 def _c(j: int, n: int) -> float:
@@ -201,7 +193,7 @@ def eta_eval(xs: Sequence[Jet]) -> np.ndarray:
     holo, antiholo = dl, [np.conj(d) for d in dl]  # (1,0) and (0,1) parts of dlog|x|
     pre = 2.0 ** (n - 1) / math.factorial(n)
     total = 0.0 + 0j
-    for p, sign in _perms_with_sign(n):
+    for p, sign in _signed_permutations(n):
         for j in range(1, n + 1):
             rows = [antiholo[i] for i in p[1:j]] + [holo[i] for i in p[j:]]
             total = total + sign * (-1) ** (j - 1) * eps[p[0]] * wedge_value(rows)
@@ -217,7 +209,7 @@ def rnn_eval(gs: Sequence[Jet]) -> np.ndarray:
     dl = [_dlog(g) for g in gs]
     dabs, iarg = [d.real for d in dl], [1j * d.imag for d in dl]
     total = 0.0 + 0j
-    for p, sign in _perms_with_sign(n):
+    for p, sign in _signed_permutations(n):
         inner = 0.0 + 0j
         for j in range((n - 1) // 2 + 1):
             rows = [dabs[i] for i in p[1 : 2 * j + 1]] + [iarg[i] for i in p[2 * j + 1 :]]
@@ -240,7 +232,7 @@ def rho_eval(fv: Jet, gs: Sequence[Jet]) -> np.ndarray:
     dabs, iarg = [d.real for d in dl], [1j * d.imag for d in dl]
 
     d_part = 0.0 + 0j
-    for p, sign in _perms_with_sign(m2):
+    for p, sign in _signed_permutations(m2):
         for q in range(m2 // 2 + 1):
             rows = [dabs[i] for i in p[: 2 * q]] + [iarg[i] for i in p[2 * q :]]
             d_part = d_part + sign * _c(q, n - 1) * wedge_value(rows)
@@ -253,7 +245,7 @@ def rho_eval(fv: Jet, gs: Sequence[Jet]) -> np.ndarray:
     theta = la[:, None] * dlog_abs(fv) - lb[:, None] * dlog_abs(one_minus)
 
     t_part = 0.0 + 0j
-    for p, sign in _perms_with_sign(m2):
+    for p, sign in _signed_permutations(m2):
         for m in range(1, (n - 1) // 2 + 1):
             rows = [theta] + [dabs[i] for i in p[1 : 2 * m - 1]]
             rows += [iarg[i] for i in p[2 * m - 1 :]]

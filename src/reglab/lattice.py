@@ -2,7 +2,8 @@
 
 The reduction runs entirely over rationals (fractions.Fraction Gram-Schmidt)
 so that the Lovasz condition, with the classical delta = 3/4 of Lenstra,
-Lenstra and Lovasz, can be certified exactly after the fact.
+Lenstra and Lovasz, can be certified exactly after the fact. A lattice is
+a list of integer rows; empty, ragged and non-integer input is refused.
 Relation detection uses the classical embedding: scale the real values by
 10^prec, round to integers, append an identity block, reduce, and look for a
 short vector whose first coordinate (the scaled residual) is tiny.
@@ -11,9 +12,10 @@ short vector whose first coordinate (the scaled residual) is tiny.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import mpmath
 from mpmath import mp
@@ -23,26 +25,15 @@ from .numerics import HPReal, _bits
 _DELTA = Fraction(3, 4)  # the Lovasz constant
 
 
-class IntMatrix:
-    """Dense matrix of arbitrary-size Python integers."""
-
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        self.rows = [list(map(int, r)) for r in rows]
-        if not self.rows:
-            raise ValueError("empty matrix")
-        w = len(self.rows[0])
-        if any(len(r) != w for r in self.rows):
-            raise ValueError("ragged rows")
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return len(self.rows), len(self.rows[0])
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __repr__(self):
-        return f"IntMatrix({self.rows!r})"
+def _int_rows(rows: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The rows as lists of Python integers; empty, ragged or non-integer input is refused."""
+    if not rows:
+        raise ValueError("empty matrix")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged rows")
+    if not all(isinstance(x, numbers.Integral) for r in rows for x in r):
+        raise ValueError("entries must be integers")
+    return [[int(x) for x in r] for r in rows]
 
 
 def _gram_schmidt(rows: List[List[int]]):
@@ -65,18 +56,18 @@ def _gram_schmidt(rows: List[List[int]]):
     return bstar, mu, norms
 
 
-def lovasz_holds(B: IntMatrix) -> bool:
+def _lovasz(mu, norms, k: int) -> bool:
+    """The Lovasz condition between rows k - 1 and k."""
+    return norms[k] >= (_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]
+
+
+def lovasz_holds(rows: Sequence[Sequence[int]]) -> bool:
     """Exact check of size reduction and the Lovasz condition."""
-    _, mu, norms = _gram_schmidt(B.rows)
-    n = B.shape[0]
-    for i in range(n):
-        for j in range(i):
-            if abs(mu[i][j]) > Fraction(1, 2):
-                return False
-    for i in range(1, n):
-        if norms[i] < (_DELTA - mu[i][i - 1] ** 2) * norms[i - 1]:
-            return False
-    return True
+    rows = _int_rows(rows)
+    _, mu, norms = _gram_schmidt(rows)
+    n = len(rows)
+    size_reduced = all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i))
+    return size_reduced and all(_lovasz(mu, norms, i) for i in range(1, n))
 
 
 def _det_pm1(T: List[List[int]]) -> bool:
@@ -101,14 +92,14 @@ def _det_pm1(T: List[List[int]]) -> bool:
     return abs(sign * a[-1][-1]) == 1
 
 
-def lll_reduce(B: IntMatrix) -> IntMatrix:
+def lll_reduce(rows: Sequence[Sequence[int]]) -> List[List[int]]:
     """LLL reduction with delta = 3/4 in exact rational arithmetic.
 
     The unimodular transform taking the input to the output is tracked and
     its determinant is verified to be +/-1; the Lovasz condition is
     re-checked on the result before returning.
     """
-    rows = [r[:] for r in B.rows]
+    rows = _int_rows(rows)
     n = len(rows)
     T = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -127,7 +118,7 @@ def lll_reduce(B: IntMatrix) -> IntMatrix:
     while k < n:
         for j in range(k - 1, -1, -1):
             size_reduce(k, j)
-        if norms[k] >= (_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
+        if _lovasz(mu, norms, k):
             k += 1
         else:
             rows[k - 1], rows[k] = rows[k], rows[k - 1]
@@ -135,12 +126,11 @@ def lll_reduce(B: IntMatrix) -> IntMatrix:
             bstar, mu, norms = _gram_schmidt(rows)
             k = max(k - 1, 1)
 
-    out = IntMatrix(rows)
     if not _det_pm1(T):
         raise RuntimeError("internal error: transform is not unimodular")
-    if not lovasz_holds(out):
+    if not lovasz_holds(rows):
         raise RuntimeError("internal error: Lovasz condition fails on output")
-    return out
+    return rows
 
 
 @dataclass
@@ -186,11 +176,11 @@ def find_integer_relation(
         col = [int(mpmath.nint(v * scale)) for v in vs]
 
         rows = [[col[i]] + [1 if j == i else 0 for j in range(k)] for i in range(k)]
-        red = lll_reduce(IntMatrix(rows))
+        red = lll_reduce(rows)
 
         threshold = mpmath.mpf(10) ** (-effective) * maxv
         best = None
-        for row in red.rows:
+        for row in red:
             c = row[1:]
             if all(x == 0 for x in c) or max(abs(x) for x in c) > max_height:
                 continue

@@ -7,7 +7,12 @@ torsion, a residue term is trivial as soon as f(p) lies in {0, 1, infinity}
 records the order and leading restriction of each relevant function along
 each component; orders along blown-up components may be recorded only as
 "positive but unknown", and triviality is concluded only when the verdict
-does not depend on the exact order.
+does not depend on the exact order. One rule gives T_p{f, g}
+= (-1)^(mn) f^n / g^m, m = ord f and n = ord g: a leading value is needed
+when the other function's order is nonzero; the value is computed when both
+orders are integers and every needed leading coefficient is recorded, and
+is otherwise a root of unity when every needed leading value is one, and
+undecidable when not.
 
 Every recorded value is an element of the field QQ(s), s the component's
 parameter, read by ``symbolic.poly.rational_function``: the polynomial
@@ -154,36 +159,19 @@ def load_divisors(path_or_list) -> List[DivisorData]:
 
 
 def tame_symbol(fdata: FunctionRecord, gdata: FunctionRecord):
-    """T_p{f,g} = (-1)^(ord f * ord g) (f^ord(g) / g^ord(f))|_p.
-
-    Returns the exact value, an element of QQ(s) (or 1 when both orders
-    are 0), when the orders pin it down; the ROOT_OF_UNITY marker when the
-    value is a root of unity for every admissible choice of the unknown
-    orders; else UNDECIDABLE.
-    """
+    """T_p{f,g} = (-1)^(ord f * ord g) (f^ord(g) / g^ord(f))|_p by the rule in the
+    module docstring (an unknown order is nonzero): an element of QQ(s), or 1
+    when both orders are 0; else ROOT_OF_UNITY or UNDECIDABLE."""
     m, n = fdata.order, gdata.order
-    if isinstance(m, int) and isinstance(n, int):
-        need_f = n != 0
-        need_g = m != 0
-        if (need_f and not _leading_known(fdata)) or (need_g and not _leading_known(gdata)):
-            if (not need_f or _is_root_of_unity(fdata.value)) and (
-                not need_g or _is_root_of_unity(gdata.value)
-            ):
-                return ROOT_OF_UNITY
-            return UNDECIDABLE
+    needed = [rec for rec, other in ((fdata, n), (gdata, m)) if other != 0]
+    if isinstance(m, int) and isinstance(n, int) and all(map(_leading_known, needed)):
         val = -1 if (m * n) % 2 else 1
-        if need_f:
+        if n:
             val = val * _power(fdata.value, n)
-        if need_g:
+        if m:
             val = val * _power(gdata.value, -m)
         return val
-    # at least one order unknown: decided only if every order-dependent
-    # factor is a root of unity
-    f_ok = (n == 0) or _is_root_of_unity(fdata.value)
-    g_ok = (m == 0) or _is_root_of_unity(gdata.value)
-    if f_ok and g_ok:
-        return ROOT_OF_UNITY
-    return UNDECIDABLE
+    return ROOT_OF_UNITY if all(_is_root_of_unity(r.value) for r in needed) else UNDECIDABLE
 
 
 # -- evaluating factored elements along a divisor ------------------------------------

@@ -24,6 +24,7 @@ from .algebra import (
     check_decomposition,
     factor_over_basis,
     load_decomposition,
+    sorted_with_sign,
     wedge_normalize,
 )
 
@@ -43,6 +44,7 @@ __all__ = [
     "DecompositionDocument",
     "factor_over_basis",
     "wedge_normalize",
+    "sorted_with_sign",
     "check_decomposition",
     "apply_tau",
     "build_xi",

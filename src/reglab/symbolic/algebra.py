@@ -11,7 +11,9 @@ pullbacks.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import math
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -269,8 +271,8 @@ class WedgeElement(_LinearCombination):
         return " + ".join(bits)
 
 
-def _sorted_with_sign(labels: Sequence[Label]) -> Optional[Tuple[tuple, int]]:
-    """Sort labels, tracking permutation sign; None if a label repeats."""
+def sorted_with_sign(labels: Sequence) -> Optional[Tuple[tuple, int]]:
+    """Sort labels by insertion, tracking the permutation sign; None if a label repeats."""
     labels = list(labels)
     sign = 1
     for i in range(1, len(labels)):
@@ -288,21 +290,12 @@ def _sorted_with_sign(labels: Sequence[Label]) -> Optional[Tuple[tuple, int]]:
 def _wedge_of_vectors(coeff: Fraction, vectors: List[dict]) -> dict:
     """Expand coeff * v1 ^ ... ^ vk multilinearly into sorted-tuple terms."""
     out = {}
-
-    def rec(i, chosen, c):
-        if c == 0:
-            return
-        if i == len(vectors):
-            s = _sorted_with_sign(chosen)
-            if s is None:
-                return
+    for choice in itertools.product(*(v.items() for v in vectors)):
+        s = sorted_with_sign([label for label, _ in choice])
+        if s is not None:
             key, sign = s
-            out[key] = out.get(key, Fraction(0)) + sign * c
-            return
-        for label, e in vectors[i].items():
-            rec(i + 1, chosen + [label], c * e)
-
-    rec(0, [], Fraction(coeff))
+            c = sign * Fraction(coeff) * math.prod(e for _, e in choice)
+            out[key] = out.get(key, Fraction(0)) + c
     return {k: v for k, v in out.items() if v != 0}
 
 

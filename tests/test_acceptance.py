@@ -18,7 +18,7 @@ from mpmath import mp
 
 from reglab.forms import Jet, eta_eval, rnn_eval, rho_of_element_at
 from reglab.k3 import data_dir, load_curve, surface_invariants
-from reglab.lattice import IntMatrix, find_integer_relation, lll_reduce, lovasz_holds
+from reglab.lattice import find_integer_relation, lll_reduce, lovasz_holds
 from reglab.lfunctions import (
     CHI_M3,
     CHI_M7,
@@ -340,7 +340,7 @@ def test_ac13_relation_detection(capsys):
         zp = zeta_prime_minus2(32).mpf()
         mp_val = -6 * Lp - mpmath.mpf(48) / 7 * zp
         rep = find_integer_relation([mp_val, Lp, zp], 64, 30)
-    planted_ok = rep is not None and rep.coefficients in ([7, 42, 48], [-7, -42, -48])
+    planted_ok = rep is not None and rep.coefficients == [7, 42, 48]
 
     # desk-scale: direct measure at its achieved precision
     P = parse_poly("(1+x)*(1+y)*(1+z)+t", ["x", "y", "z", "t"])
@@ -354,7 +354,7 @@ def test_ac13_relation_detection(capsys):
         )
         desk_outcome = (
             "recovered"
-            if desk is not None and desk.coefficients in ([7, 42, 48], [-7, -42, -48])
+            if desk is not None and desk.coefficients == [7, 42, 48]
             else ("none" if desk is None else f"WRONG {desk.coefficients}")
         )
     except ValueError:
@@ -386,13 +386,13 @@ def test_ac14_lll_against_exhaustive_search(capsys):
         n = rng.choice([2, 3])
         rows = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
         try:
-            red = lll_reduce(IntMatrix(rows))  # raises if transform not unimodular
+            red = lll_reduce(rows)  # raises if transform not unimodular
         except ValueError:
             continue  # rows dependent: regenerate
         done += 1
         assert lovasz_holds(red)
         l1 = _lambda1_sq(rows)
-        first = sum(x * x for x in red.rows[0])
+        first = sum(x * x for x in red[0])
         # delta = 3/4: ||b1||^2 <= 2^(n-1) lambda_1^2
         assert first <= 2 ** (n - 1) * l1, (rows, first, l1)
         worst_ratio = max(worst_ratio, first / l1)

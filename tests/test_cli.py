@@ -276,6 +276,25 @@ def test_verify_main_refuses_perturbed_direct_value(capsys, monkeypatch):
     assert code == 3
 
 
+def test_verify_main_accepts_only_the_normalised_relation(capsys, monkeypatch):
+    # find_integer_relation makes the first nonzero coefficient positive, so the
+    # negated relation can only come from a broken finder
+    find = cli.find_integer_relation
+
+    def negated(values, max_height, prec):
+        rep = find(values, max_height=max_height, prec=prec)
+        rep.coefficients = [-c for c in rep.coefficients]
+        return rep
+
+    monkeypatch.setattr(cli, "find_integer_relation", negated)
+    code, out, _ = run(capsys, "verify-main", "--skip-boundary", "--level", "32", "--prec", "12")
+    doc = json.loads(out)
+    assert doc["stages"]["residual"]["within_budget"] is True
+    assert doc["stages"]["relation"]["coefficients"] == [-7, -42, -48]
+    assert doc["verdict"] == "inconsistent"
+    assert code != 0
+
+
 def _corrupt_decomposition(monkeypatch):
     load = cli.load_decomposition
 

@@ -71,6 +71,58 @@ def test_dual_arithmetic():
     assert np.all(u.grad[:, 1] == 0)
 
 
+def _closed_form_wedge(rows):
+    """The determinants of order 0 to 3 written out."""
+    if len(rows) == 0:
+        return 1.0 + 0j
+    if len(rows) == 1:
+        return rows[0][:, 0]
+    if len(rows) == 2:
+        a, b = rows
+        return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    a, b, c = rows
+    return (
+        a[:, 0] * (b[:, 1] * c[:, 2] - b[:, 2] * c[:, 1])
+        - a[:, 1] * (b[:, 0] * c[:, 2] - b[:, 2] * c[:, 0])
+        + a[:, 2] * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    )
+
+
+def _random_rows(rng, m, N):
+    """m rows of 1-form values at N points, real and complex mixed as the forms mix them."""
+    rows = []
+    for i in range(m):
+        r = rng.normal(size=(N, m))
+        rows.append(r if i % 2 else r + 1j * rng.normal(size=(N, m)))
+    return rows
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_wedge_value_is_bit_identical_to_the_closed_forms(m):
+    rng = np.random.default_rng(20 + m)
+    for _ in range(20):
+        rows = _random_rows(rng, m, 64)
+        got, want = np.asarray(wedge_value(rows)), np.asarray(_closed_form_wedge(rows))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_wedge_value_above_degree_3_is_the_determinant(m):
+    rng = np.random.default_rng(30 + m)
+    rows = _random_rows(rng, m, 256)
+    want = np.linalg.det(np.stack(rows, axis=1))  # [point, row, column]
+    got = wedge_value(rows)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_wedge_value_needs_as_many_columns_as_rows():
+    rng = np.random.default_rng(40)
+    with pytest.raises(ValueError, match="wedge degree"):
+        wedge_value([rng.normal(size=(4, 3)) for _ in range(2)])
+    with pytest.raises(ValueError, match="wedge degree"):
+        wedge_value([rng.normal(size=(4, 2)), rng.normal(size=(4, 3))])
+
+
 def test_eta_two_variables_closed_form():
     # n = 2: eta(x, y) = i (log|x| d arg y - log|y| d arg x)
     rng = np.random.default_rng(0)

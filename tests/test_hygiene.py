@@ -274,3 +274,49 @@ def test_document_write_scan_sees_dumps_manifest_and_stdout_prints():
         (7, "_manifest"),
         (10, "print"),
     ]
+
+
+def _nested_self_calls(tree):
+    """(line, name) of each function nested in another that calls itself by name: the
+    function and its closure cell form a reference cycle that only the cyclic collector
+    frees."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = set()
+    for outer in ast.walk(tree):
+        if not isinstance(outer, kinds):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(inner, kinds):
+                continue
+            if any(
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == inner.name
+                for node in ast.walk(inner)
+            ):
+                found.add((inner.lineno, inner.name))
+    return sorted(found)
+
+
+def test_no_nested_function_calls_itself():
+    hits = [
+        f"{path.relative_to(SRC.parent)}:{line}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, name in _nested_self_calls(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not hits, (
+        "nested functions that call themselves (a reference cycle per call; recurse in a"
+        " module-level function or loop):\n" + "\n".join(hits)
+    )
+
+
+def test_nested_self_call_scan_sees_only_nested_recursion():
+    tree = ast.parse(
+        "def top(n):\n    return top(n - 1)\n"
+        "def outer(xs):\n    def rec(i):\n        return rec(i + 1)\n"
+        "    def helper(i):\n        return top(i)\n"
+        "    class C:\n        def m(self):\n            return self.m()\n"
+        "    return rec(0)\n"
+        "def deep():\n    def a():\n        def b():\n            return b()\n        return b()\n"
+    )
+    assert _nested_self_calls(tree) == [(4, "rec"), (14, "b")]

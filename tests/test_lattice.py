@@ -1,11 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
 
 from reglab.lattice import (
-    IntMatrix,
     RelationReport,
     find_integer_relation,
     lll_reduce,
@@ -15,22 +15,40 @@ from reglab.numerics import HPReal
 
 
 def test_identity_fixed_point():
-    I = IntMatrix([[1, 0], [0, 1]])
+    I = [[1, 0], [0, 1]]
     assert lll_reduce(I) == I
 
 
 def test_dim2_shear_example():
-    B = IntMatrix([[1, 0], [10, 1]])
+    B = [[1, 0], [10, 1]]
     red = lll_reduce(B)
+    assert B == [[1, 0], [10, 1]]  # the input rows are left as they were
     l1 = 1  # the rows span Z^2
-    first = sum(x * x for x in red.rows[0])
+    first = sum(x * x for x in red[0])
     assert first <= 2 * l1
     assert lovasz_holds(red)
 
 
 def test_dependent_rows_rejected():
     with pytest.raises(ValueError):
-        lll_reduce(IntMatrix([[1, 2], [2, 4]]))
+        lll_reduce([[1, 2], [2, 4]])
+
+
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        ([], "empty"),
+        ([[1, 0], [0]], "ragged"),
+        ([[1.5, 0], [0, 1]], "integers"),
+        ([[1, 0], [0, 1.0]], "integers"),
+        ([[Fraction(1, 2), 0], [0, 1]], "integers"),
+    ],
+)
+def test_malformed_rows_rejected(rows, reason):
+    # a fractional entry used to be truncated silently by int()
+    for check in (lll_reduce, lovasz_holds):
+        with pytest.raises(ValueError, match=reason):
+            check(rows)
 
 
 def test_golden_ratio_relation():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -80,6 +81,71 @@ def test_tame_symbol_unknown_order_root_of_unity():
     # base value 2: depends on the unknown order
     out = tame_symbol(rec(UNKNOWN_POSITIVE, 0), rec(0, 2))
     assert out is UNDECIDABLE
+
+
+_GRID_ORDERS = [-2, -1, 0, 1, 2, UNKNOWN_POSITIVE, UNKNOWN_NEGATIVE]
+_GRID_VALUES = [ROOT_OF_UNITY, INFINITY, None] + [
+    rational_function(v, "s") for v in ("0", "1", "-1", "2", "-3", "s - 1", "1/(s + 1)")
+]
+_UNRECORDED = [rational_function(v, "s") for v in ("2", "-1/3")]
+_UNITS = [rational_function(v, "s") for v in ("1", "-1")]
+
+
+def _grid_records():
+    """Every record FunctionRecord accepts with an order and a value from the grid."""
+    out = []
+    for order in _GRID_ORDERS:
+        for value in _GRID_VALUES:
+            try:
+                out.append(FunctionRecord(order, value))
+            except ValueError:
+                pass
+    return out
+
+
+def _admissible(record):
+    """(order, leading value) pairs the record allows: orders 1..3 or -3..-1 for an
+    unknown order, +-1 for the root-of-unity marker, a few rationals for an unrecorded
+    leading coefficient."""
+    orders = {UNKNOWN_POSITIVE: [1, 2, 3], UNKNOWN_NEGATIVE: [-3, -2, -1]}
+    v = record.value
+    if v is ROOT_OF_UNITY:
+        values = _UNITS
+    elif v is None or v is INFINITY or v == 0:
+        values = _UNRECORDED
+    else:
+        values = [v]
+    return [(o, x) for o in orders.get(record.order, [record.order]) for x in values]
+
+
+@functools.lru_cache(maxsize=None)
+def _defined_tame_symbol(m, f, n, g):
+    """(-1)^(mn) f^n / g^m for integer orders m, n and leading values f, g."""
+    value = f**n if n >= 0 else 1 / f**-n
+    value = value / g**m if m >= 0 else value * g**-m
+    return -value if (m * n) % 2 else value
+
+
+def test_tame_symbol_against_its_definition():
+    # T{f, g} = (-1)^(mn) f^n / g^m on leading values, m = ord f and n = ord g, under
+    # every admissible choice of what the records leave unknown
+    grid = [(r, _admissible(r)) for r in _grid_records()]
+    assert len(grid) == 61
+    verdicts = set()
+    for f, f_choices in grid:
+        for g, g_choices in grid:
+            t = tame_symbol(f, g)
+            verdicts.add(t if t is ROOT_OF_UNITY or t is UNDECIDABLE else "value")
+            defined = {
+                _defined_tame_symbol(m, fv, n, gv) for m, fv in f_choices for n, gv in g_choices
+            }
+            if t is ROOT_OF_UNITY:
+                assert defined <= set(_UNITS), (f, g)
+            elif t is UNDECIDABLE:  # some admissible choice is not a root of unity
+                assert not defined <= set(_UNITS), (f, g)
+            else:
+                assert all(d == t for d in defined), (f, g, t)
+    assert verdicts == {ROOT_OF_UNITY, UNDECIDABLE, "value"}
 
 
 def _xi():

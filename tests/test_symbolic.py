@@ -160,6 +160,21 @@ def test_wedge_multilinearity():
     assert lhs == rhs  # (xy) ^ y = x ^ y + y ^ y = x ^ y
 
 
+def test_wedge_expansion_frees_its_terms_without_the_cycle_collector():
+    # a nested function that calls itself is a reference cycle: every expansion
+    # would be left for the cyclic collector
+    basis = _basis(["x", "y", "1+x", "1+y"], ["x", "y"])
+    x, y, xy = (factor_over_basis(parse_poly(s, ["x", "y"]), basis) for s in ("x", "y", "x*y"))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            wedge_normalize([(Fraction(3), [xy, y]), (Fraction(-1), [x, xy])], basis)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _load(n):
     name = f"decomposition_n{n}.json"
     return load_decomposition(os.path.join(data_dir(), name))
