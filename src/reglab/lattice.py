@@ -1,9 +1,12 @@
 """Exact LLL reduction and LLL-based integer-relation detection.
 
-The reduction runs entirely over rationals (fractions.Fraction Gram-Schmidt)
-so that the Lovasz condition, with the classical delta = 3/4 of Lenstra,
-Lenstra and Lovasz, can be certified exactly after the fact. A lattice is
-a list of integer rows; empty, ragged and non-integer input is refused.
+The reduction is integral LLL (Cohen, "A Course in Computational Algebraic
+Number Theory", 1993, Alg. 2.6.7) with the classical delta = 3/4 of Lenstra,
+Lenstra and Lovasz: the Gram-Schmidt data are integers, updated on each size
+reduction and swap, so every decision is exact; the Lovasz condition is
+certified after the fact with a rational (fractions.Fraction) Gram-Schmidt.
+A lattice is a list of integer rows; empty, ragged and non-integer input is
+refused.
 Relation detection uses the classical embedding: scale the real values by
 10^prec, round to integers, append an identity block, reduce, and look for a
 short vector whose first coordinate (the scaled residual) is tiny.
@@ -56,18 +59,14 @@ def _gram_schmidt(rows: List[List[int]]):
     return bstar, mu, norms
 
 
-def _lovasz(mu, norms, k: int) -> bool:
-    """The Lovasz condition between rows k - 1 and k."""
-    return norms[k] >= (_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]
-
-
 def lovasz_holds(rows: Sequence[Sequence[int]]) -> bool:
     """Exact check of size reduction and the Lovasz condition."""
     rows = _int_rows(rows)
     _, mu, norms = _gram_schmidt(rows)
     n = len(rows)
     size_reduced = all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i))
-    return size_reduced and all(_lovasz(mu, norms, i) for i in range(1, n))
+    lovasz = all(norms[k] >= (_DELTA - mu[k][k - 1] ** 2) * norms[k - 1] for k in range(1, n))
+    return size_reduced and lovasz
 
 
 def _det_pm1(T: List[List[int]]) -> bool:
@@ -92,38 +91,80 @@ def _det_pm1(T: List[List[int]]) -> bool:
     return abs(sign * a[-1][-1]) == 1
 
 
-def lll_reduce(rows: Sequence[Sequence[int]]) -> List[List[int]]:
-    """LLL reduction with delta = 3/4 in exact rational arithmetic.
+def _integral_gram_schmidt(rows: List[List[int]]):
+    """The integral Gram-Schmidt data (d, lam) of Cohen's Alg. 2.6.7.
 
-    The unimodular transform taking the input to the output is tracked and
-    its determinant is verified to be +/-1; the Lovasz condition is
-    re-checked on the result before returning.
+    d[0] = 1 and d[i + 1] = d[i] |b*_i|^2 is the determinant of the Gram
+    matrix of rows 0..i; lam[i][j] = d[j + 1] mu_ij for j < i. All are
+    integers, and every division below is exact. ValueError if the rows are
+    linearly dependent.
+    """
+    n = len(rows)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(a * b for a, b in zip(rows[k], rows[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
+        if d[k + 1] == 0:
+            raise ValueError("rows are linearly dependent")
+    return d, lam
+
+
+def lll_reduce(rows: Sequence[Sequence[int]]) -> List[List[int]]:
+    """LLL reduction with delta = 3/4 in exact integer arithmetic.
+
+    Integral LLL (Cohen, "A Course in Computational Algebraic Number
+    Theory", 1993, Alg. 2.6.7): the Gram-Schmidt data d and lam of
+    ``_integral_gram_schmidt`` are computed once and updated on each size
+    reduction and swap. Row k is size-reduced against every earlier row j,
+    from k - 1 down, where |mu_kj| > 1/2, by q = round(mu_kj); then the
+    Lovasz test between rows k - 1 and k is
+    4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam[k][k-1]^2. The unimodular transform
+    taking the input to the output is tracked and its determinant is
+    verified to be +/-1; the Lovasz condition is re-checked on the result,
+    with the rational Gram-Schmidt, before returning.
     """
     rows = _int_rows(rows)
     n = len(rows)
     T = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    bstar, mu, norms = _gram_schmidt(rows)
+    d, lam = _integral_gram_schmidt(rows)
 
     def size_reduce(k, j):
-        if abs(mu[k][j]) > Fraction(1, 2):
-            q = round(mu[k][j])
-            rows[k] = [rows[k][c] - q * rows[j][c] for c in range(len(rows[k]))]
-            T[k] = [T[k][c] - q * T[j][c] for c in range(n)]
+        if 2 * abs(lam[k][j]) > d[j + 1]:
+            q = round(Fraction(lam[k][j], d[j + 1]))
+            rows[k] = [a - q * b for a, b in zip(rows[k], rows[j])]
+            T[k] = [a - q * b for a, b in zip(T[k], T[j])]
             for c in range(j):
-                mu[k][c] -= q * mu[j][c]
-            mu[k][j] -= q
+                lam[k][c] -= q * lam[j][c]
+            lam[k][j] -= q * d[j + 1]
+
+    def swap(k):
+        rows[k - 1], rows[k] = rows[k], rows[k - 1]
+        T[k - 1], T[k] = T[k], T[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        m = lam[k][k - 1]  # unchanged by the swap
+        b = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (b * t + m * lam[i][k]) // d[k + 1]
+        d[k] = b
 
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
             size_reduce(k, j)
-        if _lovasz(mu, norms, k):
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
             k += 1
         else:
-            rows[k - 1], rows[k] = rows[k], rows[k - 1]
-            T[k - 1], T[k] = T[k], T[k - 1]
-            bstar, mu, norms = _gram_schmidt(rows)
+            swap(k)
             k = max(k - 1, 1)
 
     if not _det_pm1(T):

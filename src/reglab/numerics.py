@@ -4,9 +4,9 @@ Precision is specified in decimal digits throughout. Real results are
 wrapped in :class:`HPReal`, an immutable carrier of an mpmath float and the
 precision it was computed to; arithmetic is done on the mpmath values. The
 Bloch-Wigner dilogarithm is implemented here directly: functional equations
-and a logarithm in mpmath's big floats, then the Bernoulli series of Li2 in
-fixed-point integers, from the exact coefficients that the double-precision
-kernel also rounds.
+and logarithms on mpmath's raw big-float tuples, then the Bernoulli series of
+Li2 in fixed-point integers, from the exact coefficients that the
+double-precision kernel also rounds.
 """
 
 from __future__ import annotations
@@ -17,7 +17,25 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import to_fixed, to_rational
+from mpmath.libmp import (
+    fone,
+    fzero,
+    from_man_exp,
+    mpc_abs,
+    mpc_div,
+    mpc_sub,
+    mpc_sub_mpf,
+    mpf_atan2,
+    mpf_gt,
+    mpf_log,
+    mpf_log_hypot,
+    mpf_mul,
+    mpf_neg,
+    mpf_sub,
+    round_nearest,
+    to_fixed,
+    to_rational,
+)
 
 _LOG2_10 = 3.321928094887362
 _GUARD_BITS = 10  # roughly a 2-digit guard
@@ -82,6 +100,9 @@ class HPReal:
 
 # pi/3 < 355/339, from pi < 355/113: |u| <= pi/3 after the symmetry steps
 _PI_OVER_3_UP = Fraction(355, 339)
+_RND = round_nearest
+_MPC_ONE = (fone, fzero)
+_HALF = (0, 1, -1, 1)  # 1/2 as an mpf tuple
 
 
 @functools.lru_cache(maxsize=None)
@@ -112,45 +133,63 @@ def bloch_wigner(z, prec: int = 15) -> HPReal:
     D(w) = Im Li2(w) + arg(1-w) log|w| with arg(1-w) = -Im u and
     Li2 = u + u^3 s - u^2/4, u = -log(1-w), |u| <= pi/3. The Bernoulli sum
     s = sum_j B_2j u^(2j-2) / (2j+1)! runs by Horner in u^2 over fixed-point
-    integers with wp = mp.prec + 10 fractional bits, more for a small u or
+    integers with wp = bits + 10 fractional bits, more for a small u or
     a small Im u so that D keeps its relative precision near 0 and near the
     real line. The coefficients are the exact values rounded once per
     working precision, and the term count is fixed a priori by the bound at
     |u| = pi/3 (Brent & Zimmermann, "Modern Computer Arithmetic", 2010,
-    ch. 4).
+    ch. 4). The symmetry steps, the logarithms and the final combination
+    work on mpmath's raw ``libmp`` tuples, rounded to nearest at
+    bits = _bits(prec) + 10, with the roundings mpmath's mpc arithmetic
+    makes: u from ``mpf_log_hypot`` and ``mpf_atan2``, as in ``mpc_log``,
+    and log|w| as the log of the rounded |w| (``mpf_log_hypot(w)`` would
+    round once less and move a few results by an ulp).
     """
-    zv = mpmath.mpc(z)
-    with mp.workprec(_bits(prec) + 10):
-        if zv.imag == 0:
-            return HPReal(0, prec)
-        big = abs(zv) > 1
-        w = 1 / zv if big else zv
-        refl = w.real > 0.5
-        if refl:
-            # after both steps w = 1 - 1/z, formed as (z - 1)/z: near z = 1 the
-            # rounded 1/z would lose the digits of z - 1, which is exact
-            w = (zv - 1) / zv if big else 1 - w
-        sign = -1 if big != refl else 1
-        u = -mpmath.log(1 - w)
-        # real parts of u and its powers carry rb >= wp fractional bits and
-        # imaginary parts ib >= rb, so that Im Li2 keeps wp bits relative to
-        # Im u; the real and imaginary parts of s carry wp and wp + ib - rb
-        wp = mp.prec + _GUARD_BITS
-        rb = wp + max(0, -mp.mag(u))
-        ib = max(rb, wp - mp.mag(u.imag))
-        d = ib - rb
-        ur, ui = to_fixed(u._mpc_[0], rb), to_fixed(u._mpc_[1], ib)
-        u2r = ((ur * ur) >> rb) - ((ui * ui) >> (ib + d))
-        u2i = (2 * ur * ui) >> rb
-        sr = si = 0
-        for c in reversed(_li2_series_table(wp)):
-            sr, si = (
-                ((sr * u2r) >> rb) - ((si * u2i) >> (ib + d)) + c,
-                (sr * u2i + si * u2r) >> rb,
-            )
-        # Im Li2 = Im u + Im(u * u^2 s) - Im(u^2) / 4
-        tr = ((u2r * sr) >> wp) - ((u2i * si) >> (wp + 2 * d))
-        ti = (u2r * si + u2i * sr) >> wp
-        im_li2 = ui + ((ur * ti + ui * tr) >> rb) - (u2i >> 2)
-        val = mpmath.mpf((im_li2, -ib)) - u.imag * mpmath.log(abs(w))
-        return HPReal(sign * val, prec)
+    z = mpmath.mpc(z)._mpc_
+    if z[1] == fzero:
+        return HPReal(0, prec)
+    bits = _bits(prec) + 10
+    big = mpf_gt(mpc_abs(z, bits, _RND), fone)
+    w = mpc_div(_MPC_ONE, z, bits, _RND) if big else z
+    refl = mpf_gt(w[0], _HALF)
+    if refl:
+        # after both steps w = 1 - 1/z, formed as (z - 1)/z: near z = 1 the
+        # rounded 1/z would lose the digits of z - 1, which is exact
+        if big:
+            w = mpc_div(mpc_sub_mpf(z, fone, bits, _RND), z, bits, _RND)
+        else:
+            w = mpc_sub(_MPC_ONE, w, bits, _RND)
+    sign = -1 if big != refl else 1
+    # u = -log(1 - w)
+    vr, vi = mpc_sub(_MPC_ONE, w, bits, _RND)
+    ure = mpf_neg(mpf_log_hypot(vr, vi, bits, _RND))
+    uim = mpf_neg(mpf_atan2(vi, vr, bits, _RND))
+    # real parts of u and its powers carry rb >= wp fractional bits and
+    # imaginary parts ib >= rb, so that Im Li2 keeps wp bits relative to
+    # Im u; the real and imaginary parts of s carry wp and wp + ib - rb.
+    # Im u != 0 because w is not real; mag is mpmath's bound |x| <= 2^mag
+    mag_im = uim[2] + uim[3]
+    mag_u = mag_im if ure == fzero else 1 + max(ure[2] + ure[3], mag_im)
+    wp = bits + _GUARD_BITS
+    rb = wp + max(0, -mag_u)
+    ib = max(rb, wp - mag_im)
+    d = ib - rb
+    ur, ui = to_fixed(ure, rb), to_fixed(uim, ib)
+    u2r = ((ur * ur) >> rb) - ((ui * ui) >> (ib + d))
+    u2i = (2 * ur * ui) >> rb
+    sr = si = 0
+    for c in reversed(_li2_series_table(wp)):
+        sr, si = (
+            ((sr * u2r) >> rb) - ((si * u2i) >> (ib + d)) + c,
+            (sr * u2i + si * u2r) >> rb,
+        )
+    # Im Li2 = Im u + Im(u * u^2 s) - Im(u^2) / 4
+    tr = ((u2r * sr) >> wp) - ((u2i * si) >> (wp + 2 * d))
+    ti = (u2r * si + u2i * sr) >> wp
+    im_li2 = ui + ((ur * ti + ui * tr) >> rb) - (u2i >> 2)
+    log_w = mpf_log(mpc_abs(w, bits, _RND), bits, _RND)
+    val = mpf_sub(
+        from_man_exp(im_li2, -ib, bits, _RND), mpf_mul(uim, log_w, bits, _RND), bits, _RND
+    )
+    # make_mpf: mpmath.mpf(tuple) would round to the caller's precision
+    return HPReal(mp.make_mpf(mpf_neg(val) if sign < 0 else val), prec)

@@ -1,17 +1,20 @@
 """Mahler measures: arbitrary-precision univariate values from the exact
 square-free factors and mpmath's polyroots, and multivariate values as
 iterated torus integrals with the univariate measure as the inner integral
-(Jensen's formula). The inner integrand finds the double-precision roots of
-all nodes at once, as eigenvalues of stacked companion matrices.
+(Jensen's formula). The inner integrand takes nodes where P has degree 0 or 1
+in its last variable in closed form, m(c0 + c1 t) = log max(|c0|, |c1|), and
+finds the double-precision roots of the other nodes at once, as eigenvalues
+of stacked companion matrices.
 
 Row layout of the inner integrand: the rule hands it the N nodes as
 unit-circle coordinates x_j = e^(i theta_j) (``integrate_box(...,
 circle=True)``), and each power x_j^e of a coefficient is formed once per
 batch. The coefficients of P in its last variable, C (N, deg+1), are stored
-one contiguous row of N values per power, so the root finding, the
-backward-error test and the Jensen sum each loop over the deg+1 coefficient
-columns and the deg root columns with whole-batch operations. A batch whose
-rows all have the same degree is read without an index array.
+one contiguous row of N values per power, so the closed forms, the root
+finding, the backward-error test and the Jensen sum each loop over the
+deg+1 coefficient columns and the deg root columns with whole-batch
+operations. A batch whose rows all have the same degree is read without an
+index array.
 
 m(p) = log|lead(p)| + sum over roots of log max(1, |root|);
 m(P) = (2*pi)^-(n-1) times the integral over the torus of the inner measure
@@ -113,72 +116,89 @@ def _backward_error(c: np.ndarray, r: np.ndarray) -> np.ndarray:
     return worst
 
 
-def _roots_by_degree(C: np.ndarray):
-    """Roots of each row of C (ascending coefficients), grouped by true degree.
+def _group_by_degree(C: np.ndarray):
+    """The rows of C (ascending coefficients) grouped by true degree.
 
-    Returns (lead, groups): lead[i] is row i's last nonzero coefficient, and
-    groups holds one (rows, roots) pair per degree d >= 1 that occurs, roots
-    of shape (len(rows), d). rows indexes C; it is ``slice(None)`` when every
-    row has degree d, which is then read without fancy indexing. The roots
-    are the eigenvalues of the companion matrices, stacked per degree
-    (numpy's ``roots`` solves one row the same way); a 1x1 companion matrix
-    is its own eigenvalue. RootFindingError if a root fails the
-    backward-error test or a coefficient is NaN or inf.
+    Returns one (degree, rows) pair per degree d >= 0 that occurs; rows
+    indexes C, and is ``slice(None)`` when every row has degree d, which is
+    then read without fancy indexing. ValueError if a row vanishes
+    identically; RootFindingError if a coefficient is NaN or inf, with
+    residuals NaN at those rows and 0 elsewhere.
     """
     n, width = C.shape
     cols = [C[:, k] for k in range(width)]
     if (cols[-1] != 0).all():
-        lead, by_degree = cols[-1], [(width - 1, slice(None))]
+        by_degree = [(width - 1, slice(None))]
     else:
         top = np.zeros(n, dtype=np.intp)
         for k in range(1, width):
             top[cols[k] != 0] = k
         if not ((top > 0) | (cols[0] != 0)).all():
             raise ValueError("P vanishes identically in its last variable at a node")
-        lead = C[np.arange(n), top]
-        by_degree = [(deg, np.flatnonzero(top == deg)) for deg in range(1, width)]
-    worst = np.zeros(n)
-    groups = []
-    for deg, rows in by_degree:
-        c = C[rows, : deg + 1]
-        if deg == 0 or not len(c):
-            continue
-        if deg == 1:
-            r = (-c[:, 0] / c[:, 1])[:, None]
-        else:
-            first = -c[:, -2::-1] / c[:, -1:]
-            ok = np.isfinite(first).all(axis=1)
-            companion = np.zeros((np.count_nonzero(ok), deg, deg), dtype=np.complex128)
-            companion[:, 0, :] = first[ok]
-            companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-            r = np.full((len(c), deg), np.nan + 0j)
-            try:
-                r[ok] = np.linalg.eigvals(companion)
-            except np.linalg.LinAlgError:  # QR iteration failed: NaN roots, flagged below
-                pass
-        worst[rows] = _backward_error(c, r)
-        groups.append((rows, r))
+        by_degree = [(deg, np.flatnonzero(top == deg)) for deg in range(width)]
+        by_degree = [(deg, rows) for deg, rows in by_degree if len(rows)]
     finite = np.isfinite(cols[0])
     for col in cols[1:]:
         finite &= np.isfinite(col)
-    worst[~finite] = np.nan
+    if not finite.all():
+        raise RootFindingError(
+            "a coefficient is NaN or inf", np.where(finite, 0.0, np.nan).tolist()
+        )
+    return by_degree
+
+
+def _roots(c: np.ndarray) -> np.ndarray:
+    """Roots (len(c), d) of rows c of ascending coefficients, all of degree d >= 1.
+
+    The roots are the eigenvalues of the companion matrices, stacked (numpy's
+    ``roots`` solves one row the same way); a 1x1 companion matrix is its own
+    eigenvalue. RootFindingError if a root fails the backward-error test,
+    with each row's backward error as residuals (NaN where the eigenvalue
+    iteration failed or a root is not finite).
+    """
+    deg = c.shape[1] - 1
+    if deg == 1:
+        r = (-c[:, 0] / c[:, 1])[:, None]
+    else:
+        first = -c[:, -2::-1] / c[:, -1:]
+        ok = np.isfinite(first).all(axis=1)
+        companion = np.zeros((np.count_nonzero(ok), deg, deg), dtype=np.complex128)
+        companion[:, 0, :] = first[ok]
+        companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        r = np.full((len(c), deg), np.nan + 0j)
+        try:
+            r[ok] = np.linalg.eigvals(companion)
+        except np.linalg.LinAlgError:  # QR iteration failed: NaN roots, flagged below
+            pass
+    worst = _backward_error(c, r)
     if not (worst <= _ROOT_RESIDUAL_TOL).all():
         raise RootFindingError(
             "double-precision roots failed the backward-error test", worst.tolist()
         )
-    return lead, groups
+    return r
 
 
 def _inner_mahler_batch(C: np.ndarray) -> np.ndarray:
-    """log|lead| + sum log+ |root| for each row of ascending coefficients."""
-    lead, groups = _roots_by_degree(C)
-    out = np.log(np.abs(lead))
-    for rows, r in groups:
-        outside = np.zeros(len(r))
-        for root in r.T:
+    """m of each row of ascending coefficients, by Jensen's formula.
+
+    Degrees 0 and 1 are closed forms, m(c0) = log|c0| and
+    m(c0 + c1 t) = log max(|c0|, |c1|), with no root formed; higher degrees
+    take log|lead| + sum log+ |root| over the roots from ``_roots``.
+    """
+    out = np.empty(len(C))
+    for deg, rows in _group_by_degree(C):
+        c = C[rows, : deg + 1]
+        if deg <= 1:
+            size = np.abs(c[:, 0])
+            if deg:
+                np.maximum(size, np.abs(c[:, 1]), out=size)
+            out[rows] = np.log(size, out=size)
+            continue
+        outside = np.zeros(len(c))
+        for root in _roots(c).T:
             size = np.abs(root)
             outside += np.log(np.maximum(size, 1.0, out=size), out=size)
-        out[rows] += outside
+        out[rows] = np.log(np.abs(c[:, -1])) + outside
     return out
 
 
@@ -363,7 +383,10 @@ def deninger_gamma_check(P, cfg: QuadratureConfig | None = None) -> QuadratureRe
         out = np.zeros(len(xs))
         # (node, root) pairs with |root| >= 1
         rows, roots = [], []
-        for idx, r in _roots_by_degree(C)[1]:
+        for deg, idx in _group_by_degree(C):
+            if not deg:
+                continue
+            r = _roots(C[idx, : deg + 1])
             keep = np.abs(r) >= 1.0
             rows.append(np.repeat(np.arange(len(xs))[idx], keep.sum(axis=1)))
             roots.append(r[keep])

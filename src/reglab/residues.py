@@ -158,14 +158,15 @@ def load_divisors(path_or_list) -> List[DivisorData]:
 # -- tame symbol --------------------------------------------------------------------
 
 
-def tame_symbol(fdata: FunctionRecord, gdata: FunctionRecord):
+def tame_symbol(fdata: FunctionRecord, gdata: FunctionRecord, field):
     """T_p{f,g} = (-1)^(ord f * ord g) (f^ord(g) / g^ord(f))|_p by the rule in the
-    module docstring (an unknown order is nonzero): an element of QQ(s), or 1
-    when both orders are 0; else ROOT_OF_UNITY or UNDECIDABLE."""
+    module docstring (an unknown order is nonzero): an element of ``field``, the
+    component's QQ(s), which is the field's 1 when both orders are 0; else
+    ROOT_OF_UNITY or UNDECIDABLE."""
     m, n = fdata.order, gdata.order
     needed = [rec for rec, other in ((fdata, n), (gdata, m)) if other != 0]
     if isinstance(m, int) and isinstance(n, int) and all(map(_leading_known, needed)):
-        val = -1 if (m * n) % 2 else 1
+        val = -field.one if (m * n) % 2 else field.one
         if n:
             val = val * _power(fdata.value, n)
         if m:
@@ -261,7 +262,9 @@ def _decide(f: FactoredElement, labels, basis, divisor: DivisorData):
     if fval == 1:
         return ("trivial", "steinberg_degenerate", "f restricts to 1"), None
     g, h = labels
-    t = tame_symbol(_label_record(g, basis, divisor), _label_record(h, basis, divisor))
+    t = tame_symbol(
+        _label_record(g, basis, divisor), _label_record(h, basis, divisor), divisor.field
+    )
     if t is UNDECIDABLE:
         return ("undecidable", None, "tame symbol depends on an unknown order"), None
     if _is_root_of_unity(t):

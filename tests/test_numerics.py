@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -169,6 +172,64 @@ def test_bloch_wigner_across_precisions(prec, monkeypatch):
         with mpmath.workprec(wp + 64):
             last = mpmath.mpf(c.numerator) / c.denominator * (mpmath.pi / 3) ** (2 * j + 1)
             assert abs(last) < mpmath.mpf(2) ** (-wp - 5), wp
+
+
+# D at 30 and 60 digits on D_POINTS, then the two pi/3 corner points, as printed
+# by the mpc-object implementation this one replaced
+D_PINNED = (
+    ("+8.21207557207737634993801213127e-1",
+     "+8.21207557207737634993801213126987545570057506574695607772003e-1"),
+    ("+6.95987863506462017800391134006e-1",
+     "+6.95987863506462017800391134006076914896054730388285464691853e-1"),
+    ("+2.82012232902255925048229218580e-1",
+     "+2.82012232902255925048229218580233674316901814342911549661978e-1"),
+    ("+5.21444859214973903451498640856e-1",
+     "+5.21444859214973903451498640855943403580352940638645131916647e-1"),
+    ("+8.24391857083755190542739420820e-11",
+     "+8.24391857083755190542739420819776094198380873497401911731370e-11"),
+    ("+2.40258509299404576789843950361e-9",
+     "+2.40258509299404576789843950361272836429002214701022988733034e-9"),
+    ("+2.13766922816840972175804712632e-8",
+     "+2.13766922816840972175804712631704649284201650535418615833706e-8"),
+    ("+1.01494160640965362502120255427e+0",
+     "+1.01494160640965362502120255427451385850702803086457181739123e+0"),
+    ("+1.25111461266774512134496162714e-7",
+     "+1.25111461266774512134496162713849886547384847513417710734296e-7"),
+    ("+1.67641134424230643046678368035e-7",
+     "+1.67641134424230643046678368034743956004162202136455259292790e-7"),
+    # e^(i pi/3) (1 + 1e-12) and e^(i pi/3) (1 - 1e-12)
+    ("+1.01494160640965362502120212119e+0",
+     "+1.01494160640965362502120212118743455296875426257107283940404e+0"),
+    ("+1.01494160640965362502120212132e+0",
+     "+1.01494160640965362502120212131562736568168927387276744680742e+0"),
+)
+
+
+def test_bloch_wigner_strings_pinned():
+    corner = complex(np.exp(1j * math.pi / 3))
+    points = D_POINTS + (corner * (1 + 1e-12), corner * (1 - 1e-12))
+    assert len(points) == len(D_PINNED)
+    for z, (at30, at60) in zip(points, D_PINNED):
+        assert bloch_wigner(z, 30).to_decimal() == at30, z
+        assert bloch_wigner(z, 60).to_decimal() == at60, z
+
+
+def test_importing_numerics_builds_no_series_table():
+    # the table is built on first use, so importing reglab (every layer) does not pay for it
+    code = (
+        "import reglab.numerics as n, reglab.cli; "
+        "print(n._li2_series_table.cache_info().currsize)"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "0"
 
 
 @pytest.mark.parametrize("prec", [15, 40])

@@ -21,7 +21,13 @@ from reglab.quadrature import (
     univariate_mahler,
 )
 from reglab.forms import Jet, eta_eval
-from reglab.quadrature.mahler import _coeff_table, _eval_slices, _inner_mahler_batch, _measure
+from reglab.quadrature.mahler import (
+    _coeff_table,
+    _eval_slices,
+    _inner_mahler_batch,
+    _measure,
+    _roots,
+)
 from reglab.symbolic import build_xi, load_decomposition, parse_poly
 
 
@@ -527,13 +533,66 @@ def test_inner_mahler_mixed_batch_matches_per_row_roots():
         r = np.roots(c[::-1])
         want = np.log(np.abs(c[-1])) + np.sum(np.log(np.maximum(np.abs(r), 1.0)))
         assert abs(got[i] - want) < 1e-12, i
-        if len(c) == 2:
-            exact = np.log(np.abs(c[1])) + np.log(np.maximum(np.abs(-c[0] / c[1]), 1.0))
-            assert got[i] == exact, i
+        if len(c) == 2:  # Jensen's closed form, m(c0 + c1 t) = log max(|c0|, |c1|)
+            assert got[i] == np.log(max(abs(c[0]), abs(c[1]))), i
     assert abs(got[7] - 3 * math.log(20)) < 1e-12
 
     with pytest.raises(ValueError, match="vanishes identically"):
         _inner_mahler_batch(np.vstack([C, np.zeros(4)]))
+
+
+def test_inner_mahler_degree_one_rows_take_the_closed_form():
+    # |c0| > |c1| and |c0| < |c1| at degree 1, in one batch with degree-0, -2 and -3 rows
+    C = np.array(
+        [
+            [3, 0.5, 0, 0],
+            [-4j, 1 + 1j, 0, 0],
+            [0.25, -2 + 1j, 0, 0],
+            [2.5, -2.5, 0, 0],  # root on the circle
+            [7, 0, 0, 0],
+            [1, -3, 1, 0],
+            [2 - 1j, 0.5, 3j, 1],
+            [1e-3, 5, 0, 0],
+        ],
+        dtype=np.complex128,
+    )
+    got = _inner_mahler_batch(C)
+    for i, c in enumerate(C):
+        c = np.trim_zeros(c, "b")
+        r = np.roots(c[::-1])
+        want = np.log(np.abs(c[-1])) + np.sum(np.log(np.maximum(np.abs(r), 1.0)))
+        assert abs(got[i] - want) < 1e-12, i
+        if len(c) == 2:
+            assert got[i] == np.log(max(abs(c[0]), abs(c[1]))), i
+    # the same rows alone, without the higher degrees, give the same values
+    ones = [0, 1, 2, 3, 7]
+    assert (_inner_mahler_batch(C[ones, :2]) == got[ones]).all()
+
+
+def test_inner_mahler_degree_one_needs_no_finite_root():
+    # the root -1e600 overflows a double; the closed form does not form it
+    got = _inner_mahler_batch(np.array([[1e300, 1e-300], [1, 2]], dtype=np.complex128))
+    assert got[0] == np.log(1e300)
+    assert got[1] == np.log(2)
+    # the root step, which deninger_gamma_check takes, still flags it
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RootFindingError) as info:
+        _roots(np.array([[1e300, 1e-300]], dtype=np.complex128))
+    assert math.isnan(info.value.residuals[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf)])
+@pytest.mark.parametrize("width", [2, 3])
+def test_inner_mahler_non_finite_rows_raise(bad, width):
+    C = np.ones((4, width), dtype=np.complex128)
+    C[2, 0] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(RootFindingError) as info:
+        _inner_mahler_batch(C)
+    residuals = info.value.residuals
+    assert len(residuals) == 4 and math.isnan(residuals[2])
+    assert [w for i, w in enumerate(residuals) if i != 2] == [0.0] * 3
+    # a row that vanishes identically is a ValueError, NaN rows or not
+    with pytest.raises(ValueError, match="vanishes identically"):
+        _inner_mahler_batch(np.vstack([C, np.zeros(width)]))
 
 
 def test_batched_roots_flag_failed_eigenvalues_and_inaccurate_roots(monkeypatch):
