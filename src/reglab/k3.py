@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .lfunctions import fundamental_discriminant
-from .symbolic import format_poly, parse_poly
+from .symbolic import format_poly, multiplicity, parse_poly
 
 
 def _discriminant(a1, a2, a3, a4, a6):
@@ -102,46 +102,30 @@ def _minimalize(vc4, vc6, vd):
     return vc4, vc6, vd
 
 
+# the additive types that v(Delta) alone decides: (symbol, m_s, m_s^(1))
+_ADDITIVE = {2: ("II", 1, 1), 3: ("III", 2, 2), 4: ("IV", 3, 3),
+             8: ("IV*", 7, 3), 9: ("III*", 8, 2), 10: ("II*", 9, 1)}
+
+
 def kodaira_type(v_c4, v_c6, v_delta, place: str = "?", degree: int = 1) -> FiberData:
     """Characteristic-0 Kodaira classification from minimal vanishing orders."""
     vc4, vc6, vd = _minimalize(v_c4, v_c6, v_delta)
-    if vd == 0:
-        return FiberData(place, vc4, vc6, 0, "I0", 1, 1, degree)
-    if vc4 == 0:
-        n = vd
-        return FiberData(place, vc4, vc6, vd, f"I{n}", n, n, degree)
-    if vd == 2:
-        return FiberData(place, vc4, vc6, vd, "II", 1, 1, degree)
-    if vd == 3:
-        return FiberData(place, vc4, vc6, vd, "III", 2, 2, degree)
-    if vd == 4:
-        return FiberData(place, vc4, vc6, vd, "IV", 3, 3, degree)
-    if vd == 6 and (vc4 >= 3 or vc6 >= 4):
-        return FiberData(place, vc4, vc6, vd, "I0*", 5, 4, degree)
-    if vc4 == 2 and vc6 == 3 and vd >= 6:
-        n = vd - 6
-        label = "I0*" if n == 0 else f"I{n}*"
-        return FiberData(place, vc4, vc6, vd, label, n + 5, 4, degree)
-    if vd == 8:
-        return FiberData(place, vc4, vc6, vd, "IV*", 7, 3, degree)
-    if vd == 9:
-        return FiberData(place, vc4, vc6, vd, "III*", 8, 2, degree)
-    if vd == 10:
-        return FiberData(place, vc4, vc6, vd, "II*", 9, 1, degree)
-    raise ValueError(f"inconsistent vanishing orders ({v_c4}, {v_c6}, {v_delta})")
+    if vd == 0 or vc4 == 0:
+        symbol, m, m1 = f"I{vd}", max(vd, 1), max(vd, 1)
+    elif vd == 6 and (vc4 >= 3 or vc6 >= 4):
+        symbol, m, m1 = "I0*", 5, 4
+    elif (vc4, vc6) == (2, 3) and vd >= 6:
+        symbol, m, m1 = f"I{vd - 6}*", vd - 1, 4
+    elif vd in _ADDITIVE:
+        symbol, m, m1 = _ADDITIVE[vd]
+    else:
+        raise ValueError(f"inconsistent vanishing orders ({v_c4}, {v_c6}, {v_delta})")
+    return FiberData(place, vc4, vc6, vd, symbol, m, m1, degree)
 
 
 def _order(poly, factor) -> float:
-    """Order of vanishing of poly along the irreducible factor."""
-    if not poly:
-        return math.inf
-    k = 0
-    while True:
-        q, r = poly.div(factor)
-        if r:
-            return k
-        poly = q
-        k += 1
+    """Order of vanishing of poly along the irreducible factor; inf for poly = 0."""
+    return multiplicity(poly, factor)[0] if poly else math.inf
 
 
 def finite_fibers(curve: WeierstrassCurveQt) -> List[FiberData]:
@@ -248,16 +232,18 @@ def surface_invariants(
     torsion_order: int = 1,
     require_k3: bool = True,
 ) -> SurfaceInvariants:
-    """The invariants of the surface; with ``require_k3=False`` neither rho <= 20 nor a
-    newform level is required, and the level is None when d_K is -3 or -4."""
+    """The invariants of the surface. It must be a singular K3, with Euler number 24 (the
+    sum of v(Delta) over the singular fibers) and rho = 20, so a rank-2 transcendental
+    lattice, unless ``require_k3=False``, which also admits d_K = -3, -4 with level None."""
     if mw_rank < 0 or torsion_order < 1:
         raise ValueError(
             f"need Mordell-Weil rank >= 0 and torsion order >= 1, got {mw_rank}, {torsion_order}"
         )
     fibers = all_fibers(curve)
     rho = shioda_tate_rho(mw_rank, fibers)
-    if require_k3 and rho > 20:
-        raise ValueError(f"rho = {rho} > 20: not a K3 configuration")
+    euler_sum = sum(f.degree * f.v_delta for f in fibers)
+    if require_k3 and (euler_sum, rho) != (24, 20):
+        raise ValueError(f"not a singular K3 surface: Euler number {euler_sum}, rho = {rho}")
     det = int(transcendental_det(fibers, torsion_order))
     d0, dK = _imaginary_quadratic_field(det)
     level = None if not require_k3 and dK in (-3, -4) else _cm_level(d0, dK)
@@ -270,7 +256,7 @@ def surface_invariants(
         d_K=dK,
         level=level,
         fibers=fibers,
-        euler_sum=sum(f.degree * f.v_delta for f in fibers),
+        euler_sum=euler_sum,
     )
 
 

@@ -61,6 +61,16 @@ def _is_root_of_unity(v) -> bool:
     return v is ROOT_OF_UNITY or v == 1 or v == -1
 
 
+def _sign(order) -> int:
+    """1, 0 or -1: the sign of an integer order, or of the order an unknown-order tag
+    stands for."""
+    if order == UNKNOWN_POSITIVE:
+        return 1
+    if order == UNKNOWN_NEGATIVE:
+        return -1
+    return (order > 0) - (order < 0)
+
+
 def _power(v: FracElement, e: int) -> FracElement:
     """v**e in lowest terms, also for e < 0 (a negative power of a field element is not)."""
     return v**e if e >= 0 else 1 / v**-e
@@ -87,11 +97,10 @@ class FunctionRecord:
             raise ValueError(f"order {o!r} is neither an integer nor an unknown-order tag")
         if not (v is None or v is ROOT_OF_UNITY or v is INFINITY or isinstance(v, FracElement)):
             raise ValueError(f"value {v!r} is neither an element of QQ(s) nor a marker")
-        positive = o == UNKNOWN_POSITIVE or (isinstance(o, int) and o > 0)
-        negative = o == UNKNOWN_NEGATIVE or (isinstance(o, int) and o < 0)
-        if o == 0 and (v is None or v is INFINITY or v == 0):
+        sign = _sign(o)
+        if sign == 0 and (v is None or v is INFINITY or v == 0):
             raise ValueError("order 0 requires a finite nonzero restriction value")
-        if (positive and v is INFINITY) or (negative and v == 0):
+        if (sign > 0 and v is INFINITY) or (sign < 0 and v == 0):
             raise ValueError(f"order {o} contradicts value {v}")
 
 
@@ -187,25 +196,14 @@ def _restrict_factored(f: FactoredElement, divisor: DivisorData) -> Tuple[object
     recorded, f(p) is finite and nonzero but unknown: (0, None).
     """
     factors = [(divisor.record_for(f.basis.names[i]), e) for i, e in f.exps.items()]
-    known = 0
-    unknown_pos = 0  # count of factors contributing an unknown positive order
-    unknown_neg = 0
-    for rec, e in factors:
-        o = rec.order
-        if isinstance(o, int):
-            known += o * e
-        else:
-            direction = 1 if o == UNKNOWN_POSITIVE else -1
-            if direction * e > 0:
-                unknown_pos += abs(e)
-            else:
-                unknown_neg += abs(e)
-    if unknown_pos and unknown_neg:
-        return UNDECIDABLE, None
-    if unknown_pos:
-        return (UNKNOWN_POSITIVE if known >= 0 else UNDECIDABLE), None
-    if unknown_neg:
-        return (UNKNOWN_NEGATIVE if known <= 0 else UNDECIDABLE), None
+    known = sum(rec.order * e for rec, e in factors if isinstance(rec.order, int))
+    unknown = {_sign(rec.order) * _sign(e) for rec, e in factors if isinstance(rec.order, str)}
+    if unknown:
+        # the order is decided only when the known sum and every unknown term agree in sign
+        signs = (unknown | {_sign(known)}) - {0}
+        if len(signs) > 1:
+            return UNDECIDABLE, None
+        return (UNKNOWN_POSITIVE if signs == {1} else UNKNOWN_NEGATIVE), None
     if known:
         return known, None
     val = divisor.field(f.const)

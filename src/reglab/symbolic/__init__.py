@@ -8,6 +8,7 @@ from .poly import (
     eval_poly,
     format_factored,
     format_poly,
+    multiplicity,
     parse_poly,
     poly_ring,
     split_laurent,
@@ -33,6 +34,7 @@ __all__ = [
     "ParseError",
     "poly_ring",
     "split_laurent",
+    "multiplicity",
     "eval_poly",
     "format_poly",
     "format_factored",

@@ -19,7 +19,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import sympy
 
-from .poly import eval_poly, format_poly, parse_poly, poly_ring, split_laurent
+from .poly import eval_poly, format_poly, multiplicity, parse_poly, poly_ring, split_laurent
 
 Label = Tuple[str, object]  # ("b", basis index) or ("p", prime)
 
@@ -34,12 +34,6 @@ class NotFactorable(ValueError):
 
 def _prime_factors(n: int) -> dict:
     return {int(p): int(e) for p, e in sympy.factorint(n).items()}
-
-
-def _exact_quotient(dividend, divisor):
-    """dividend / divisor if the division is exact, else None."""
-    q, r = dividend.div(divisor)
-    return None if r else q
 
 
 class MultiplicativeBasis:
@@ -64,7 +58,7 @@ class MultiplicativeBasis:
                 raise ValueError("basis entries must be polynomials")
         for i, p in enumerate(self.polys):
             for j, q in enumerate(self.polys[i + 1 :], i + 1):
-                if _exact_quotient(q, p) is not None or _exact_quotient(p, q) is not None:
+                if multiplicity(q, p)[0] or multiplicity(p, q)[0]:
                     pair = f"{self.names[i]} and {self.names[j]}"
                     raise ValueError(f"basis entries {pair} are associates or nested")
         for p, name in zip(self.polys, self.names):
@@ -177,22 +171,16 @@ def factor_over_basis(f, basis: MultiplicativeBasis) -> FactoredElement:
     if not f:
         raise ValueError("cannot factor the zero element")
     num, mono = split_laurent(f)
-    out = FactoredElement(basis, 1)
     if not mono.is_ground:
-        out = out * factor_over_basis(mono, basis).inverse()
-    rem = num
+        return factor_over_basis((num, mono), basis)
     exps = {}
     for i, b in enumerate(basis.polys):
-        while not rem.is_ground:
-            q = _exact_quotient(rem, b)
-            if q is None:
-                break
-            exps[i] = exps.get(i, 0) + 1
-            rem = q
-    if not rem.is_ground:
-        raise NotFactorable(rem)
-    c = rem.LC
-    return out * FactoredElement(basis, Fraction(c.numerator, c.denominator), exps)
+        if num.is_ground:  # no basis entry divides a constant
+            break
+        exps[i], num = multiplicity(num, b)
+    if not num.is_ground:
+        raise NotFactorable(num)
+    return FactoredElement(basis, Fraction(num.LC.numerator, num.LC.denominator), exps)
 
 
 # -- Q-linear combinations ------------------------------------------------------------

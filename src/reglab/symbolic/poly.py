@@ -12,7 +12,8 @@ which the residue certificates compute. One parser reads both: polynomials
 (``parse_poly``) and the divisor records' values (``rational_function``)
 are the same grammar, evaluated in the ring or in the field. The printers
 (``format_poly``, ``format_factored``, ``format_rational_function``) write
-that grammar back.
+that grammar back. ``multiplicity`` is the one count of a factor by exact
+division: factoring over a basis and the k3 vanishing orders both read it.
 """
 
 from __future__ import annotations
@@ -73,6 +74,22 @@ def split_laurent(p):
         return p, R.one
     mono = R({shifts: 1})
     return p * mono, mono
+
+
+def multiplicity(p, f):
+    """(k, p / f^k) for the largest k with f^k dividing p exactly in their ring.
+
+    This is the order of p along f when f is irreducible. p = 0 and a constant f
+    raise ValueError: every power of f divides them.
+    """
+    if not p or f.is_ground:
+        raise ValueError("multiplicity needs p != 0 and a non-constant f")
+    k = 0
+    while True:
+        q, r = p.div(f)
+        if r:
+            return k, p
+        p, k = q, k + 1
 
 
 def eval_poly(p, values: dict):

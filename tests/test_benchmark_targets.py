@@ -1,5 +1,5 @@
-"""The package attributes the traced benchmark wraps must exist, and the
-calls it counts must go through them.
+"""The package attributes the traced benchmark wraps must exist, the calls it
+counts must go through them, and the calls its workloads make must resolve.
 
 ``perfbench/tracing.py`` replaces functions by name through module
 attributes; a rename in the package, or a call that bypasses the attribute,
@@ -13,11 +13,12 @@ import sys
 
 import pytest
 
-from reglab import quadrature
+from reglab import cli, quadrature
 from reglab.quadrature import QuadratureConfig, mahler
 from reglab.symbolic import parse_poly
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def test_traced_attributes_resolve(monkeypatch):
@@ -36,6 +37,23 @@ def test_traced_attributes_resolve(monkeypatch):
         if not hasattr(importlib.import_module(modname), "integrate_box")
     ]
     assert not missing
+
+
+def test_benchmark_calls_resolve(monkeypatch):
+    # the benchmark's workloads build configs with a seed and run `verify-main --seed`;
+    # removing either from the package breaks them, so it must fail here too
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for _, _, _, cfg, _, _ in workloads.DIRECT_CASES:
+        QuadratureConfig(seed=1, **cfg)
+    argv = workloads.VerifyMain.prepare(1, {})["argv"]
+    args = cli.build_parser().parse_args(argv)
+    assert (args.command, args.seed) == ("verify-main", 1)
 
 
 def _count_engine_rows(monkeypatch):

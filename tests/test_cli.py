@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import os
@@ -206,6 +207,26 @@ def test_detect_from_file(tmp_path, capsys):
     assert doc["relation"]["coefficients"] == [1, -3]
 
 
+def test_detect_from_stdin_matches_file(tmp_path, capsys, monkeypatch):
+    values = ["3.14159265358979323846264338328", "1.04719755119659774615421446109"]
+    f = tmp_path / "vals.json"
+    f.write_text(json.dumps(values))
+    args = ("--height", "10", "--prec", "25")
+    _, from_file, _ = run(capsys, "detect", "--values", str(f), *args)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(values)))
+    code, from_stdin, _ = run(capsys, "detect", *args)
+    assert code == 0
+    file_doc, stdin_doc = json.loads(from_file), json.loads(from_stdin)
+    # the manifests differ only in the file they name and hash
+    file_manifest, stdin_manifest = file_doc.pop("manifest"), stdin_doc.pop("manifest")
+    assert stdin_doc == file_doc
+    assert (stdin_manifest["config"]["values"], stdin_manifest["input_hashes"]) == (None, {})
+    assert file_manifest["input_hashes"].keys() == {"vals.json"}
+    for manifest in (file_manifest, stdin_manifest):
+        del manifest["config"]["values"], manifest["input_hashes"]
+    assert stdin_manifest == file_manifest
+
+
 def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == 2
 
@@ -244,6 +265,15 @@ def test_verify_main_skip_boundary(capsys):
     assert "boundary_integral" not in doc["stages"]
     assert doc["stages"]["decomposition"]["holds"] is True
     assert doc["stages"]["residual"]["within_budget"] is True
+    assert code == 0
+
+
+def test_verify_main_at_a_low_level_finds_no_relation_and_stays_consistent(capsys):
+    # at level 16 the direct value carries too few digits for the relation search
+    code, out, _ = run(capsys, "verify-main", "--skip-boundary", "--level", "16")
+    doc = json.loads(out)
+    assert doc["stages"]["relation"] == "insufficient precision"
+    assert doc["verdict"] == "consistent"
     assert code == 0
 
 
@@ -384,6 +414,17 @@ def test_every_subcommand_writes_one_strict_document(command, capsys, tmp_path, 
     assert out.count("\n") == 1  # one document, one line
 
 
+def test_root_finding_failure_is_a_numeric_failure(capsys, monkeypatch):
+    def diverge(P, cfg):
+        raise cli.RootFindingError("root iteration did not converge: forced")
+
+    monkeypatch.setattr(cli, "mahler_measure", diverge)
+    code, out, err = run(capsys, "mahler", "--poly", "1+x+y")
+    assert code == 3
+    assert out == ""
+    assert "numeric non-convergence" in err and "input error" not in err
+
+
 def test_non_finite_number_is_a_numeric_failure(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(
         cli, "find_integer_relation", lambda *a: RelationReport([1, -1], 0.0, math.inf)
@@ -435,9 +476,12 @@ def test_verify_main_abort_documents_carry_manifest(capsys, monkeypatch, corrupt
         ["k3", "--curve", "0,0,0,t,1", "--rank", "-3"],
         ["dilog", "--z", "1e400i"],
         ["dirichlet", "--d", "3"],
-        ["k3", "--curve", "0,0,0,1,1"],  # d_K = -4 is excluded without --no-k3
+        # without --no-k3 a surface must be a singular K3: Euler number 24, rho = 20
+        ["k3", "--curve", "0,0,0,1,1"],  # no singular fiber
         ["lvalue", "--newform", "f7", "--weight", "3", "--s", "2"],
         ["lvalue", "--newform", "eta:1^3,7^3", "--s", "2"],  # a newform is a preset name
+        ["k3", "--curve", "0,0,0,t,1"],  # not a singular K3: rational, rho = 9
+        ["k3", "--curve", "0,0,0,0,t^7+1"],  # not a singular K3: a K3 with rho = 10
     ],
 )
 def test_bad_input_exits_2_without_a_document(capsys, argv):

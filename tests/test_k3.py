@@ -70,6 +70,25 @@ def test_kodaira_table_entries():
     # I_n bookkeeping
     f = kodaira_type(0, 0, 7)
     assert f.components == 7 and f.simple_components == 7
+    # a smooth fiber, also when given by a non-minimal model: one component
+    for orders in [(0, 0, 0), (4, 6, 12)]:
+        f = kodaira_type(*orders)
+        assert (f.kodaira, f.v_delta, f.components, f.simple_components) == ("I0", 0, 1, 1)
+    # components m_s and simple components m_s^(1) of the other types (Silverman,
+    # Advanced Topics, IV.9)
+    counts = {
+        (1, 1, 2): ("II", 1, 1),
+        (1, 2, 3): ("III", 2, 2),
+        (2, 2, 4): ("IV", 3, 3),
+        (3, 4, 6): ("I0*", 5, 4),
+        (2, 3, 9): ("I3*", 8, 4),
+        (3, 4, 8): ("IV*", 7, 3),
+        (3, 5, 9): ("III*", 8, 2),
+        (4, 5, 10): ("II*", 9, 1),
+    }
+    for orders, want in counts.items():
+        f = kodaira_type(*orders)
+        assert (f.kodaira, f.components, f.simple_components) == want, orders
 
 
 def test_kodaira_minimalization():
@@ -132,9 +151,26 @@ def test_schuett_level():
     for d in (1, 3):  # d_K = -4, -3
         with pytest.raises(ExcludedDiscriminantError):
             _cm_level(*_imaginary_quadratic_field(d))
-    # det T = 1 gives d_K = -4, which a K3 surface's invariants refuse
-    with pytest.raises(ExcludedDiscriminantError):
+    # the constant curve has det T = 1, but it is refused before its d_K = -4: its
+    # surface has no singular fiber, so it is not a K3
+    with pytest.raises(ValueError, match="not a singular K3") as refused:
         surface_invariants(WeierstrassCurveQt.from_string("0,0,0,1,1"))
+    assert not isinstance(refused.value, ExcludedDiscriminantError)
+
+
+@pytest.mark.parametrize(
+    "text, euler, rho",
+    [
+        ("0,0,0,t,1", 12, 9),  # rational: I1 over a cubic place and III* at oo
+        ("0,0,0,0,t^7+1", 24, 10),  # a K3 (II at 7 points, II* at oo), but not singular
+    ],
+)
+def test_surface_invariants_require_a_singular_k3(text, euler, rho):
+    curve = WeierstrassCurveQt.from_string(text)
+    with pytest.raises(ValueError, match=f"Euler number {euler}, rho = {rho}$"):
+        surface_invariants(curve)
+    inv = surface_invariants(curve, require_k3=False)
+    assert (inv.euler_sum, inv.rho) == (euler, rho)
 
 
 def test_schuett_level_of_an_even_discriminant_is_its_eta_product_level():

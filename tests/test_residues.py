@@ -1,6 +1,8 @@
 import functools
 import hashlib
+import itertools
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from reglab.residues import (
     DivisorData,
     FunctionRecord,
     B2Residue,
+    _restrict_factored,
     certify_all_residues,
     load_divisors,
     residue_43,
@@ -31,7 +34,12 @@ from reglab.symbolic import (
     load_decomposition,
     parse_poly,
 )
-from reglab.symbolic.poly import format_rational_function, rational_field, rational_function
+from reglab.symbolic.poly import (
+    FracElement,
+    format_rational_function,
+    rational_field,
+    rational_function,
+)
 
 S = sympy.Symbol("s")
 QS = rational_field("s")
@@ -388,6 +396,90 @@ def test_root_of_unity_factor_of_f_undecidable():
     verdict, why = _verdict(xi, records)
     assert verdict == "undecidable"
     assert why == "f(p) is finite and nonzero but its value is not recorded"
+
+
+def test_undetermined_order_of_f_undecidable():
+    # f = x/y with both orders positive but unknown: f(p) may be 0, finite or infinite
+    xi = _element({0: 1, 1: -1}, (0, 2))
+    records = {"x": rec(UNKNOWN_POSITIVE, 0), "y": rec(UNKNOWN_POSITIVE, 0), "z": rec(0, 2)}
+    verdict, why = _verdict(xi, records)
+    assert verdict == "undecidable"
+    assert why == "order of f along the component is not determined"
+
+
+def test_tame_symbol_of_an_unknown_order_undecidable():
+    # f = z restricts to 2; T{x, y} = y^ord(x) needs ord x, which is only known positive
+    xi = _element({2: 1}, (0, 1))
+    records = {"x": rec(UNKNOWN_POSITIVE, 0), "y": rec(0, 2), "z": rec(0, 2)}
+    verdict, why = _verdict(xi, records)
+    assert verdict == "undecidable"
+    assert why == "tame symbol depends on an unknown order"
+
+
+def test_loader_reads_a_root_of_unity_and_a_missing_value():
+    d = _one_divisor({"x": {"order": 0, "value": "root_of_unity"}, "y": {"order": 1}})
+    assert d.records["x"] == FunctionRecord(0, ROOT_OF_UNITY)
+    assert d.records["y"] == FunctionRecord(1, None)
+
+
+# records for the definition test of _restrict_factored: every kind of order, with a
+# recorded and an unrecorded leading coefficient
+_RESTRICT_RECORDS = [
+    rec(-2, "2*s"),
+    rec(-1, INFINITY),
+    FunctionRecord(0, ROOT_OF_UNITY),
+    rec(0, "s + 1"),
+    rec(1, 0),
+    rec(2, "-3"),
+    rec(UNKNOWN_POSITIVE, 0),
+    rec(UNKNOWN_NEGATIVE, INFINITY),
+]
+_SUBSTITUTES = {UNKNOWN_POSITIVE: (1, 2, 3), UNKNOWN_NEGATIVE: (-3, -2, -1)}
+
+
+def test_restrict_factored_against_its_definition():
+    # ord_p(c prod f_i^e_i) = sum e_i ord f_i, and at order 0 the value is c prod
+    # value_i^e_i, under every order 1..3 or -3..-1 the unknown-order tags allow
+    names = ["x", "y", "z"]
+    verdicts = set()
+    for k in (1, 2, 3):
+        for records in itertools.combinations_with_replacement(_RESTRICT_RECORDS, k):
+            divisor = DivisorData("d", "s", dict(zip(names, records)))
+            for exps in itertools.product((-2, -1, 1, 2), repeat=k):
+                f = FactoredElement(_BASIS, Fraction(-3, 2), dict(enumerate(exps)))
+                order, value = _restrict_factored(f, divisor)
+                choices = [_SUBSTITUTES.get(r.order, (r.order,)) for r in records]
+                sums = {
+                    sum(o * e for o, e in zip(orders, exps))
+                    for orders in itertools.product(*choices)
+                }
+                case = (records, exps)
+                if order is UNDECIDABLE:
+                    verdicts.add("undecidable")
+                elif order in (UNKNOWN_POSITIVE, UNKNOWN_NEGATIVE):
+                    verdicts.add(order)
+                    sign = 1 if order == UNKNOWN_POSITIVE else -1
+                    assert all(x * sign > 0 for x in sums), case
+                else:
+                    verdicts.add("nonzero" if order else "value" if value is not None else "zero")
+                    assert sums == {order}, case
+                if value is not None:
+                    assert order == 0, case
+                    want = QS(Fraction(-3, 2)) * math.prod(
+                        r.value**e if e > 0 else 1 / r.value**-e for r, e in zip(records, exps)
+                    )
+                    assert value == want, case
+                elif order == 0:  # a leading coefficient the value needs is not recorded
+                    assert any(not isinstance(r.value, FracElement) or r.value == 0
+                               for r in records), case
+    assert verdicts == {
+        "undecidable", UNKNOWN_POSITIVE, UNKNOWN_NEGATIVE, "nonzero", "zero", "value"
+    }
+    # a known part of -1 and an unknown positive order at exponent 2 stay undecided,
+    # although their sum is at least 1
+    divisor = DivisorData("d", "s", {"x": rec(1, 0), "y": rec(UNKNOWN_POSITIVE, 0)})
+    f = FactoredElement(_BASIS, 1, {0: -1, 1: 2})
+    assert _restrict_factored(f, divisor) == (UNDECIDABLE, None)
 
 
 def test_tame_symbol_unrecorded_pole_coefficient():

@@ -20,6 +20,7 @@ from reglab.symbolic import (
     factor_over_basis,
     format_poly,
     load_decomposition,
+    multiplicity,
     parse_poly,
     poly_ring,
     split_laurent,
@@ -127,8 +128,24 @@ def test_factor_over_basis_flagship():
     assert fe.const == -1
     num, den = fe.expand()
     assert num == t * den
+    # a Laurent monomial denominator factors over the basis too
+    laurent = parse_poly("-2*x^-2*y^-1*(1+x)^3", VARS3)
+    fe = factor_over_basis(laurent, basis)
+    assert (fe.const, fe.exps) == (-2, {0: -2, 1: -1, 3: 3})
     with pytest.raises(NotFactorable):
         factor_over_basis(parse_poly("1+x+y", VARS3), basis)
+
+
+def test_multiplicity_counts_a_factor_by_exact_division():
+    p = parse_poly("3*x^2*(1+x)^3*(1+y)", ["x", "y"])
+    for factor, k in [("1+x", 3), ("x", 2), ("1+y", 1), ("1+x+y", 0), ("(1+x)^2", 1)]:
+        f = parse_poly(factor, ["x", "y"])
+        got, rest = multiplicity(p, f)
+        assert got == k and rest * f**k == p, factor
+    # every power of f divides 0, and every power of a constant divides p
+    for p, f in [("0", "x"), ("x", "3")]:
+        with pytest.raises(ValueError):
+            multiplicity(parse_poly(p, ["x"]), parse_poly(f, ["x"]))
 
 
 def test_factored_inverse_and_pow():
