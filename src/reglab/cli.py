@@ -59,6 +59,11 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
+# verify-main searches for the relation of the paper's identity
+# 7 m(P) + 42 L'(f7, -1) + 48 zeta'(-2) = 0, with coefficients up to this height
+MAIN_RELATION = [7, 42, 48]
+RELATION_HEIGHT = 64
+
 
 def _hash_file(path: str) -> str:
     with open(path, "rb") as fh:
@@ -212,7 +217,7 @@ def cmd_dilog(args):
 
 def cmd_lvalue(args):
     f = PRESETS[args.newform]
-    lam = completed_lambda(f, args.s, args.prec, A=args.split)
+    lam = completed_lambda(f, args.s, args.prec)
     L = lvalue(f, args.s, args.prec)
     return {
         "newform": args.newform,
@@ -283,7 +288,7 @@ def cmd_k3(args):
         path = os.path.join(data_dir(), "k3_curve.json")
         curve, rank, torsion = load_curve(path)
         inputs.append(path)
-    inv = surface_invariants(curve, rank, torsion, require_k3=not args.no_k3)
+    inv = surface_invariants(curve, rank, torsion)
     payload = inv.to_dict()
     payload["delta"] = format_factored(curve.discriminant()[0])
     payload["exact"] = True
@@ -320,20 +325,16 @@ def cmd_verify_main(args):
     diag(f"stage 2: all {len(cert['divisors'])} residue certificates trivial")
 
     # stage 3: direct Mahler measure (the kink chart for this P)
-    cfg = _quad_config(args)
+    cfg = QuadratureConfig(level=args.level, seed=args.seed, prec=args.prec)
     P = parse_poly("(1+x)*(1+y)*(1+z)+t", ["x", "y", "z", "t"])
     direct = mahler_measure(P, cfg)
     report["stages"]["direct_measure"] = _num(direct.value, direct.error_estimate)
     diag(f"stage 3: m(P) = {float(direct.value):.10f} (direct)")
 
     # stage 4: boundary regulator integral
-    if args.skip_boundary:
-        boundary = None
-        diag("stage 4: skipped")
-    else:
-        boundary = regulator_boundary_integral(lam, cfg)
-        report["stages"]["boundary_integral"] = _num(boundary.value, boundary.error_estimate)
-        diag(f"stage 4: boundary integral = {float(boundary.value):.10f}")
+    boundary = regulator_boundary_integral(lam, cfg)
+    report["stages"]["boundary_integral"] = _num(boundary.value, boundary.error_estimate)
+    diag(f"stage 4: boundary integral = {float(boundary.value):.10f}")
 
     # stage 5: L-values
     Lp = lprime_minus1(PRESETS["f7"], max(args.prec, 20))
@@ -355,16 +356,14 @@ def cmd_verify_main(args):
         "within_budget": residual <= budget,
     }
     diag(f"stage 6: residual = {residual:.3e}")
-    if boundary is not None:
-        pairing_delta = abs(float(direct.value) - float(boundary.value))
-        report["stages"]["pairing_delta"] = pairing_delta
-        diag(f"          |direct - boundary| = {pairing_delta:.3e}")
+    pairing_delta = abs(float(direct.value) - float(boundary.value))
+    report["stages"]["pairing_delta"] = pairing_delta
+    diag(f"          |direct - boundary| = {pairing_delta:.3e}")
 
     # stage 7: relation detection at the precision of the oracle with the
     # smallest reported error
-    oracles = [("direct", direct), ("boundary", boundary)]
     name, best = min(
-        ((n, r) for n, r in oracles if r is not None), key=lambda o: float(o[1].error_estimate)
+        [("direct", direct), ("boundary", boundary)], key=lambda o: float(o[1].error_estimate)
     )
     value = float(best.value)
     err = max(float(best.error_estimate), np.finfo(float).eps * abs(value))
@@ -372,7 +371,7 @@ def cmd_verify_main(args):
     try:
         rep = find_integer_relation(
             [mpmath.mpf(value), Lp.mpf(), zp.mpf()],
-            max_height=args.height,
+            max_height=RELATION_HEIGHT,
             prec=achieved,
         )
     except ValueError:
@@ -389,7 +388,7 @@ def cmd_verify_main(args):
         diag(f"stage 7: {relation} ({name} value, {achieved} digits)")
 
     ok = report["stages"]["residual"]["within_budget"] and (
-        rep is None or rep.coefficients == [7, 42, 48]
+        rep is None or rep.coefficients == MAIN_RELATION
     )
     report["verdict"] = "consistent" if ok else "inconsistent"
     return report, inputs, EXIT_OK if ok else EXIT_NUMERIC
@@ -398,21 +397,23 @@ def cmd_verify_main(args):
 # -- parser ---------------------------------------------------------------------------
 
 
-def _command(sub, name, fn, help, prec=True, quad=False, rule_default="gauss_legendre_tensor"):
+def _command(sub, name, fn, help, prec=True, quad=False):
     """A subparser running ``fn``, with only the shared options the subcommand reads."""
     p = sub.add_parser(name, help=help)
     p.set_defaults(fn=fn)
     if prec:
         p.add_argument("--prec", type=int, default=15)
-    p.add_argument("--json-indent", type=int, default=None, dest="json_indent")
     if quad:
         p.add_argument(
             "--seed", type=int, default=12345, help="recorded in the manifest; no rule reads it"
         )
         p.add_argument("--level", type=int, default=64)
-        p.add_argument("--depth", type=int, default=0)
-        p.add_argument("--rule", default=rule_default, choices=RULES)
     return p
+
+
+def _add_rule(p, default="gauss_legendre_tensor"):
+    p.add_argument("--rule", default=default, choices=RULES)
+    p.add_argument("--depth", type=int, default=0)
 
 
 def _add_poly(p):
@@ -432,21 +433,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = _command(
-        sub, "mahler", cmd_mahler, "logarithmic Mahler measure of a polynomial",
-        quad=True, rule_default=None,
+        sub, "mahler", cmd_mahler, "logarithmic Mahler measure of a polynomial", quad=True
     )
+    _add_rule(p, default=None)
     _add_poly(p)
 
     p = _command(
         sub, "deninger-check", cmd_deninger_check,
         "compare m(P) with the Gamma-chain integral", quad=True,
     )
+    _add_rule(p)
     _add_poly(p)
 
     p = _command(
         sub, "boundary-integral", cmd_boundary_integral,
         "regulator integral over the chain boundary", quad=True,
     )
+    _add_rule(p)
     p.add_argument("--n", type=int, default=4, choices=[3, 4])
     p.add_argument("--file", default=None)
 
@@ -468,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "lvalue", cmd_lvalue, "L(f, s) via the completed L-function")
     _add_newform(p)
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--split", type=float, default=1.0)
 
     p = _command(sub, "lprime-minus1", cmd_lprime_minus1, "L'(f, -1) at the trivial zero")
     _add_newform(p)
@@ -490,11 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", default=None, help="a1,a2,a3,a4,a6 as polynomials in t")
     p.add_argument("--rank", type=int, default=0)
     p.add_argument("--torsion", type=int, default=1)
-    p.add_argument("--no-k3", action="store_true", dest="no_k3")
 
-    p = _command(sub, "verify-main", cmd_verify_main, "one-shot verification pipeline", quad=True)
-    p.add_argument("--skip-boundary", action="store_true", dest="skip_boundary")
-    p.add_argument("--height", type=int, default=64)
+    _command(sub, "verify-main", cmd_verify_main, "one-shot verification pipeline", quad=True)
 
     return ap
 
@@ -521,7 +520,7 @@ def main(argv=None) -> int:
     finally:
         print(f"wall time: {time.time() - t0:.3f} s", file=sys.stderr)
     try:
-        text = json.dumps(payload, indent=args.json_indent, sort_keys=True, allow_nan=False)
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
     except ValueError as e:
         print(f"numeric failure: non-finite number in the result ({e})", file=sys.stderr)
         return EXIT_NUMERIC

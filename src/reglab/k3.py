@@ -208,7 +208,7 @@ class SurfaceInvariants:
     det_T: int
     d: int
     d_K: int
-    level: Optional[int]  # None for d_K = -3, -4, which only require_k3=False admits
+    level: int
     fibers: List[FiberData]
     euler_sum: int
 
@@ -227,14 +227,11 @@ class SurfaceInvariants:
 
 
 def surface_invariants(
-    curve: WeierstrassCurveQt,
-    mw_rank: int = 0,
-    torsion_order: int = 1,
-    require_k3: bool = True,
+    curve: WeierstrassCurveQt, mw_rank: int = 0, torsion_order: int = 1
 ) -> SurfaceInvariants:
     """The invariants of the surface. It must be a singular K3, with Euler number 24 (the
     sum of v(Delta) over the singular fibers) and rho = 20, so a rank-2 transcendental
-    lattice, unless ``require_k3=False``, which also admits d_K = -3, -4 with level None."""
+    lattice."""
     if mw_rank < 0 or torsion_order < 1:
         raise ValueError(
             f"need Mordell-Weil rank >= 0 and torsion order >= 1, got {mw_rank}, {torsion_order}"
@@ -242,11 +239,10 @@ def surface_invariants(
     fibers = all_fibers(curve)
     rho = shioda_tate_rho(mw_rank, fibers)
     euler_sum = sum(f.degree * f.v_delta for f in fibers)
-    if require_k3 and (euler_sum, rho) != (24, 20):
+    if (euler_sum, rho) != (24, 20):
         raise ValueError(f"not a singular K3 surface: Euler number {euler_sum}, rho = {rho}")
     det = int(transcendental_det(fibers, torsion_order))
     d0, dK = _imaginary_quadratic_field(det)
-    level = None if not require_k3 and dK in (-3, -4) else _cm_level(d0, dK)
     return SurfaceInvariants(
         mw_rank=mw_rank,
         torsion_order=torsion_order,
@@ -254,7 +250,7 @@ def surface_invariants(
         det_T=det,
         d=d0,
         d_K=dK,
-        level=level,
+        level=_cm_level(d0, dK),
         fibers=fibers,
         euler_sum=euler_sum,
     )

@@ -14,8 +14,8 @@ orders are integers and every needed leading coefficient is recorded, and
 is otherwise a root of unity when every needed leading value is one, and
 undecidable when not.
 
-Every recorded value is an element of the field QQ(s), s the component's
-parameter, read by ``symbolic.poly.rational_function``: the polynomial
+Every recorded value is an element of the one field QQ(s), s the parameter
+of every component, read by ``symbolic.poly.rational_function``: the polynomial
 grammar of ``parse_poly`` evaluated in QQ(s), with "inf" and
 "root_of_unity" as markers. Certificates print their values back in the
 same grammar (``format_rational_function``). Field arithmetic keeps its elements in lowest
@@ -24,7 +24,8 @@ collected under the elements themselves. Records that contradict
 themselves are rejected with ``ValueError``: order 0 with value 0 or
 infinity, a positive order with value infinity, a negative order with
 value 0, or a value outside the grammar (an irrational constant, a
-decimal, a second symbol, a division by zero).
+decimal, a second symbol, a division by zero). A record whose "parameter"
+is not s is refused too.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .symbolic import B2WedgeElement, FactoredElement
-from .symbolic.poly import FracElement, format_rational_function, rational_field, rational_function
+from .symbolic.poly import QS, FracElement, format_rational_function, rational_function
 
 UNKNOWN_POSITIVE = "unknown_positive"
 UNKNOWN_NEGATIVE = "unknown_negative"
@@ -111,21 +112,10 @@ def _leading_known(rec: FunctionRecord) -> bool:
 
 @dataclass
 class DivisorData:
-    """One codimension-one component with per-function records; ``field`` is
-    QQ(parameter), the field of every recorded value."""
+    """One codimension-one component with per-function records."""
 
     name: str
-    parameter: str
     records: Dict[str, FunctionRecord]
-
-    def __post_init__(self):
-        self.field = rational_field(self.parameter)
-        for fname, rec in self.records.items():
-            if isinstance(rec.value, FracElement) and rec.value.field != self.field:
-                raise ValueError(
-                    f"divisor {self.name}: value {rec.value} of {fname!r} "
-                    f"is not in QQ({self.parameter})"
-                )
 
     def record_for(self, fname: str) -> FunctionRecord:
         if fname not in self.records:
@@ -133,14 +123,14 @@ class DivisorData:
         return self.records[fname]
 
 
-def _parse_value(raw: Optional[str], parameter: str):
+def _parse_value(raw: Optional[str]):
     if raw is None:
         return None
     if raw in ("inf", "infinity"):
         return INFINITY
     if raw == "root_of_unity":
         return ROOT_OF_UNITY
-    return rational_function(raw, parameter)
+    return rational_function(raw)
 
 
 def load_divisors(path_or_list) -> List[DivisorData]:
@@ -153,29 +143,29 @@ def load_divisors(path_or_list) -> List[DivisorData]:
     parsed: Dict[tuple, FunctionRecord] = {}  # records are frozen, so divisors share them
     out = []
     for d in docs:
-        parameter = d.get("parameter", "s")
+        if d.get("parameter", "s") != "s":
+            raise ValueError(f"divisor {d['name']}: parameter {d['parameter']!r} is not s")
         recs = {}
         for fname, r in d["functions"].items():
-            key = (parameter, r["order"], r.get("value"))
+            key = (r["order"], r.get("value"))
             if key not in parsed:
-                parsed[key] = FunctionRecord(r["order"], _parse_value(r.get("value"), parameter))
+                parsed[key] = FunctionRecord(r["order"], _parse_value(r.get("value")))
             recs[fname] = parsed[key]
-        out.append(DivisorData(d["name"], parameter, recs))
+        out.append(DivisorData(d["name"], recs))
     return out
 
 
 # -- tame symbol --------------------------------------------------------------------
 
 
-def tame_symbol(fdata: FunctionRecord, gdata: FunctionRecord, field):
+def tame_symbol(fdata: FunctionRecord, gdata: FunctionRecord):
     """T_p{f,g} = (-1)^(ord f * ord g) (f^ord(g) / g^ord(f))|_p by the rule in the
-    module docstring (an unknown order is nonzero): an element of ``field``, the
-    component's QQ(s), which is the field's 1 when both orders are 0; else
-    ROOT_OF_UNITY or UNDECIDABLE."""
+    module docstring (an unknown order is nonzero): an element of QQ(s), which is
+    the field's 1 when both orders are 0; else ROOT_OF_UNITY or UNDECIDABLE."""
     m, n = fdata.order, gdata.order
     needed = [rec for rec, other in ((fdata, n), (gdata, m)) if other != 0]
     if isinstance(m, int) and isinstance(n, int) and all(map(_leading_known, needed)):
-        val = -field.one if (m * n) % 2 else field.one
+        val = -QS.one if (m * n) % 2 else QS.one
         if n:
             val = val * _power(fdata.value, n)
         if m:
@@ -206,7 +196,7 @@ def _restrict_factored(f: FactoredElement, divisor: DivisorData) -> Tuple[object
         return (UNKNOWN_POSITIVE if signs == {1} else UNKNOWN_NEGATIVE), None
     if known:
         return known, None
-    val = divisor.field(f.const)
+    val = QS(f.const)
     for rec, e in factors:
         if not _leading_known(rec):
             return 0, None
@@ -217,7 +207,7 @@ def _restrict_factored(f: FactoredElement, divisor: DivisorData) -> Tuple[object
 def _label_record(label, basis, divisor: DivisorData) -> FunctionRecord:
     kind, key = label
     if kind == "p":
-        return FunctionRecord(0, divisor.field(key))
+        return FunctionRecord(0, QS(key))
     return divisor.record_for(basis.names[key])
 
 
@@ -260,9 +250,7 @@ def _decide(f: FactoredElement, labels, basis, divisor: DivisorData):
     if fval == 1:
         return ("trivial", "steinberg_degenerate", "f restricts to 1"), None
     g, h = labels
-    t = tame_symbol(
-        _label_record(g, basis, divisor), _label_record(h, basis, divisor), divisor.field
-    )
+    t = tame_symbol(_label_record(g, basis, divisor), _label_record(h, basis, divisor))
     if t is UNDECIDABLE:
         return ("undecidable", None, "tame symbol depends on an unknown order"), None
     if _is_root_of_unity(t):

@@ -6,8 +6,8 @@ x + x^-1 is one element; exact division, gcd and factoring are the ring's
 methods. Rings built twice from the same variables are equal and their
 elements mix. This module is the one place that builds such rings; the
 symbolic layer, the k3 curves over QQ[t] and the Mahler measures (the
-univariate one over QQ[x]) all compute on them. It is also the one place
-that builds the fields QQ(s) of rational functions in one parameter, in
+univariate one over QQ[x]) all compute on them. It also builds, once, the
+field ``QS`` = QQ(s) of rational functions in the divisor parameter s, in
 which the residue certificates compute. One parser reads both: polynomials
 (``parse_poly``) and the divisor records' values (``rational_function``)
 are the same grammar, evaluated in the ring or in the field. The printers
@@ -40,24 +40,20 @@ def poly_ring(variables):
     return ring(list(variables), QQ)[0]
 
 
-def rational_field(parameter: str):
-    """The field QQ(parameter); fields built twice are equal and their elements mix.
-
-    It is built as the fraction field of ZZ[parameter], which is the same field:
-    its elements are held as quotients of integer polynomials, whose gcds are
-    about five times faster than those over QQ.
-    """
-    return field(parameter, ZZ)[0]
+# The field QQ(s), built as the fraction field of ZZ[s], which is the same field: its
+# elements are held as quotients of integer polynomials, whose gcds are about five
+# times faster than those over QQ.
+QS = field("s", ZZ)[0]
 
 
-def rational_function(value, parameter: str) -> FracElement:
+def rational_function(value) -> FracElement:
     """``value`` (a string in the grammar of ``parse_poly``, or an int) as an element
-    of QQ(parameter); ``/`` and negative powers are the field's division.
+    of QQ(s); ``/`` and negative powers are the field's division.
 
     Anything else raises ParseError, a ValueError: a decimal such as "0.5",
     another name, "s**2", a division by zero.
     """
-    return _Parser(str(value), rational_field(parameter)).parse()
+    return _Parser(str(value), QS).parse()
 
 
 def _exact(c):

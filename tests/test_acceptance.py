@@ -264,11 +264,10 @@ def test_ac10_residue_certificates(capsys):
     )
     control = DivisorData(
         "control",
-        "s",
         {
-            "x": FunctionRecord(1, rational_function(0, "s")),
-            "y": FunctionRecord(0, rational_function("s", "s")),
-            "z": FunctionRecord(0, rational_function(2, "s")),
+            "x": FunctionRecord(1, rational_function(0)),
+            "y": FunctionRecord(0, rational_function("s")),
+            "z": FunctionRecord(0, rational_function(2)),
         },
     )
     nontrivial = certify_all_residues(xi, [control])["overall"] == "nontrivial"

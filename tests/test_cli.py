@@ -127,45 +127,6 @@ def test_k3_document_of_the_shipped_curve(capsys):
     }
 
 
-def test_k3_document_of_an_even_discriminant(capsys):
-    code, out, _ = run(capsys, "k3", "--curve", "t,t^2+1,0,t^3,t", "--no-k3")
-    assert code == 0
-    doc = json.loads(out)
-    del doc["manifest"]
-    nonic = (
-        "25*t^9 - 64*t^8 + 40*t^7 - 125*t^6 + 376*t^5 - 300*t^4 + 288*t^3"
-        " - 240*t^2 - 432*t - 64"
-    )
-    assert doc == {
-        "d": 2,
-        "d_K": -8,
-        "delta": f"t*({nonic})",
-        "detT": 2,
-        "exact": True,
-        "fibers": [
-            _multiplicative("t", 1),
-            _multiplicative(nonic, 1, degree=9),
-            _multiplicative("t = oo", 2),
-        ],
-        "level": 8,  # the CM form of Q(sqrt(-2)) has level |d_K| = 8
-        "mw_rank": 0,
-        "rho": 3,
-        "sum_v_delta": 12,
-        "torsion_order": 1,
-    }
-    # d_K = -4 has no newform level, but --no-k3 still gives the fiber data
-    code, out, _ = run(capsys, "k3", "--curve", "0,0,0,1,1", "--no-k3")
-    assert code == 0
-    doc = json.loads(out)
-    assert (doc["fibers"], doc["rho"], doc["detT"], doc["d"], doc["d_K"]) == ([], 2, 1, 1, -4)
-    assert doc["level"] is None
-    code, out, _ = run(capsys, "k3", "--curve", "0,0,0,t,0", "--no-k3")
-    assert code == 0
-    doc = json.loads(out)
-    assert [(f["place"], f["kodaira"]) for f in doc["fibers"]] == [("t", "III"), ("t = oo", "III*")]
-    assert (doc["rho"], doc["detT"], doc["d"], doc["d_K"], doc["level"]) == (10, 4, 1, -4, None)
-
-
 def test_decomp_check(capsys):
     code, out, _ = run(capsys, "decomp-check", "--n", "4")
     assert code == 0
@@ -257,12 +218,9 @@ def test_stdout_determinism(capsys):
         assert "wall time:" in err1
 
 
-def test_verify_main_skip_boundary(capsys):
-    code, out, err = run(
-        capsys, "verify-main", "--skip-boundary", "--level", "32", "--prec", "12"
-    )
+def test_verify_main_level32(capsys):
+    code, out, err = run(capsys, "verify-main", "--level", "32", "--prec", "12")
     doc = json.loads(out)
-    assert "boundary_integral" not in doc["stages"]
     assert doc["stages"]["decomposition"]["holds"] is True
     assert doc["stages"]["residual"]["within_budget"] is True
     assert code == 0
@@ -270,7 +228,7 @@ def test_verify_main_skip_boundary(capsys):
 
 def test_verify_main_at_a_low_level_finds_no_relation_and_stays_consistent(capsys):
     # at level 16 the direct value carries too few digits for the relation search
-    code, out, _ = run(capsys, "verify-main", "--skip-boundary", "--level", "16")
+    code, out, _ = run(capsys, "verify-main", "--level", "16")
     doc = json.loads(out)
     assert doc["stages"]["relation"] == "insufficient precision"
     assert doc["verdict"] == "consistent"
@@ -317,7 +275,7 @@ def test_verify_main_accepts_only_the_normalised_relation(capsys, monkeypatch):
         return rep
 
     monkeypatch.setattr(cli, "find_integer_relation", negated)
-    code, out, _ = run(capsys, "verify-main", "--skip-boundary", "--level", "32", "--prec", "12")
+    code, out, _ = run(capsys, "verify-main", "--level", "32", "--prec", "12")
     doc = json.loads(out)
     assert doc["stages"]["residual"]["within_budget"] is True
     assert doc["stages"]["relation"]["coefficients"] == [-7, -42, -48]
@@ -372,7 +330,7 @@ def test_verify_main_factors_the_decomposition_terms_once(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "load_decomposition", loading)
     monkeypatch.setattr(algebra, "factor_over_basis", counting)
-    code, _, _ = run(capsys, "verify-main", "--skip-boundary", "--level", "32", "--prec", "12")
+    code, _, _ = run(capsys, "verify-main", "--level", "32", "--prec", "12")
     assert code == 0
     (doc,) = docs
     polys = [p for _, f, gs in doc.terms for p in [f, *gs]]
@@ -392,7 +350,7 @@ FAST_ARGS = {
     "dirichlet": ["--d", "-4", "--s", "3"],
     "detect": ["--values", "vals.json", "--height", "10", "--prec", "30"],
     "k3": [],
-    "verify-main": ["--skip-boundary", "--level", "32", "--prec", "12"],
+    "verify-main": ["--level", "32", "--prec", "12"],
 }
 
 
@@ -476,7 +434,7 @@ def test_verify_main_abort_documents_carry_manifest(capsys, monkeypatch, corrupt
         ["k3", "--curve", "0,0,0,t,1", "--rank", "-3"],
         ["dilog", "--z", "1e400i"],
         ["dirichlet", "--d", "3"],
-        # without --no-k3 a surface must be a singular K3: Euler number 24, rho = 20
+        # a surface must be a singular K3: Euler number 24, rho = 20
         ["k3", "--curve", "0,0,0,1,1"],  # no singular fiber
         ["lvalue", "--newform", "f7", "--weight", "3", "--s", "2"],
         ["lvalue", "--newform", "eta:1^3,7^3", "--s", "2"],  # a newform is a preset name

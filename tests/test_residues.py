@@ -35,34 +35,33 @@ from reglab.symbolic import (
     parse_poly,
 )
 from reglab.symbolic.poly import (
+    QS,
     FracElement,
     format_rational_function,
-    rational_field,
     rational_function,
 )
 
 S = sympy.Symbol("s")
-QS = rational_field("s")
 
 
 def rec(order, value):
     if value is not None and value is not INFINITY:
-        value = rational_function(value, "s")
+        value = rational_function(value)
     return FunctionRecord(order, value)
 
 
 def test_tame_symbol_spec_cases():
     # both orders 0: exponents vanish
-    assert tame_symbol(rec(0, 5), rec(0, 7), QS) == 1
+    assert tame_symbol(rec(0, 5), rec(0, 7)) == 1
     # f a uniformizer (leading coefficient 1), g restricting to c: 1/c
-    assert tame_symbol(rec(1, 1), rec(0, 7), QS) == rational_function("1/7", "s")
+    assert tame_symbol(rec(1, 1), rec(0, 7)) == rational_function("1/7")
     # f = g with order 1: (-1)^{1*1} * 1
-    assert tame_symbol(rec(1, 1), rec(1, 1), QS) == -1
+    assert tame_symbol(rec(1, 1), rec(1, 1)) == -1
 
 
 def test_tame_symbol_of_two_units_is_the_fields_one():
     # equal results must collapse in a set or a dict key, as residue_43 keys its pairs
-    t = tame_symbol(rec(0, 5), rec(0, 7), QS)
+    t = tame_symbol(rec(0, 5), rec(0, 7))
     assert isinstance(t, type(QS(1)))
     assert {t, QS(1)} == {QS(1)}
     assert {t: 1, QS(1): 2} == {QS(1): 2}
@@ -75,8 +74,8 @@ def test_tame_symbol_antisymmetry():
         (rec(2, 3), rec(3, 7)),
     ]
     for f, g in cases:
-        a = tame_symbol(f, g, QS)
-        b = tame_symbol(g, f, QS)
+        a = tame_symbol(f, g)
+        b = tame_symbol(g, f)
         assert a * b == 1
 
 
@@ -86,26 +85,26 @@ def test_tame_symbol_bimultiplicative():
     f2 = rec(2, 3)
     g = rec(0, 5)
     f12 = rec(3, 6)
-    lhs = tame_symbol(f12, g, QS)
-    rhs = tame_symbol(f1, g, QS) * tame_symbol(f2, g, QS)
+    lhs = tame_symbol(f12, g)
+    rhs = tame_symbol(f1, g) * tame_symbol(f2, g)
     assert lhs == rhs
 
 
 def test_tame_symbol_unknown_order_root_of_unity():
     # other order 0, base value -1: (-1)^(+-k) is a root of unity regardless
-    out = tame_symbol(rec(UNKNOWN_POSITIVE, 0), rec(0, -1), QS)
+    out = tame_symbol(rec(UNKNOWN_POSITIVE, 0), rec(0, -1))
     assert out is ROOT_OF_UNITY
     # base value 2: depends on the unknown order
-    out = tame_symbol(rec(UNKNOWN_POSITIVE, 0), rec(0, 2), QS)
+    out = tame_symbol(rec(UNKNOWN_POSITIVE, 0), rec(0, 2))
     assert out is UNDECIDABLE
 
 
 _GRID_ORDERS = [-2, -1, 0, 1, 2, UNKNOWN_POSITIVE, UNKNOWN_NEGATIVE]
 _GRID_VALUES = [ROOT_OF_UNITY, INFINITY, None] + [
-    rational_function(v, "s") for v in ("0", "1", "-1", "2", "-3", "s - 1", "1/(s + 1)")
+    rational_function(v) for v in ("0", "1", "-1", "2", "-3", "s - 1", "1/(s + 1)")
 ]
-_UNRECORDED = [rational_function(v, "s") for v in ("2", "-1/3")]
-_UNITS = [rational_function(v, "s") for v in ("1", "-1")]
+_UNRECORDED = [rational_function(v) for v in ("2", "-1/3")]
+_UNITS = [rational_function(v) for v in ("1", "-1")]
 
 
 def _grid_records():
@@ -151,7 +150,7 @@ def test_tame_symbol_against_its_definition():
     verdicts = set()
     for f, f_choices in grid:
         for g, g_choices in grid:
-            t = tame_symbol(f, g, QS)
+            t = tame_symbol(f, g)
             verdicts.add(t if t is ROOT_OF_UNITY or t is UNDECIDABLE else "value")
             defined = {
                 _defined_tame_symbol(m, fv, n, gv) for m, fv in f_choices for n, gv in g_choices
@@ -181,7 +180,6 @@ def test_residue_steinberg_kill():
     xi = _xi()
     d = DivisorData(
         "test",
-        "s",
         {
             "x": rec(0, -1),
             "y": rec(0, -1),
@@ -213,7 +211,6 @@ def test_nontrivial_control_case():
     xi = _xi()
     d = DivisorData(
         "control",
-        "s",
         {
             "x": rec(1, 0),
             "y": rec(0, "s"),
@@ -229,7 +226,6 @@ def test_residue_linearity():
     xi2 = xi.scale(Fraction(3))
     d = DivisorData(
         "lin",
-        "s",
         {
             "x": rec(1, 0),
             "y": rec(0, "s"),
@@ -254,7 +250,7 @@ def test_zero_xi_trivial():
 
 def test_missing_function_record_errors():
     xi = _xi()
-    d = DivisorData("incomplete", "s", {"x": rec(0, 2)})
+    d = DivisorData("incomplete", {"x": rec(0, 2)})
     with pytest.raises(KeyError):
         residue_43(xi, d)
 
@@ -275,7 +271,7 @@ def test_divisor_loader_validates():
         (UNKNOWN_NEGATIVE, "0"),
         (0, "sqrt(2)"),  # outside QQ(s)
         (0, "s + t"),  # two parameters
-        (0, "t"),  # not the divisor's parameter
+        (0, "t"),  # not the parameter s
         (0, "exp(s)"),
         (0, "0.5"),  # a decimal, not an exact value
         (0, "s**2"),  # the grammar's power is ^
@@ -292,8 +288,8 @@ def test_divisor_loader_validates():
         FunctionRecord(0, INFINITY)
     with pytest.raises(ValueError):
         FunctionRecord(0, S)  # a sympy expression, not an element of QQ(s)
-    with pytest.raises(ValueError):
-        DivisorData("d", "u", {"x": rec(0, "s")})
+    with pytest.raises(ValueError, match="parameter 'u' is not s"):
+        _one_divisor({"x": {"order": 0, "value": "s"}}, parameter="u")
     # the unknown-order records of the shipped data, and a positive order
     # whose leading coefficient is not recorded, are consistent
     d = _one_divisor(
@@ -306,7 +302,7 @@ def test_divisor_loader_validates():
     assert d.records["y"].value is INFINITY
     assert str(d.records["z"].value) == "(-s - 1)/s"
     # negative powers and quotients are the field's division
-    s = rational_field("s").gens[0]
+    s = QS.gens[0]
     field_values = [
         ("s^-1", 1 / s),
         ("(s+1)^-2", 1 / (s + 1) ** 2),
@@ -324,17 +320,14 @@ def test_shipped_values_parse_as_sympy_reads_them():
     with open(os.path.join(data_dir(), "divisors_n4.json")) as fh:
         texts = {r["value"] for d in json.load(fh) for r in d["functions"].values()}
     assert len(texts) == 6 and "inf" in texts
-    field = rational_field("s")
     for text in sorted(texts - {"inf"}):
-        assert rational_function(text, "s") == field.from_expr(sympy.sympify(text))
+        assert rational_function(text) == QS.from_expr(sympy.sympify(text))
 
 
 def test_loader_shares_one_record_per_distinct_string():
     divisors = _divisors()
     records = {id(r) for d in divisors for r in d.records.values()}
-    strings = {
-        (d.parameter, r.order, str(r.value)) for d in divisors for r in d.records.values()
-    }
+    strings = {(r.order, str(r.value)) for d in divisors for r in d.records.values()}
     assert len(records) == len(strings) == 6
 
 
@@ -352,7 +345,7 @@ def _element(exps, wedge):
 
 
 def _verdict(xi, records):
-    cert = certify_all_residues(xi, [DivisorData("d", "s", records)])["divisors"][0]
+    cert = certify_all_residues(xi, [DivisorData("d", records)])["divisors"][0]
     return cert["verdict"], cert["terms"][0].get("why")
 
 
@@ -373,7 +366,6 @@ def test_cancelling_orders_with_unrecorded_leading_value_undecidable():
         [
             DivisorData(
                 "d",
-                "s",
                 {
                     "x": rec(1, 3),
                     "y": rec(1, 6),
@@ -444,7 +436,7 @@ def test_restrict_factored_against_its_definition():
     verdicts = set()
     for k in (1, 2, 3):
         for records in itertools.combinations_with_replacement(_RESTRICT_RECORDS, k):
-            divisor = DivisorData("d", "s", dict(zip(names, records)))
+            divisor = DivisorData("d", dict(zip(names, records)))
             for exps in itertools.product((-2, -1, 1, 2), repeat=k):
                 f = FactoredElement(_BASIS, Fraction(-3, 2), dict(enumerate(exps)))
                 order, value = _restrict_factored(f, divisor)
@@ -477,15 +469,15 @@ def test_restrict_factored_against_its_definition():
     }
     # a known part of -1 and an unknown positive order at exponent 2 stay undecided,
     # although their sum is at least 1
-    divisor = DivisorData("d", "s", {"x": rec(1, 0), "y": rec(UNKNOWN_POSITIVE, 0)})
+    divisor = DivisorData("d", {"x": rec(1, 0), "y": rec(UNKNOWN_POSITIVE, 0)})
     f = FactoredElement(_BASIS, 1, {0: -1, 1: 2})
     assert _restrict_factored(f, divisor) == (UNDECIDABLE, None)
 
 
 def test_tame_symbol_unrecorded_pole_coefficient():
     # infinity on a negative order marks an unrecorded leading coefficient
-    assert tame_symbol(rec(-1, INFINITY), rec(-1, INFINITY), QS) is UNDECIDABLE
-    assert tame_symbol(rec(-1, INFINITY), rec(0, 5), QS) == 5
+    assert tame_symbol(rec(-1, INFINITY), rec(-1, INFINITY)) is UNDECIDABLE
+    assert tame_symbol(rec(-1, INFINITY), rec(0, 5)) == 5
 
 
 # -- canonical form -------------------------------------------------------------------
@@ -522,7 +514,7 @@ CONTROL_CASES = [
 
 
 def _control(records):
-    return DivisorData("control", "s", {k: rec(o, v) for k, (o, v) in records.items()})
+    return DivisorData("control", {k: rec(o, v) for k, (o, v) in records.items()})
 
 
 @pytest.mark.parametrize("records, residue", CONTROL_CASES)
@@ -540,10 +532,10 @@ def test_residue_document_values_parse_back(records):
     d = _control(records)
     cert = certify_all_residues(_xi(), [d])["divisors"][0]
     parsed = [
-        (Fraction(c), rational_function(a, "s"), rational_function(t, "s"))
+        (Fraction(c), rational_function(a), rational_function(t))
         for c, a, t in cert["residue"]
     ]
     assert parsed == residue_43(_xi(), d).terms
     pairs = [text for entry in cert["terms"] for text in entry.get("pair", [])]
     assert pairs
-    assert [format_rational_function(rational_function(text, "s")) for text in pairs] == pairs
+    assert [format_rational_function(rational_function(text)) for text in pairs] == pairs

@@ -63,7 +63,7 @@ _TOKENS = ["x", "y", "s", "0", "1", "2", "+", "-", "*", "/", "^", "^-", "(", ")"
 def test_malformed_input_raises_only_parse_error(text):
     # ring or field, a bad quotient, 0^-1 or a bad power is a ParseError, not a
     # ZeroDivisionError, ExactQuotientFailed or TypeError from the domain
-    for parse in (lambda t: parse_poly(t, ["x", "y"]), lambda t: rational_function(t, "s")):
+    for parse in (lambda t: parse_poly(t, ["x", "y"]), rational_function):
         try:
             parse(text)
         except ParseError:
