@@ -31,6 +31,7 @@ from mpmath.libmp import (
     mpf_log_hypot,
     mpf_mul,
     mpf_neg,
+    mpf_pos,
     mpf_sub,
     round_nearest,
     to_fixed,
@@ -59,6 +60,8 @@ class HPReal:
         self.prec = int(prec)
         if isinstance(value, HPReal):
             self._v = value._v
+        elif isinstance(value, mpmath.mpf):  # one rounding, without a precision context
+            self._v = mp.make_mpf(mpf_pos(value._mpf_, _bits(self.prec), round_nearest))
         elif isinstance(value, Fraction):
             with mp.workprec(_bits(self.prec)):
                 self._v = mpmath.mpf(value.numerator) / value.denominator

@@ -187,13 +187,16 @@ def _restrict_factored(f: FactoredElement, divisor: DivisorData) -> Tuple[object
     """
     factors = [(divisor.record_for(f.basis.names[i]), e) for i, e in f.exps.items()]
     known = sum(rec.order * e for rec, e in factors if isinstance(rec.order, int))
-    unknown = {_sign(rec.order) * _sign(e) for rec, e in factors if isinstance(rec.order, str)}
+    unknown = [_sign(rec.order) * e for rec, e in factors if isinstance(rec.order, str)]
     if unknown:
-        # the order is decided only when the known sum and every unknown term agree in sign
-        signs = (unknown | {_sign(known)}) - {0}
-        if len(signs) > 1:
+        # the order is known + sum t_i k_i over unknown orders |k_i| >= 1: when every t_i
+        # has one sign sigma, sigma * order is at least sigma * known + sum |t_i| and
+        # grows without bound, so it has the sign sigma exactly when that bound is positive
+        signs = {_sign(t) for t in unknown}
+        sigma = signs.pop()
+        if signs or sigma * known + sum(map(abs, unknown)) <= 0:
             return UNDECIDABLE, None
-        return (UNKNOWN_POSITIVE if signs == {1} else UNKNOWN_NEGATIVE), None
+        return (UNKNOWN_POSITIVE if sigma > 0 else UNKNOWN_NEGATIVE), None
     if known:
         return known, None
     val = QS(f.const)

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -70,6 +71,22 @@ def test_hpreal_carries_value_and_precision():
     with mpmath.mp.workprec(200):
         assert abs(3 * x.mpf() - 1) < 1e-30
     assert float(x) == 1 / 3
+
+
+@pytest.mark.parametrize("prec", [1, 15, 16, 30, 60, 200])
+def test_hpreal_rounds_an_mpf_as_a_workprec_context_does(prec):
+    # an mpf is rounded by one mpf_pos; the value must be the one mpf(value) gives at
+    # the working precision, to the bit, for mantissas narrower and wider than it
+    rng = random.Random(prec)
+    values = [mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(-3) / 7]
+    with mpmath.mp.workprec(1000):
+        for _ in range(200):
+            man = rng.choice([-1, 1]) * rng.getrandbits(rng.randint(1, 900))
+            values.append(mpmath.mpf((man, rng.randint(-1100, 1100))))
+    for value in values:
+        with mpmath.mp.workprec(numerics._bits(prec)):
+            want = mpmath.mpf(value)
+        assert HPReal(value, prec).mpf()._mpf_ == want._mpf_, value
 
 
 def test_bloch_wigner_basic_values():

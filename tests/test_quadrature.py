@@ -13,6 +13,7 @@ from reglab.quadrature import (
     QuadratureConfig,
     QuadratureResult,
     RootFindingError,
+    boundary,
     deninger_gamma_check,
     engine,
     integrate_box,
@@ -467,6 +468,28 @@ def test_boundary_integral_n4_level40_pinned():
     res = regulator_boundary_integral(_xi(4), QuadratureConfig(level=40))
     assert res.evaluations == 2000
     assert abs(float(res.value) - 0.6041658311024739) < 1e-13
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_boundary_integrand_is_even_in_every_coordinate(n, monkeypatch):
+    # u_j -> -u_j flips theta_j and leaves the kink and the sheet difference as they are,
+    # so the integrand takes bit-identical values at each pair of mirror nodes
+    seen = []
+    engine = boundary.integrate_box
+
+    def capturing(f, *args, **kwargs):
+        seen.append(f)
+        return engine(f, *args, **kwargs)
+
+    monkeypatch.setattr(boundary, "integrate_box", capturing)
+    regulator_boundary_integral(_xi(n), QuadratureConfig(level=4))
+    (f,) = seen
+    u = np.random.default_rng(n).uniform(-math.pi / 2, math.pi / 2, size=(2000, n - 2))
+    values = f(u)
+    for axis in range(n - 2):
+        mirrored = u.copy()
+        mirrored[:, axis] *= -1
+        assert np.array_equal(f(mirrored), values), axis
 
 
 def test_boundary_integral_zero_element():

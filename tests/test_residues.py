@@ -467,11 +467,15 @@ def test_restrict_factored_against_its_definition():
     assert verdicts == {
         "undecidable", UNKNOWN_POSITIVE, UNKNOWN_NEGATIVE, "nonzero", "zero", "value"
     }
-    # a known part of -1 and an unknown positive order at exponent 2 stay undecided,
-    # although their sum is at least 1
+    # a known part of -1 and an unknown positive order at exponent 2 sum to at least 1;
+    # a known part of -2 and the same unknown term can sum to 0
     divisor = DivisorData("d", {"x": rec(1, 0), "y": rec(UNKNOWN_POSITIVE, 0)})
     f = FactoredElement(_BASIS, 1, {0: -1, 1: 2})
+    assert _restrict_factored(f, divisor) == (UNKNOWN_POSITIVE, None)
+    f = FactoredElement(_BASIS, 1, {0: -2, 1: 2})
     assert _restrict_factored(f, divisor) == (UNDECIDABLE, None)
+    f = FactoredElement(_BASIS, 1, {0: 1, 1: -2})
+    assert _restrict_factored(f, divisor) == (UNKNOWN_NEGATIVE, None)
 
 
 def test_tame_symbol_unrecorded_pole_coefficient():
