@@ -189,9 +189,10 @@ def _restrict_factored(f: FactoredElement, divisor: DivisorData) -> Tuple[object
     known = sum(rec.order * e for rec, e in factors if isinstance(rec.order, int))
     unknown = [_sign(rec.order) * e for rec, e in factors if isinstance(rec.order, str)]
     if unknown:
-        # the order is known + sum t_i k_i over unknown orders |k_i| >= 1: when every t_i
-        # has one sign sigma, sigma * order is at least sigma * known + sum |t_i| and
-        # grows without bound, so it has the sign sigma exactly when that bound is positive
+        # the order is known + sum t_i k_i, t_i = sign(ord_i) e_i, over the unknown sizes
+        # k_i = |ord_i| >= 1: when every t_i has one sign sigma, sigma * order is at least
+        # sigma * known + sum |t_i| and grows without bound, so it has the sign sigma
+        # exactly when that least value is positive
         signs = {_sign(t) for t in unknown}
         sigma = signs.pop()
         if signs or sigma * known + sum(map(abs, unknown)) <= 0:

@@ -449,6 +449,19 @@ def test_bad_input_exits_2_without_a_document(capsys, argv):
     assert "input error" in err
 
 
+def test_divisor_records_in_another_parameter_exit_2(capsys, tmp_path):
+    # every divisor value lies in QQ(s); a record naming another parameter is refused
+    with open(os.path.join(cli.data_dir(), "divisors_n4.json")) as fh:
+        raw = json.load(fh)
+    raw[0]["parameter"] = "u"
+    path = tmp_path / "divisors.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "residues", "--divisors", str(path))
+    assert code == 2
+    assert out == ""
+    assert "parameter 'u' is not s" in err
+
+
 def _readme_cli_examples():
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]

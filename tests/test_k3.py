@@ -169,6 +169,28 @@ def test_surface_invariants_require_a_singular_k3(text, euler, rho):
         surface_invariants(curve)
 
 
+NONIC = (
+    "25*t^9 - 64*t^8 + 40*t^7 - 125*t^6 + 376*t^5 - 300*t^4 + 288*t^3 - 240*t^2 - 432*t - 64"
+)
+
+
+@pytest.mark.parametrize(
+    "text, fibers, rho, det, field",
+    [
+        ("t,t^2+1,0,t^3,t", [("t", "I1", 1), (NONIC, "I1", 9), ("t = oo", "I2", 1)], 3, 2, (2, -8)),
+        ("0,0,0,1,1", [], 2, 1, (1, -4)),
+        ("0,0,0,t,0", [("t", "III", 1), ("t = oo", "III*", 1)], 10, 4, (1, -4)),
+    ],
+)
+def test_fibers_of_surfaces_that_are_not_singular_k3(text, fibers, rho, det, field):
+    # all_fibers classifies any curve, also one whose surface surface_invariants refuses
+    found = all_fibers(WeierstrassCurveQt.from_string(text))
+    assert [(f.place, f.kodaira, f.degree) for f in found] == fibers
+    assert shioda_tate_rho(0, found) == rho
+    assert transcendental_det(found, 1) == det
+    assert _imaginary_quadratic_field(det) == field
+
+
 def test_schuett_level_of_an_even_discriminant_is_its_eta_product_level():
     # the CM form of Q(sqrt(-2)) is eta(z)^2 eta(2z) eta(4z) eta(8z)^2; its completed
     # L-function is independent of the split A only at its true level
