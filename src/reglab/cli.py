@@ -51,7 +51,6 @@ from .quadrature import (
     mahler_measure,
     regulator_boundary_integral,
 )
-from .quadrature.engine import RULES
 from .residues import certify_all_residues, load_divisors
 from .symbolic import build_xi, check_decomposition, format_factored, load_decomposition, parse_poly
 
@@ -89,10 +88,16 @@ def _manifest(args, inputs):
     }
 
 
-def _quad_config(args) -> QuadratureConfig:
-    return QuadratureConfig(
-        rule=args.rule, level=args.level, depth=args.depth, seed=args.seed, prec=args.prec
-    )
+def _torus_config(args, variables) -> QuadratureConfig:
+    """The config of a torus integral over P in ``variables``, its rule recorded in args.
+
+    The inner Jensen integrand has kinks where root moduli cross 1, so up to
+    3 variables take adaptive Gauss-Kronrod; 4 take tensor Gauss-Legendre at
+    the command's ``--level`` and ``--depth``, or the config's defaults.
+    """
+    args.rule = "adaptive_gk" if len(variables) <= 3 else "gauss_legendre_tensor"
+    grid = {k: v for k, v in vars(args).items() if k in ("level", "depth")}
+    return QuadratureConfig(rule=args.rule, prec=args.prec, **grid)
 
 
 def _infer_vars(text: str):
@@ -134,11 +139,7 @@ def _num(value: HPReal, error) -> dict:
 
 def cmd_mahler(args):
     variables, P = _parse_poly(args)
-    if args.rule is None:
-        # the inner Jensen integrand has kinks where root moduli cross 1,
-        # so adaptive quadrature is the right default in low dimension
-        args.rule = "adaptive_gk" if len(variables) <= 3 else "gauss_legendre_tensor"
-    res = mahler_measure(P, _quad_config(args))
+    res = mahler_measure(P, _torus_config(args, variables))
     return {
         "poly": args.poly,
         "variables": variables,
@@ -148,8 +149,8 @@ def cmd_mahler(args):
 
 
 def cmd_deninger_check(args):
-    _, P = _parse_poly(args)
-    cfg = _quad_config(args)
+    variables, P = _parse_poly(args)
+    cfg = _torus_config(args, variables)
     direct = mahler_measure(P, cfg)
     chain = deninger_gamma_check(P, cfg)
     delta = abs(float(direct.value) - float(chain.value))
@@ -172,7 +173,7 @@ def _load_xi(args):
 def cmd_boundary_integral(args):
     doc, path = _load_xi(args)
     xi, xi_star, lam = build_xi(doc)
-    res = regulator_boundary_integral(lam, _quad_config(args))
+    res = regulator_boundary_integral(lam, QuadratureConfig(level=args.level, prec=args.prec))
     return {
         "n": doc.n,
         **_num(res.value, res.error_estimate),
@@ -397,23 +398,15 @@ def cmd_verify_main(args):
 # -- parser ---------------------------------------------------------------------------
 
 
-def _command(sub, name, fn, help, prec=True, quad=False):
+def _command(sub, name, fn, help, prec=True, level=False):
     """A subparser running ``fn``, with only the shared options the subcommand reads."""
     p = sub.add_parser(name, help=help)
     p.set_defaults(fn=fn)
     if prec:
         p.add_argument("--prec", type=int, default=15)
-    if quad:
-        p.add_argument(
-            "--seed", type=int, default=12345, help="recorded in the manifest; no rule reads it"
-        )
+    if level:
         p.add_argument("--level", type=int, default=64)
     return p
-
-
-def _add_rule(p, default="gauss_legendre_tensor"):
-    p.add_argument("--rule", default=default, choices=RULES)
-    p.add_argument("--depth", type=int, default=0)
 
 
 def _add_poly(p):
@@ -433,23 +426,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = _command(
-        sub, "mahler", cmd_mahler, "logarithmic Mahler measure of a polynomial", quad=True
+        sub, "mahler", cmd_mahler, "logarithmic Mahler measure of a polynomial", level=True
     )
-    _add_rule(p, default=None)
+    p.add_argument("--depth", type=int, default=0)
     _add_poly(p)
 
     p = _command(
-        sub, "deninger-check", cmd_deninger_check,
-        "compare m(P) with the Gamma-chain integral", quad=True,
+        sub, "deninger-check", cmd_deninger_check, "compare m(P) with the Gamma-chain integral"
     )
-    _add_rule(p)
     _add_poly(p)
 
     p = _command(
         sub, "boundary-integral", cmd_boundary_integral,
-        "regulator integral over the chain boundary", quad=True,
+        "regulator integral over the chain boundary", level=True,
     )
-    _add_rule(p)
     p.add_argument("--n", type=int, default=4, choices=[3, 4])
     p.add_argument("--file", default=None)
 
@@ -493,7 +483,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, default=0)
     p.add_argument("--torsion", type=int, default=1)
 
-    _command(sub, "verify-main", cmd_verify_main, "one-shot verification pipeline", quad=True)
+    p = _command(
+        sub, "verify-main", cmd_verify_main, "one-shot verification pipeline", level=True
+    )
+    p.add_argument(
+        "--seed", type=int, default=12345, help="recorded in the manifest; no rule reads it"
+    )
 
     return ap
 

@@ -23,9 +23,9 @@ axis, the fewest largest ones that bring the error of the rest to half the
 target; all 2^dims children of a round are evaluated in one batched pass,
 handed to f in chunks of about 2^15 points. It stops when the summed error is
 at most tol + tol |estimate|, tol = 10^-min(prec, 12), or after
-10000 (depth + 1) splits, and warns (``AdaptiveWarning``) when that cap is hit
-or the result is not finite. Results are deterministic for a fixed
-(rule, level, depth, prec).
+``SPLIT_CAP`` = 10000 splits, and warns (``AdaptiveWarning``) when that cap is
+hit or the result is not finite; it reads neither level nor depth. Results
+are deterministic for a fixed (rule, level, depth, prec).
 """
 
 from __future__ import annotations
@@ -47,7 +47,9 @@ RULES = ("gauss_legendre_tensor", "adaptive_gk")
 class QuadratureConfig:
     """Rule, Gauss-Legendre level, panel depth and target digits of a run.
 
-    ``seed`` is recorded in the CLI manifest only; no rule reads it.
+    ``level`` and ``depth`` are read by tensor Gauss-Legendre only; the
+    adaptive rule stops after ``SPLIT_CAP`` splits. ``seed`` is recorded in
+    the manifest of ``reglab verify-main`` only; no rule reads it.
     """
 
     rule: str = "gauss_legendre_tensor"
@@ -188,6 +190,8 @@ def gk21():
 
 # points per integrand call; a round's regions are passed in chunks of this size
 CHUNK = 2**15
+# the adaptive rule stops after this many splits
+SPLIT_CAP = 10000
 
 
 def _gk_regions(f, centers, half, x, wk, wg, circle):
@@ -212,7 +216,6 @@ def _gk_regions(f, centers, half, x, wk, wg, circle):
 
 def _adaptive(f, lo, hi, dims, cfg, circle):
     tol = 10.0 ** (-min(cfg.prec, 12))
-    cap = 10000 * (cfg.depth + 1)
     x, wk, wg = gk21()
     wk = _product(x, wk, dims)[1]
     wg = _product(x, wg, dims)[1]
@@ -226,12 +229,12 @@ def _adaptive(f, lo, hi, dims, cfg, circle):
     while True:
         value, error = float(est.sum()), float(err.sum())
         target = tol + tol * abs(value)
-        if error <= target or splits >= cap or not math.isfinite(value + error):
+        if error <= target or splits >= SPLIT_CAP or not math.isfinite(value + error):
             break
         order = np.argsort(-err, kind="stable")
         # split the largest regions until the error left in the others is at most target / 2
         rest = np.cumsum(err[order][::-1])[::-1]
-        count = min(int(np.count_nonzero(rest > target / 2)), cap - splits)
+        count = min(int(np.count_nonzero(rest > target / 2)), SPLIT_CAP - splits)
         split, keep = order[:count], order[count:]
         child_centers = (
             centers[split, None, :] + half[split, None, None] * corners

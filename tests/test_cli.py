@@ -13,6 +13,7 @@ from reglab import cli
 from reglab.cli import main
 from reglab.lattice import RelationReport
 from reglab.numerics import HPReal
+from reglab.quadrature import QuadratureResult
 from reglab.symbolic import algebra
 
 
@@ -41,9 +42,7 @@ def test_mahler_smith_example(capsys):
 
 
 def test_deninger_check_smith_example(capsys):
-    code, out, _ = run(
-        capsys, "deninger-check", "--poly", "1+x+y", "--rule", "adaptive_gk", "--prec", "8"
-    )
+    code, out, _ = run(capsys, "deninger-check", "--poly", "1+x+y", "--prec", "8")
     assert code == 0
     doc = json.loads(out)
     assert doc["consistent"] is True
@@ -62,11 +61,66 @@ def test_deninger_check_refuses_perturbed_chain_value(capsys, monkeypatch):
         return res
 
     monkeypatch.setattr(cli, "deninger_gamma_check", bent)
-    code, out, _ = run(
-        capsys, "deninger-check", "--poly", "1+x+y", "--rule", "adaptive_gk", "--prec", "12"
-    )
+    code, out, _ = run(capsys, "deninger-check", "--poly", "1+x+y", "--prec", "12")
     assert json.loads(out)["consistent"] is False
     assert code == 3
+
+
+# the options removed from the torus and boundary commands, each with a value
+REMOVED_FLAGS = [
+    ["mahler", "--poly", "1+x+y", "--seed", "1"],
+    ["mahler", "--poly", "1+x+y", "--rule", "adaptive_gk"],
+    ["deninger-check", "--poly", "1+x+y", "--seed", "1"],
+    ["deninger-check", "--poly", "1+x+y", "--rule", "adaptive_gk"],
+    ["deninger-check", "--poly", "1+x+y", "--level", "32"],
+    ["deninger-check", "--poly", "1+x+y", "--depth", "0"],
+    ["boundary-integral", "--n", "3", "--seed", "1"],
+    ["boundary-integral", "--n", "3", "--rule", "gauss_legendre_tensor"],
+    ["boundary-integral", "--n", "3", "--depth", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=[f"{a[0]} {a[-2]}" for a in REMOVED_FLAGS])
+def test_removed_quadrature_flags_exit_2_without_a_document(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "input error" in err
+
+
+def test_parser_registers_38_options():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = [
+        a for p in sub.choices.values() for a in p._actions
+        if a.option_strings and not isinstance(a, argparse._HelpAction)
+    ]
+    assert len(options) == 38
+
+
+@pytest.mark.parametrize(
+    "poly, rule, commands",
+    [
+        ("1+x+y", "adaptive_gk", ["mahler", "deninger-check"]),
+        ("1+x+y+z", "adaptive_gk", ["mahler", "deninger-check"]),
+        ("1+x+y+z+t", "gauss_legendre_tensor", ["mahler"]),
+    ],
+)
+def test_torus_commands_pick_and_record_the_rule_by_variable_count(
+    capsys, monkeypatch, poly, rule, commands
+):
+    ran = []
+
+    def measured(P, cfg):
+        ran.append(cfg.rule)
+        return QuadratureResult(HPReal(0.5, cfg.prec), HPReal(1e-12, cfg.prec), 1)
+
+    monkeypatch.setattr(cli, "mahler_measure", measured)
+    monkeypatch.setattr(cli, "deninger_gamma_check", measured)
+    for command in commands:
+        code, out, _ = run(capsys, command, "--poly", poly)
+        assert code == 0
+        assert json.loads(out)["manifest"]["config"]["rule"] == rule
+    assert set(ran) == {rule}
 
 
 def test_dilog_example(capsys):
@@ -339,7 +393,7 @@ def test_verify_main_factors_the_decomposition_terms_once(capsys, monkeypatch):
 
 FAST_ARGS = {
     "mahler": ["--poly", "1+x+y", "--prec", "12"],
-    "deninger-check": ["--poly", "1+x+y", "--rule", "adaptive_gk", "--prec", "8"],
+    "deninger-check": ["--poly", "1+x+y", "--prec", "8"],
     "boundary-integral": ["--n", "3", "--level", "16"],
     "decomp-check": ["--n", "3"],
     "residues": [],

@@ -34,7 +34,7 @@ COMMANDS = {
     "k3_rho3_no-k3": ["k3", "--curve", "t,t^2+1,0,t^3,t", "--no-k3"],
     "boundary-integral_n3_level24": ["boundary-integral", "--n", "3", "--level", "24"],
     "boundary-integral_n4_level40": ["boundary-integral", "--n", "4", "--level", "40"],
-    "deninger-check": ["deninger-check", "--poly", "1+x+y", "--level", "32"],
+    "deninger-check": ["deninger-check", "--poly", "1+x+y"],
     "mahler": ["mahler", "--poly", "1+x+y+z", "--prec", "6"],
     "detect": ["detect", "--values", "phi_values.json", "--prec", "30"],
     "dilog": ["dilog", "--z", "i", "--prec", "60"],
