@@ -119,15 +119,9 @@ def _product(x, w, dims: int):
 
 def _gl_pass(f, lo, hi, level, depth, dims, circle):
     pts, wt = gl_grid(lo, hi, level, depth, dims, circle)
-    vals = np.asarray(f(pts), dtype=np.float64)
-    # fixed-order pairwise summation for bit-stable accumulation
-    terms = vals * wt
-    mass = float(np.abs(terms).sum())
-    while len(terms) > 1:
-        if len(terms) % 2:
-            terms = np.concatenate([terms, [0.0]])
-        terms = terms[0::2] + terms[1::2]
-    return float(terms[0]), mass, len(wt)
+    terms = np.asarray(f(pts), dtype=np.float64) * wt
+    # the correctly rounded sum (Shewchuk's exact summation), whatever the order
+    return math.fsum(terms.tolist()), float(np.abs(terms).sum()), len(wt)
 
 
 def integrate_box(

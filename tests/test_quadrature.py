@@ -492,6 +492,29 @@ def test_boundary_integrand_is_even_in_every_coordinate(n, monkeypatch):
         assert np.array_equal(f(mirrored), values), axis
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_gl_total_is_the_half_box_sum_of_the_even_boundary_integrand(n, monkeypatch):
+    # the tensor GL total is the correctly rounded sum of its terms, so on an integrand
+    # even in every u_j it equals, bit for bit, the sum over the nodes with every u_j > 0
+    # with 2^dims times their weights
+    seen = []
+    engine_box = boundary.integrate_box
+
+    def capturing(f, *args, **kwargs):
+        seen.append(f)
+        return engine_box(f, *args, **kwargs)
+
+    monkeypatch.setattr(boundary, "integrate_box", capturing)
+    regulator_boundary_integral(_xi(n), QuadratureConfig(level=4))
+    (f,) = seen
+    dims = n - 2
+    total, _, count = engine._gl_pass(f, -math.pi / 2, math.pi / 2, 40, 0, dims, False)
+    pts, wt = engine.gl_grid(-math.pi / 2, math.pi / 2, 40, 0, dims)
+    half = (pts > 0).all(axis=1)
+    assert (count, np.count_nonzero(half)) == (40**dims, 20**dims)
+    assert total == math.fsum((f(pts[half]) * (wt[half] * 2**dims)).tolist())
+
+
 def test_boundary_integral_zero_element():
     lam = _xi(4)
     zero = lam - lam
