@@ -120,17 +120,14 @@ def _parse_complex(text: str) -> complex:
     return z
 
 
-def _num(value: HPReal, error) -> dict:
+def _num(value: HPReal, error: HPReal) -> dict:
     """The value as printed at its precision and an error estimate that bounds the
     printed value: half a unit of its last printed digit is added to ``error``."""
     text = value.to_decimal()
     exponent = int(text.rsplit("e", 1)[1]) - value.prec
-    if isinstance(error, HPReal):
-        with mpmath.workdps(error.prec + 5):
-            error = HPReal(error.mpf() + 5 * mpmath.mpf(10) ** exponent, error.prec).to_decimal()
-    else:
-        error = error + 5 * 10.0**exponent
-    return {"value": text, "prec": value.prec, "error_estimate": error}
+    with mpmath.workdps(error.prec + 5):
+        error = HPReal(error.mpf() + 5 * mpmath.mpf(10) ** exponent, error.prec)
+    return {"value": text, "prec": value.prec, "error_estimate": error.to_decimal()}
 
 
 # -- subcommands ----------------------------------------------------------------------
@@ -210,7 +207,7 @@ def cmd_dilog(args):
         L = mpmath.polylog(2, mpmath.mpc(z))
     return {
         "z": args.z,
-        **_num(D, 10.0 ** (2 - args.prec)),
+        **_num(D, HPReal(f"1e{2 - args.prec}", args.prec)),
         "li2_re": HPReal(L.real, args.prec).to_decimal(),
         "li2_im": HPReal(L.imag, args.prec).to_decimal(),
     }, [], EXIT_OK
@@ -226,7 +223,7 @@ def cmd_lvalue(args):
         "weight": f.weight,
         "eps": f.eps,
         "s": args.s,
-        **_num(L, 10.0 ** (5 - args.prec)),
+        **_num(L, HPReal(f"1e{5 - args.prec}", args.prec)),
         "completed_lambda": lam.to_decimal(),
     }, [], EXIT_OK
 
@@ -238,13 +235,13 @@ def cmd_lprime_minus1(args):
         "newform": args.newform,
         "level": f.level,
         "weight": f.weight,
-        **_num(val, 10.0 ** (5 - args.prec)),
+        **_num(val, HPReal(f"1e{5 - args.prec}", args.prec)),
     }, [], EXIT_OK
 
 
 def cmd_zeta_prime_minus2(args):
     val = zeta_prime_minus2(args.prec)
-    return _num(val, 10.0 ** (2 - args.prec)), [], EXIT_OK
+    return _num(val, HPReal(f"1e{2 - args.prec}", args.prec)), [], EXIT_OK
 
 
 def cmd_dirichlet(args):
@@ -256,7 +253,7 @@ def cmd_dirichlet(args):
     else:
         val = dirichlet_L(chi, args.s, args.prec)
         payload["quantity"] = f"L(chi, {args.s})"
-    payload.update(_num(val, 10.0 ** (2 - args.prec)))
+    payload.update(_num(val, HPReal(f"1e{2 - args.prec}", args.prec)))
     return payload, [], EXIT_OK
 
 
