@@ -96,7 +96,8 @@ class FunctionRecord:
                 raise ValueError(f"bad order tag {o!r}")
         elif not isinstance(o, int):
             raise ValueError(f"order {o!r} is neither an integer nor an unknown-order tag")
-        if not (v is None or v is ROOT_OF_UNITY or v is INFINITY or isinstance(v, FracElement)):
+        in_qs = isinstance(v, FracElement) and v.field == QS
+        if not (v is None or v is ROOT_OF_UNITY or v is INFINITY or in_qs):
             raise ValueError(f"value {v!r} is neither an element of QQ(s) nor a marker")
         sign = _sign(o)
         if sign == 0 and (v is None or v is INFINITY or v == 0):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy import ZZ, field
 
 from reglab.k3 import data_dir
 from reglab.residues import (
@@ -312,6 +313,22 @@ def test_divisor_loader_validates():
         assert _one_divisor({"x": {"order": 0, "value": text}}).records["x"].value == value
     assert rec(1, 0).value == 0
     assert rec(1, 1).value == 1
+
+
+def test_record_with_a_value_of_another_field_is_refused():
+    # a record built in code from another field is refused where it is built, so the
+    # certificate never multiplies elements of two fields
+    K, u = field("u", ZZ)
+
+    def certify():
+        records = {"x": FunctionRecord(1, K(0)), "y": FunctionRecord(0, u), "z": rec(0, 2)}
+        return certify_all_residues(_xi(), [DivisorData("d", records)])
+
+    with pytest.raises(ValueError, match="neither an element of QQ"):
+        certify()
+    with pytest.raises(ValueError, match="neither an element of QQ"):
+        FunctionRecord(0, u)
+    assert FunctionRecord(0, field("s", ZZ)[1]).value == rational_function("s")
 
 
 def test_shipped_values_parse_as_sympy_reads_them():
