@@ -66,28 +66,6 @@ def test_deninger_check_refuses_perturbed_chain_value(capsys, monkeypatch):
     assert code == 3
 
 
-# the options removed from the torus and boundary commands, each with a value
-REMOVED_FLAGS = [
-    ["mahler", "--poly", "1+x+y", "--seed", "1"],
-    ["mahler", "--poly", "1+x+y", "--rule", "adaptive_gk"],
-    ["deninger-check", "--poly", "1+x+y", "--seed", "1"],
-    ["deninger-check", "--poly", "1+x+y", "--rule", "adaptive_gk"],
-    ["deninger-check", "--poly", "1+x+y", "--level", "32"],
-    ["deninger-check", "--poly", "1+x+y", "--depth", "0"],
-    ["boundary-integral", "--n", "3", "--seed", "1"],
-    ["boundary-integral", "--n", "3", "--rule", "gauss_legendre_tensor"],
-    ["boundary-integral", "--n", "3", "--depth", "0"],
-]
-
-
-@pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=[f"{a[0]} {a[-2]}" for a in REMOVED_FLAGS])
-def test_removed_quadrature_flags_exit_2_without_a_document(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert "input error" in err
-
-
 def test_parser_registers_38_options():
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     options = [
@@ -494,6 +472,16 @@ def test_verify_main_abort_documents_carry_manifest(capsys, monkeypatch, corrupt
         ["lvalue", "--newform", "eta:1^3,7^3", "--s", "2"],  # a newform is a preset name
         ["k3", "--curve", "0,0,0,t,1"],  # not a singular K3: rational, rho = 9
         ["k3", "--curve", "0,0,0,0,t^7+1"],  # not a singular K3: a K3 with rho = 10
+        # options the torus and boundary commands no longer have
+        ["mahler", "--poly", "1+x+y", "--seed", "1"],
+        ["mahler", "--poly", "1+x+y", "--rule", "adaptive_gk"],
+        ["deninger-check", "--poly", "1+x+y", "--seed", "1"],
+        ["deninger-check", "--poly", "1+x+y", "--rule", "adaptive_gk"],
+        ["deninger-check", "--poly", "1+x+y", "--level", "32"],
+        ["deninger-check", "--poly", "1+x+y", "--depth", "0"],
+        ["boundary-integral", "--n", "3", "--seed", "1"],
+        ["boundary-integral", "--n", "3", "--rule", "gauss_legendre_tensor"],
+        ["boundary-integral", "--n", "3", "--depth", "0"],
     ],
 )
 def test_bad_input_exits_2_without_a_document(capsys, argv):
