@@ -8,10 +8,11 @@ manifest (command, config, library versions, seed, input hashes), so outputs
 are reproducible byte-for-byte from the manifest alone. Non-finite numbers are
 never written. Diagnostics and the wall time go to stderr.
 
-Exit codes: 0 success; 2 input error (nothing on stdout), a failed exact
-check (``decomp-check``, ``residues``) or an aborted ``verify-main``; 3 numeric
-failure: non-convergence or a non-finite number (nothing on stdout), or an
-inconsistent verdict from ``verify-main`` or ``deninger-check``.
+Exit codes: 0 success; 2 input error, a ``ValueError`` (nothing on stdout), a
+failed exact check (``decomp-check``, ``residues``) or an aborted
+``verify-main``; 3 numeric failure, a ``NumericalFailure`` or a non-finite
+number in the document (nothing on stdout), or an inconsistent verdict from
+``verify-main`` or ``deninger-check``.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ from .lfunctions import (
     lvalue,
     zeta_prime_minus2,
 )
-from .numerics import HPReal, _bits, bloch_wigner
+from .numerics import HPReal, NumericalFailure, _bits, bloch_wigner
 from .quadrature import (
     QuadratureConfig,
-    RootFindingError,
     deninger_gamma_check,
     mahler_measure,
     regulator_boundary_integral,
@@ -89,15 +89,19 @@ def _manifest(args, inputs):
 
 
 def _torus_config(args, variables) -> QuadratureConfig:
-    """The config of a torus integral over P in ``variables``, its rule recorded in args.
+    """The config of a Mahler measure of P in ``variables``, its rule recorded in args.
 
-    The inner Jensen integrand has kinks where root moduli cross 1, so up to
+    The inner Jensen integrand has kinks where root moduli cross 1, so 2 and
     3 variables take adaptive Gauss-Kronrod; 4 take tensor Gauss-Legendre at
-    the command's ``--level`` and ``--depth``, or the config's defaults.
+    the command's ``--level`` and ``--depth``, or the config's defaults. One
+    variable takes the roots (``univariate_mahler``), runs no rule and
+    records none.
     """
-    args.rule = "adaptive_gk" if len(variables) <= 3 else "gauss_legendre_tensor"
     grid = {k: v for k, v in vars(args).items() if k in ("level", "depth")}
-    return QuadratureConfig(rule=args.rule, prec=args.prec, **grid)
+    if len(variables) > 1:
+        args.rule = "adaptive_gk" if len(variables) <= 3 else "gauss_legendre_tensor"
+        grid["rule"] = args.rule
+    return QuadratureConfig(prec=args.prec, **grid)
 
 
 def _infer_vars(text: str):
@@ -503,8 +507,8 @@ def main(argv=None) -> int:
     try:
         payload, inputs, code = args.fn(args)
         payload["manifest"] = _manifest(args, inputs)
-    except RootFindingError as e:
-        print(f"numeric non-convergence: {e}", file=sys.stderr)
+    except NumericalFailure as e:
+        print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError, KeyError) as e:  # json.JSONDecodeError is a ValueError
         print(f"input error: {e}", file=sys.stderr)

@@ -82,14 +82,20 @@ CHI_M7 = DirichletChar(-7)
 def dirichlet_L(chi: DirichletChar, s, prec: int = 15) -> HPReal:
     """L(chi, s) for s > 1 via the Hurwitz-zeta decomposition."""
     if not s > 1:
-        raise ValueError("dirichlet_L requires s > 1; see dirichlet_L_continued")
+        raise ValueError(f"dirichlet_L requires s > 1, not s = {s}; see dirichlet_L_continued")
     return dirichlet_L_continued(chi, s, prec)
 
 
 def dirichlet_L_continued(chi: DirichletChar, s, prec: int = 15) -> HPReal:
-    """Analytic continuation of L(chi, s) (any s != 1 pole cases aside)."""
+    """Analytic continuation of L(chi, s) (any s != 1 pole cases aside).
+
+    m^-s and zeta(s, a/m) each carry a relative error of about |s| 2^-wp, so
+    the working precision grows by the bit length of ceil|s|.
+    """
+    if not mpmath.isfinite(s):
+        raise ValueError(f"s = {s} is not finite")
     m = chi.modulus
-    with mp.workprec(_bits(prec) + 20):
+    with mp.workprec(_bits(prec) + 20 + int(mpmath.ceil(abs(s))).bit_length()):
         s = mpmath.mpf(s) if not isinstance(s, mpmath.mpf) else s
         total = mpmath.mpf(0)
         for a in range(1, m + 1):
@@ -247,6 +253,8 @@ def _lambda_terms(f: NewformSpec, prec: int, A):
 
 def completed_lambda(f: NewformSpec, s, prec: int = 15, A=1) -> HPReal:
     """Lambda(s) by the two-sided incomplete-gamma sum with split A > 0."""
+    if not mpmath.isfinite(s):
+        raise ValueError(f"s = {s} is not finite")
     if not float(A) > 0:
         raise ValueError("split parameter A must be positive")
     M = _lambda_terms(f, prec, A)

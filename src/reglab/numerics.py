@@ -45,6 +45,16 @@ def _bits(prec: int) -> int:
     return max(53, int(prec * _LOG2_10) + _GUARD_BITS)
 
 
+class NumericalFailure(RuntimeError):
+    """No finite, checked value: a root iteration or test failed, a rule put a node
+    where the integrand is undefined, or a result is not finite. ``ValueError`` is
+    kept for bad input. ``residuals`` holds per-node data where there is any."""
+
+    def __init__(self, message, residuals=None):
+        super().__init__(message)
+        self.residuals = residuals
+
+
 class HPReal:
     """An immutable arbitrary-precision real with explicit decimal precision.
 
@@ -78,9 +88,10 @@ class HPReal:
 
     def to_decimal(self) -> str:
         """Serialize as ``±d.ddd...e±k`` (``±de±k`` at prec 1): the stored binary value
-        rounded half-even to exactly ``prec`` significant digits."""
+        rounded half-even to exactly ``prec`` significant digits. NumericalFailure
+        for a non-finite value."""
         if not mpmath.isfinite(self._v):
-            raise ValueError(f"cannot print the non-finite value {self._v}")
+            raise NumericalFailure(f"cannot print the non-finite value {self._v}")
         q = abs(Fraction(*to_rational(self._v._mpf_)))
         k = 0
         if q:

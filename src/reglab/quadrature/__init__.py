@@ -1,12 +1,7 @@
 """Numerical integration: Mahler measures and the boundary regulator integral."""
 
 from .engine import QuadratureConfig, QuadratureResult, integrate_box
-from .mahler import (
-    RootFindingError,
-    deninger_gamma_check,
-    mahler_measure,
-    univariate_mahler,
-)
+from .mahler import deninger_gamma_check, mahler_measure, univariate_mahler
 from .boundary import regulator_boundary_integral
 
 __all__ = [
@@ -16,6 +11,5 @@ __all__ = [
     "univariate_mahler",
     "mahler_measure",
     "deninger_gamma_check",
-    "RootFindingError",
     "regulator_boundary_integral",
 ]

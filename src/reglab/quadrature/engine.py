@@ -22,16 +22,17 @@ Each refinement round sorts the regions by error and halves, along every
 axis, the fewest largest ones that bring the error of the rest to half the
 target; all 2^dims children of a round are evaluated in one batched pass,
 handed to f in chunks of about 2^15 points. It stops when the summed error is
-at most tol + tol |estimate|, tol = 10^-min(prec, 12), or after
-``SPLIT_CAP`` = 10000 splits, and warns (``AdaptiveWarning``) when that cap is
-hit or the result is not finite; it reads neither level nor depth. Results
-are deterministic for a fixed (rule, level, depth, prec).
+at most tol + tol |estimate|, tol = 10^-min(prec, 12), after ``SPLIT_CAP`` =
+10000 splits, or when the sum is not finite; it reads neither level nor depth.
+Like tensor Gauss-Legendre it then returns what it reached: a rule stopped at
+its cap reports the summed error it got to, and a non-finite value is left to
+the caller (``HPReal.to_decimal`` refuses to print it). Results are
+deterministic for a fixed (rule, level, depth, prec).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -142,10 +143,6 @@ def integrate_box(
     raise ValueError(cfg.rule)
 
 
-class AdaptiveWarning(RuntimeWarning):
-    """The adaptive rule stopped at its split cap or with a non-finite result."""
-
-
 # QUADPACK qk21: the positive Kronrod-21 nodes, largest first (the last is 0),
 # their weights, and the weights of the Gauss-10 nodes among them, _XGK[1::2]
 _XGK = np.array([
@@ -241,12 +238,4 @@ def _adaptive(f, lo, hi, dims, cfg, circle):
         err = np.concatenate([err[keep], child_err])
         evals += len(child_centers) * len(wk)
         splits += count
-    converged = error <= target
-    if not (converged and math.isfinite(value + error)):
-        status = "converged" if converged else "not_converged"
-        warnings.warn(
-            f"adaptive_gk: status {status}, estimate {value}, error {error}",
-            AdaptiveWarning,
-            stacklevel=3,
-        )
     return value, error, evals

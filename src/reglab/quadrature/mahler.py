@@ -47,16 +47,10 @@ from mpmath.libmp import NoConvergence
 
 from .. import kernels
 from ..forms import Jet, eta_eval
-from ..numerics import HPReal, _bits
+from ..numerics import HPReal, NumericalFailure, _bits
 from ..symbolic import poly_ring, split_laurent
 from .boundary import kink_chart
 from .engine import QuadratureConfig, QuadratureResult, integrate_box, make_result
-
-
-class RootFindingError(RuntimeError):
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
 
 
 # -- univariate, arbitrary precision ------------------------------------------------
@@ -68,7 +62,7 @@ def univariate_mahler(p: Sequence[Fraction | float], prec: int = 15) -> HPReal:
     split exactly into square-free factors, content * prod f_j^k_j, and the
     roots of each f_j come from mpmath.polyroots. The split comes first
     because root iterations reach a k-fold root only to about eps^(1/k).
-    RootFindingError if polyroots does not converge.
+    NumericalFailure if polyroots does not converge.
     """
     coeffs = [Fraction(c) for c in p]
     if not any(coeffs):
@@ -81,7 +75,7 @@ def univariate_mahler(p: Sequence[Fraction | float], prec: int = 15) -> HPReal:
             try:
                 roots = mpmath.polyroots(c)
             except NoConvergence as e:
-                raise RootFindingError(f"root iteration did not converge: {e}") from e
+                raise NumericalFailure(f"root iteration did not converge: {e}") from e
             outside = sum(mpmath.log(abs(r)) for r in roots if abs(r) > 1)
             total += mult * (mpmath.log(abs(c[0])) + outside)
         return HPReal(total, prec)
@@ -121,9 +115,9 @@ def _group_by_degree(C: np.ndarray):
 
     Returns one (degree, rows) pair per degree d >= 0 that occurs; rows
     indexes C, and is ``slice(None)`` when every row has degree d, which is
-    then read without fancy indexing. ValueError if a row vanishes
-    identically; RootFindingError if a coefficient is NaN or inf, with
-    residuals NaN at those rows and 0 elsewhere.
+    then read without fancy indexing. NumericalFailure if a row vanishes
+    identically (the rule put a node on P's zero set), or if a coefficient is
+    NaN or inf, with residuals NaN at those rows and 0 elsewhere.
     """
     n, width = C.shape
     cols = [C[:, k] for k in range(width)]
@@ -134,14 +128,14 @@ def _group_by_degree(C: np.ndarray):
         for k in range(1, width):
             top[cols[k] != 0] = k
         if not ((top > 0) | (cols[0] != 0)).all():
-            raise ValueError("P vanishes identically in its last variable at a node")
+            raise NumericalFailure("P vanishes identically in its last variable at a node")
         by_degree = [(deg, np.flatnonzero(top == deg)) for deg in range(width)]
         by_degree = [(deg, rows) for deg, rows in by_degree if len(rows)]
     finite = np.isfinite(cols[0])
     for col in cols[1:]:
         finite &= np.isfinite(col)
     if not finite.all():
-        raise RootFindingError(
+        raise NumericalFailure(
             "a coefficient is NaN or inf", np.where(finite, 0.0, np.nan).tolist()
         )
     return by_degree
@@ -152,7 +146,7 @@ def _roots(c: np.ndarray) -> np.ndarray:
 
     The roots are the eigenvalues of the companion matrices, stacked (numpy's
     ``roots`` solves one row the same way); a 1x1 companion matrix is its own
-    eigenvalue. RootFindingError if a root fails the backward-error test,
+    eigenvalue. NumericalFailure if a root fails the backward-error test,
     with each row's backward error as residuals (NaN where the eigenvalue
     iteration failed or a root is not finite).
     """
@@ -172,7 +166,7 @@ def _roots(c: np.ndarray) -> np.ndarray:
             pass
     worst = _backward_error(c, r)
     if not (worst <= _ROOT_RESIDUAL_TOL).all():
-        raise RootFindingError(
+        raise NumericalFailure(
             "double-precision roots failed the backward-error test", worst.tolist()
         )
     return r

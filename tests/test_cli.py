@@ -5,14 +5,17 @@ import math
 import os
 import pathlib
 import shlex
+import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
-from reglab import cli
+from reglab import cli, kernels
 from reglab.cli import main
 from reglab.lattice import RelationReport
-from reglab.numerics import HPReal
+from reglab.lfunctions import dirichlet_L
+from reglab.numerics import HPReal, NumericalFailure
 from reglab.quadrature import QuadratureResult
 from reglab.symbolic import algebra
 
@@ -81,6 +84,8 @@ def test_parser_registers_38_options():
         ("1+x+y", "adaptive_gk", ["mahler", "deninger-check"]),
         ("1+x+y+z", "adaptive_gk", ["mahler", "deninger-check"]),
         ("1+x+y+z+t", "gauss_legendre_tensor", ["mahler"]),
+        # one variable takes univariate_mahler, which runs no rule
+        ("1+x", None, ["mahler", "deninger-check"]),
     ],
 )
 def test_torus_commands_pick_and_record_the_rule_by_variable_count(
@@ -97,8 +102,10 @@ def test_torus_commands_pick_and_record_the_rule_by_variable_count(
     for command in commands:
         code, out, _ = run(capsys, command, "--poly", poly)
         assert code == 0
-        assert json.loads(out)["manifest"]["config"]["rule"] == rule
-    assert set(ran) == {rule}
+        config = json.loads(out)["manifest"]["config"]
+        assert config.get("rule") == rule and ("rule" in config) == (rule is not None)
+    if rule:
+        assert set(ran) == {rule}
 
 
 def test_dilog_example(capsys):
@@ -406,13 +413,62 @@ def test_every_subcommand_writes_one_strict_document(command, capsys, tmp_path, 
 
 def test_root_finding_failure_is_a_numeric_failure(capsys, monkeypatch):
     def diverge(P, cfg):
-        raise cli.RootFindingError("root iteration did not converge: forced")
+        raise NumericalFailure("root iteration did not converge: forced")
 
     monkeypatch.setattr(cli, "mahler_measure", diverge)
     code, out, err = run(capsys, "mahler", "--poly", "1+x+y")
     assert code == 3
     assert out == ""
-    assert "numeric non-convergence" in err and "input error" not in err
+    assert "numeric failure: root iteration" in err and "input error" not in err
+
+
+def test_non_finite_value_is_a_numeric_failure(capsys, monkeypatch):
+    # a NaN from the Clausen values of the kink chart reaches to_decimal
+    monkeypatch.setattr(kernels, "bloch_wigner", lambda z: np.full(np.shape(z), np.nan))
+    code, out, err = run(capsys, "mahler", "--poly", "(1+x)*(1+y)*(1+z)+t")
+    assert code == 3
+    assert out == ""
+    assert "numeric failure: cannot print the non-finite value nan" in err
+    assert "input error" not in err
+
+
+def test_rule_node_on_the_zero_set_is_a_numeric_failure(capsys):
+    # GK21 puts a node at x = y = 1, where both coefficients in z vanish; the
+    # polynomial is valid input
+    code, out, err = run(capsys, "mahler", "--poly", "(x-1)+(y-1)*z")
+    assert code == 3
+    assert out == ""
+    assert "numeric failure: P vanishes identically" in err
+
+
+def test_mahler_stopped_at_the_split_cap_writes_its_document(capsys):
+    # the adaptive rule stops at its cap on 1+x+y+z; the document reports the
+    # error it reached, which bounds the truth 7 zeta(3)/(2 pi^2), and stderr
+    # holds the wall time only
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "mahler", "--poly", "1+x+y+z")
+    assert code == 0
+    doc = strict_loads(out)
+    smith = 7 * mpmath.zeta(3) / (2 * mpmath.pi**2)
+    assert abs(mpmath.mpf(doc["value"]) - smith) <= mpmath.mpf(doc["error_estimate"])
+    assert err.startswith("wall time: ") and err.count("\n") == 1
+
+
+def test_dirichlet_keeps_its_digits_at_huge_s(capsys, monkeypatch):
+    # L(chi_-3, s) -> 1; m^-s and zeta(s, a/m) lose about log10(s) digits
+    # without guard bits for the size of s
+    values = []
+
+    def recorded(*args):
+        values.append(dirichlet_L(*args))
+        return values[-1]
+
+    monkeypatch.setattr(cli, "dirichlet_L", recorded)
+    code, out, _ = run(capsys, "dirichlet", "--d", "-3", "--s", "1e300")
+    assert code == 0
+    assert json.loads(out)["value"] == "+1.00000000000000e+0"
+    assert abs(values[0].mpf() - 1) < 1e-15
 
 
 def test_non_finite_number_is_a_numeric_failure(capsys, tmp_path, monkeypatch):
@@ -482,6 +538,10 @@ def test_verify_main_abort_documents_carry_manifest(capsys, monkeypatch, corrupt
         ["boundary-integral", "--n", "3", "--seed", "1"],
         ["boundary-integral", "--n", "3", "--rule", "gauss_legendre_tensor"],
         ["boundary-integral", "--n", "3", "--depth", "0"],
+        ["k3", "--curve", "0,0,0,t,1", "--no-k3"],
+        # a non-finite s
+        ["dirichlet", "--d", "-3", "--s", "inf"],
+        ["lvalue", "--s", "nan"],
     ],
 )
 def test_bad_input_exits_2_without_a_document(capsys, argv):

@@ -30,8 +30,6 @@ COMMANDS = {
     "decomp-check_n4": ["decomp-check", "--n", "4"],
     "k3": ["k3"],
     "k3_torsion7": ["k3", "--curve", "1+t-t^2,t^2-t^3,t^2-t^3,0,0", "--torsion", "7"],
-    "k3_rational_no-k3": ["k3", "--curve", "0,0,0,t,1", "--no-k3"],
-    "k3_rho3_no-k3": ["k3", "--curve", "t,t^2+1,0,t^3,t", "--no-k3"],
     "boundary-integral_n3_level24": ["boundary-integral", "--n", "3", "--level", "24"],
     "boundary-integral_n4_level40": ["boundary-integral", "--n", "4", "--level", "40"],
     "deninger-check": ["deninger-check", "--poly", "1+x+y"],

@@ -1,6 +1,7 @@
 """Source hygiene checks; this module imports nothing beyond the standard library."""
 
 import ast
+import builtins
 import collections
 import functools
 import io
@@ -320,3 +321,80 @@ def test_nested_self_call_scan_sees_only_nested_recursion():
         "def deep():\n    def a():\n        def b():\n            return b()\n        return b()\n"
     )
     assert _nested_self_calls(tree) == [(4, "rec"), (14, "b")]
+
+
+def _lineage(name, bases):
+    """name and the names of all its bases, followed through the classes in ``bases``."""
+    seen, todo = [], [name]
+    while todo:
+        n = todo.pop()
+        if n not in seen:
+            seen.append(n)
+            todo.extend(bases.get(n, []))
+    return seen
+
+
+def _failure_paths(trees):
+    """(module, line, what) of each way the modules in ``trees`` (name -> AST) could
+    report trouble other than ``ValueError`` (bad input) and ``NumericalFailure`` (no
+    finite checked value): an import of ``warnings``, or an exception class that
+    derives from neither. Classes are matched by name across the modules."""
+    bases = {
+        node.name: [ast.unparse(b).rsplit(".", 1)[-1] for b in node.bases]
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = []
+            if any(n.split(".")[0] == "warnings" for n in names):
+                found.append((module, node.lineno, "import warnings"))
+            if not isinstance(node, ast.ClassDef) or node.name == "NumericalFailure":
+                continue
+            builtin = [getattr(builtins, n, None) for n in _lineage(node.name, bases)]
+            builtin = [c for c in builtin if isinstance(c, type) and issubclass(c, BaseException)]
+            if builtin and not any(issubclass(c, ValueError) for c in builtin):
+                found.append((module, node.lineno, f"class {node.name}"))
+    return found
+
+
+def test_one_numerical_failure_path():
+    trees = {
+        str(path.relative_to(SRC.parent)): ast.parse(path.read_text(), str(path))
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    found = _failure_paths(trees)
+    assert not found, (
+        "report bad input with ValueError and a numerical failure with"
+        " numerics.NumericalFailure, not with warnings or other exceptions:\n"
+        + "\n".join(f"{module}:{line}: {what}" for module, line, what in found)
+    )
+
+
+def test_failure_path_scan_sees_warnings_and_other_exceptions():
+    trees = {
+        "a.py": ast.parse(
+            "import warnings\nclass ParseError(ValueError): pass\n"
+            "class Deeper(ParseError): pass\nclass Stuck(RuntimeError): pass\n"
+            "class NumericalFailure(RuntimeError): pass\nclass Plain: pass\n"
+            "class Loud(UserWarning): pass\nclass Text(UnicodeError): pass\n"
+        ),
+        "b.py": ast.parse(
+            "from warnings import warn\nimport warnings_free\n"
+            "class Later(a.Stuck): pass\nclass Fine(a.Deeper): pass\n"
+        ),
+    }
+    assert _failure_paths(trees) == [
+        ("a.py", 1, "import warnings"),
+        ("a.py", 4, "class Stuck"),
+        ("a.py", 7, "class Loud"),
+        ("b.py", 1, "import warnings"),
+        ("b.py", 3, "class Later"),
+    ]

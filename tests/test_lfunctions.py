@@ -69,6 +69,23 @@ def test_dirichlet_L_against_known_series():
         dirichlet_L(CHI_M4, 0.5)
 
 
+@pytest.mark.parametrize("s", [1e12, 1e17])
+def test_dirichlet_L_keeps_its_digits_at_large_s(s):
+    # L(chi_-3, s) -> 1; without guard bits for the size of s the error grows
+    # like s 2^-wp: 8.3e-13 at s = 1e12, and 1e-7 at s = 1e17
+    assert abs(dirichlet_L(CHI_M3, s, 15).mpf() - 1) < 1e-15
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+def test_non_finite_s_is_refused(s):
+    # the message names s; dirichlet_L refuses s = nan already as not > 1
+    for L in (dirichlet_L, dirichlet_L_continued):
+        with pytest.raises(ValueError, match=f"s = {s}"):
+            L(CHI_M3, s)
+    with pytest.raises(ValueError, match=f"s = {s} is not finite"):
+        completed_lambda(F7, s)
+
+
 def test_dirichlet_Lprime_neg_vs_numerical_differentiation():
     for chi in (CHI_M3, CHI_M4, CHI_M7):
         closed = float(dirichlet_Lprime_neg(chi, 25))

@@ -9,10 +9,10 @@ import pytest
 
 from reglab.k3 import data_dir
 from reglab.lfunctions import F15, lprime_minus1, lvalue
+from reglab.numerics import NumericalFailure
 from reglab.quadrature import (
     QuadratureConfig,
     QuadratureResult,
-    RootFindingError,
     boundary,
     deninger_gamma_check,
     engine,
@@ -236,17 +236,25 @@ def test_adaptive_error_estimate_bounds_true_error(poly, prec):
     assert float(res.error_estimate) >= abs(float(res.value) - want)
 
 
-def test_adaptive_warns_on_nan_integrand():
+def test_adaptive_stops_on_a_nan_integrand():
+    # the first region's sum is NaN: no split, and the value is left to the caller,
+    # whose to_decimal refuses it
     cfg = QuadratureConfig(rule="adaptive_gk")
-    with pytest.warns(engine.AdaptiveWarning, match="nan"):
-        integrate_box(lambda p: np.where(p[:, 0] < 0.5, np.nan, 1.0), 0.0, 1.0, 1, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, _, evals = integrate_box(
+            lambda p: np.where(p[:, 0] < 0.5, np.nan, 1.0), 0.0, 1.0, 1, cfg
+        )
+    assert not math.isfinite(val)
+    assert evals == 21
 
 
-def test_adaptive_warns_when_not_converged():
+def test_adaptive_reports_the_error_it_reached_at_the_split_cap():
     # sin(1e8 x) looks like noise at every width the split cap reaches: each region
     # keeps an error of its own length, so the total never falls below 1e-12
     cfg = QuadratureConfig(rule="adaptive_gk", prec=12)
-    with pytest.warns(engine.AdaptiveWarning, match="not_converged"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         _, err, evals = integrate_box(lambda p: np.sin(1e8 * p[:, 0]), 0.0, 1.0, 1, cfg)
     assert err > 1e-12
     assert evals == 21 * (1 + 2 * 10000)  # the first region and the children of 10000 splits
@@ -547,13 +555,13 @@ def test_batched_roots_flag_and_resolve_unconverged_rows():
 
     broken = C.copy()
     broken[5, 4] = np.nan
-    with np.errstate(invalid="ignore"), pytest.raises(RootFindingError) as info:
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure) as info:
         _inner_mahler_batch(broken)
     assert info.value.residuals is not None
 
     broken = C.copy()
     broken[1, 0] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(RootFindingError) as info:
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure) as info:
         _inner_mahler_batch(broken)
     assert info.value.residuals is not None
 
@@ -583,7 +591,7 @@ def test_inner_mahler_mixed_batch_matches_per_row_roots():
             assert got[i] == np.log(max(abs(c[0]), abs(c[1]))), i
     assert abs(got[7] - 3 * math.log(20)) < 1e-12
 
-    with pytest.raises(ValueError, match="vanishes identically"):
+    with pytest.raises(NumericalFailure, match="vanishes identically"):
         _inner_mahler_batch(np.vstack([C, np.zeros(4)]))
 
 
@@ -621,7 +629,7 @@ def test_inner_mahler_degree_one_needs_no_finite_root():
     assert got[0] == np.log(1e300)
     assert got[1] == np.log(2)
     # the root step, which deninger_gamma_check takes, still flags it
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RootFindingError) as info:
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFailure) as info:
         _roots(np.array([[1e300, 1e-300]], dtype=np.complex128))
     assert math.isnan(info.value.residuals[0])
 
@@ -631,13 +639,13 @@ def test_inner_mahler_degree_one_needs_no_finite_root():
 def test_inner_mahler_non_finite_rows_raise(bad, width):
     C = np.ones((4, width), dtype=np.complex128)
     C[2, 0] = bad
-    with np.errstate(invalid="ignore"), pytest.raises(RootFindingError) as info:
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure) as info:
         _inner_mahler_batch(C)
     residuals = info.value.residuals
     assert len(residuals) == 4 and math.isnan(residuals[2])
     assert [w for i, w in enumerate(residuals) if i != 2] == [0.0] * 3
-    # a row that vanishes identically is a ValueError, NaN rows or not
-    with pytest.raises(ValueError, match="vanishes identically"):
+    # a row that vanishes identically is a numerical failure too, NaN rows or not
+    with pytest.raises(NumericalFailure, match="vanishes identically"):
         _inner_mahler_batch(np.vstack([C, np.zeros(width)]))
 
 
@@ -651,13 +659,13 @@ def test_batched_roots_flag_failed_eigenvalues_and_inaccurate_roots(monkeypatch)
         raise np.linalg.LinAlgError("QR iteration did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvals", fail)
-    with pytest.raises(RootFindingError) as info:
+    with pytest.raises(NumericalFailure) as info:
         _inner_mahler_batch(C)
     assert all(math.isnan(w) for w in info.value.residuals)
 
     # roots off by 1e-6 fail the 2^-26 backward-error test; off by 1e-12 they pass
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) * (1 + 1e-6))
-    with pytest.raises(RootFindingError) as info:
+    with pytest.raises(NumericalFailure) as info:
         _inner_mahler_batch(C)
     assert min(info.value.residuals) > 2.0**-26
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) * (1 + 1e-12))
@@ -670,7 +678,7 @@ def test_polynomial_vanishing_at_a_node_raises(poly):
     # without the content split, which deninger_gamma_check takes for the
     # leading coefficient, still stops there
     P = parse_poly(poly, ["x", "y"])
-    with pytest.raises(ValueError, match="vanishes identically"):
+    with pytest.raises(NumericalFailure, match="vanishes identically"):
         _measure(P, QuadratureConfig(level=33))
     assert math.isfinite(float(_measure(P, QuadratureConfig(level=32)).value))
 
@@ -680,7 +688,7 @@ def test_polynomial_without_content_vanishing_at_a_node_raises():
     # z vanish; P has no content in z to split off
     P = parse_poly("(x-1)+(y-1)*z", ["x", "y", "z"])
     for cfg in (QuadratureConfig(level=33), QuadratureConfig(rule="adaptive_gk")):
-        with pytest.raises(ValueError, match="vanishes identically"):
+        with pytest.raises(NumericalFailure, match="vanishes identically"):
             mahler_measure(P, cfg)
     assert math.isfinite(float(mahler_measure(P, QuadratureConfig(level=32)).value))
 
