@@ -236,6 +236,35 @@ def test_completed_lambda_functional_equation():
         assert abs(a - b) < 1e-15, s
 
 
+# the stored binary values, (sign, mantissa, exponent, bit count), of L-values that
+# verify-main, the CLI and the benchmark print; a change to how the series is
+# summed must leave every bit of them as it is
+PINNED_LVALUES = [
+    (lambda: lprime_minus1(F7, 20), (1, 19915864668962495911903, -78, 75)),
+    (lambda: lprime_minus1(F7, 30), (1, 85537987424755786192157649203471, -110, 107)),
+    (
+        lambda: lprime_minus1(F7, 40),
+        (1, 1469531434219941449928341900020592629888817, -144, 141),
+    ),
+    (
+        lambda: lprime_minus1(F7, 60),
+        (1, 216864562202612821790289794993155710021673089772313128654520169, -211, 208),
+    ),
+    (lambda: lprime_minus1(F15, 20), (1, 73139705847435330732913, -78, 76)),
+    (lambda: lvalue(F7, 2, 30), (0, 606475549962207624779557551587227, -110, 109)),
+    # s = 5.5 > k - 1: the s-side terms do not decay like e^(-x) at first
+    (lambda: lvalue(F7, 5.5, 20), (0, 1105040384236636445055, -70, 70)),
+    (lambda: completed_lambda(F7, 2, 20, 0.7), (0, 1564846548739880546147, -74, 71)),
+    (lambda: completed_lambda(F7, 2, 20, 1.3), (0, 1564846548739880546147, -74, 71)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED_LVALUES)))
+def test_lvalues_are_pinned_bit_for_bit(case):
+    compute, want = PINNED_LVALUES[case]
+    assert compute().mpf()._mpf_ == want
+
+
 def test_lvalue_matches_direct_dirichlet_series():
     # at s = 4 the Dirichlet series converges absolutely
     a = F7.coefficients(40000)
