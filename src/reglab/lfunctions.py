@@ -90,19 +90,44 @@ def dirichlet_L_continued(chi: DirichletChar, s, prec: int = 15) -> HPReal:
     """Analytic continuation of L(chi, s) (any s != 1 pole cases aside).
 
     m^-s and zeta(s, a/m) each carry a relative error of about |s| 2^-wp, so
-    the working precision grows by the bit length of ceil|s|.
+    the working precision wp grows by the bit length of ceil|s|. Once
+    2^-s < 2^-wp the Dirichlet series itself is summed (``_dirichlet_series``);
+    below that, the Hurwitz-zeta decomposition (``_hurwitz_sum``), whose
+    Euler-Maclaurin sum takes hundreds of integer powers of exponent s.
     """
     if not mpmath.isfinite(s):
         raise ValueError(f"s = {s} is not finite")
-    m = chi.modulus
-    with mp.workprec(_bits(prec) + 20 + int(mpmath.ceil(abs(s))).bit_length()):
+    wp = _bits(prec) + 20 + int(mpmath.ceil(abs(s))).bit_length()
+    with mp.workprec(wp):
         s = mpmath.mpf(s) if not isinstance(s, mpmath.mpf) else s
-        total = mpmath.mpf(0)
-        for a in range(1, m + 1):
-            if chi(a):
-                total += chi(a) * mpmath.zeta(s, mpmath.mpf(a) / m)
-        total *= mpmath.power(m, -s)
+        total = _dirichlet_series(chi, s, wp) if s > wp else _hurwitz_sum(chi, s)
         return HPReal(total, prec)
+
+
+def _hurwitz_sum(chi: DirichletChar, s):
+    """L(chi, s) = m^-s sum_a chi(a) zeta(s, a/m) at the working precision."""
+    m = chi.modulus
+    total = mpmath.mpf(0)
+    for a in range(1, m + 1):
+        if chi(a):
+            total += chi(a) * mpmath.zeta(s, mpmath.mpf(a) / m)
+    return total * mpmath.power(m, -s)
+
+
+def _dirichlet_series(chi: DirichletChar, s, wp: int):
+    """L(chi, s) = sum chi(n) n^-s for s > wp, up to the first n0 with n0^-s < 2^-(wp+1).
+
+    Since s > wp >= 53, n0 <= 3 < s - 1, and the terms left out sum to at most
+    n0^-s (1 + n0 / (s - 1)) < 2^-wp, a relative error since L(chi, s) is
+    within 2^-wp of 1.
+    """
+    total = mpmath.mpf(0)
+    n = 1
+    while s * mpmath.log(n, 2) <= wp + 1:
+        if chi(n):
+            total += chi(n) * mpmath.power(n, -s)
+        n += 1
+    return total
 
 
 def dirichlet_Lprime_neg(chi: DirichletChar, prec: int = 15) -> HPReal:
@@ -251,8 +276,36 @@ def _lambda_terms(f: NewformSpec, prec: int, A):
     return M
 
 
+def _dropped_bits(an: int, y: float, s: float, k: int, A: float, log2_first: float) -> int:
+    """How many bits below the working precision wp a term of ``completed_lambda`` may run.
+
+    The term is a_n [(1/y)^s Gamma(s, x1) + eps (1/y)^(k-s) Gamma(k-s, x2)],
+    y = 2 pi n / sqrt(N), x1 = y A, x2 = y / A. For real a,
+    |Gamma(a, x)| <= 2 x^(a-1) e^(-x) once x >= 2 max(1, a - 1), so then
+    |term| <= B = (2 |a_n| / y) (A^(s-1) e^(-x1) + A^(s+1-k) e^(-x2)), and the
+    term runs at wp - d bits, d = floor(log2(|first term| / B)) - 10, or at wp
+    when d < 0 or an x is below its threshold (for large |s| or |k - s| the
+    terms do not decay like e^(-x) at first). Its roundings, amplified by about
+    x + |s| < 2^10 up to a few hundred digits, then leave an error below
+    |first term| 2^-wp, and the 30 guard bits of wp cover the sum of these.
+    """
+    x1, x2 = y * A, y / A
+    if not (x1 >= 2 * max(1.0, s - 1) and x2 >= 2 * max(1.0, k - s - 1) and log2_first > -math.inf):
+        return 0
+    logA = math.log(A)
+    e1, e2 = (s - 1) * logA - x1, (s + 1 - k) * logA - x2
+    log_bound = math.log(2 * abs(an) / y) + max(e1, e2) + math.log1p(math.exp(-abs(e1 - e2)))
+    return max(0, math.floor(log2_first - log_bound / math.log(2)) - 10)
+
+
 def completed_lambda(f: NewformSpec, s, prec: int = 15, A=1) -> HPReal:
-    """Lambda(s) by the two-sided incomplete-gamma sum with split A > 0."""
+    """Lambda(s) by the two-sided incomplete-gamma sum with split A > 0.
+
+    The sum runs at wp = bits(prec) + 30 and its first term at wp; term n runs at
+    wp - d_n bits, as many as it needs to be correct to |first term| 2^-(wp+10)
+    (``_dropped_bits``; Dokchitser, "Computing special values of motivic
+    L-functions", 2004).
+    """
     if not mpmath.isfinite(s):
         raise ValueError(f"s = {s} is not finite")
     if not float(A) > 0:
@@ -260,22 +313,34 @@ def completed_lambda(f: NewformSpec, s, prec: int = 15, A=1) -> HPReal:
     M = _lambda_terms(f, prec, A)
     a = f.coefficients(M)
     k = f.weight
-    with mp.workprec(_bits(prec) + 30):
+    wp = _bits(prec) + 30
+    with mp.workprec(wp):
         s = mpmath.mpf(s)
         A = mpmath.mpf(A)
         sqN = mpmath.sqrt(f.level)
         twopi = 2 * mpmath.pi
-        total = mpmath.mpf(0)
-        for n in range(1, M + 1):
-            if a[n] == 0:
-                continue
+
+        def term(n):
             x1 = twopi * n * A / sqN
             x2 = twopi * n / (A * sqN)
             t1 = mpmath.power(sqN / (twopi * n), s) * mpmath.gammainc(s, x1)
             t2 = f.eps * mpmath.power(sqN / (twopi * n), k - s) * mpmath.gammainc(
                 k - s, x2
             )
-            total += a[n] * (t1 + t2)
+            return a[n] * (t1 + t2)
+
+        total = term(1)
+        mant, expo = mpmath.frexp(total)
+        log2_first = expo + math.log2(abs(float(mant))) if mant else -math.inf
+        y = 2 * math.pi / math.sqrt(f.level)
+        for n in range(2, M + 1):
+            if a[n] == 0:
+                continue
+            d = _dropped_bits(a[n], y * n, float(s), k, float(A), log2_first)
+            # at 53 bits or more a rounding moves the term by about (x + |s|) 2^-bits
+            with mp.workprec(max(53, wp - d)):
+                t = term(n)
+            total += t
         return HPReal(total, prec)
 
 

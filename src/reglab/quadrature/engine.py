@@ -10,10 +10,20 @@ The exponentials are taken once per 1-D axis node, before the tensor
 product: n per axis and region for n^dims points, with the same bits as
 e^(i theta) taken at each point.
 
+Tensor Gauss-Legendre calls f once per rule: the grid at half the level and
+the grid at the level go to f as one batch, and the values are split
+afterwards. The Gauss-Legendre nodes and weights on [-1, 1] are computed
+once per level. With ``even=True``, for an integrand even in every
+coordinate, the 1-D rule on [-h, h] is folded before the tensor product
+(``gl_rule``): each node u >= 0 stands for itself and its mirror image with
+twice its weight, so f sees 1/2^dims of the nodes. Since the sum is
+correctly rounded and doubling a weight is exact, the folded total equals
+the full grid's bit for bit.
+
 Error estimates are heuristic: the Gauss-Legendre estimate is the delta
 against a half-level run, but no less than the rounding error
-log2(N) eps sum |f w| of the N-node sum (at high levels the delta alone can
-fall below the true error).
+log2(N) eps sum |f w| of the sum over the N nodes of the full grid (at high
+levels the delta alone can fall below the true error).
 
 The adaptive rule is global: it keeps a list of cubic regions, each with its
 GK21 product estimate K and error |K - G|, where G is the Gauss-10 product rule
@@ -32,6 +42,7 @@ deterministic for a fixed (rule, level, depth, prec).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -83,17 +94,72 @@ def _panels(lo: float, hi: float, depth: int) -> np.ndarray:
     return np.linspace(lo, hi, 2**depth + 1)
 
 
-def gl_grid(lo, hi, level: int, depth: int, dims: int, circle: bool = False):
-    """Tensor nodes/weights on [lo,hi]^dims with 2^depth panels per axis; with
-    ``circle`` each 1-D node theta is mapped to e^(i theta) before the product."""
+@functools.lru_cache(maxsize=None)
+def _legendre(level: int):
+    """The Gauss-Legendre nodes and weights on [-1, 1], computed once per level and
+    returned read-only. numpy symmetrises them: x[i] = -x[-1 - i] and
+    w[i] = w[-1 - i] exactly, with the middle node of an odd level at 0."""
     x, w = leggauss(level)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gl_rule(lo, hi, level: int, depth: int, even: bool = False):
+    """The 1-D Gauss-Legendre rule on [lo, hi] with 2^depth panels: nodes, weights.
+
+    With ``even`` the rule is folded for an integrand even about 0: only the
+    nodes u >= 0 are kept, each with its weight doubled to stand for its
+    mirror image; the node at 0 of an odd level counts once and keeps its
+    weight. Only a rule that is exactly mirror-symmetric folds, depth 0 on
+    lo = -hi, and any other is refused with ``ValueError``.
+    """
+    if even and (depth or lo != -hi):
+        raise ValueError("even=True folds only a depth-0 rule on a box [-h, h]")
+    x, w = _legendre(level)
     edges = _panels(lo, hi, depth)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * w)
-    nodes = np.concatenate(nodes)
-    return _product(np.exp(1j * nodes) if circle else nodes, np.concatenate(weights), dims)
+    nodes = np.concatenate([0.5 * (b - a) * x + 0.5 * (a + b) for a, b in zip(edges, edges[1:])])
+    weights = np.concatenate([0.5 * (b - a) * w for a, b in zip(edges, edges[1:])])
+    if even:
+        half = level // 2
+        nodes, weights = nodes[half:], 2.0 * weights[half:]
+        if level % 2:
+            weights[0] *= 0.5
+    return nodes, weights
+
+
+def _outer(w, dims: int) -> np.ndarray:
+    """The weights of the tensor product of a 1-D rule with weights w, first axis slowest."""
+    wt = w
+    for _ in range(dims - 1):
+        wt = np.multiply.outer(wt, w)
+    return wt.reshape(-1)
+
+
+def _tensor(axes, dims: int, circle: bool) -> np.ndarray:
+    """The tensor grids of several sets of 1-D nodes, stacked into one batch.
+
+    Returns the points (sum of len(x)^dims, dims), grid after grid, each with
+    its first axis slowest; each column is contiguous in memory. With
+    ``circle`` each 1-D node theta is mapped to e^(i theta) before the product.
+    """
+    sizes = [len(x) ** dims for x in axes]
+    pts = np.empty((dims, sum(sizes)), dtype=np.complex128 if circle else np.float64)
+    start = 0
+    for x, size in zip(axes, sizes):
+        n = len(x)
+        if circle:
+            x = np.exp(1j * x)
+        for j in range(dims):
+            pts[j, start : start + size] = np.tile(np.repeat(x, n ** (dims - 1 - j)), n**j)
+        start += size
+    return pts.T
+
+
+def gl_grid(lo, hi, level: int, depth: int, dims: int, circle: bool = False, even: bool = False):
+    """Tensor nodes/weights of ``gl_rule`` on [lo,hi]^dims; with ``circle`` each 1-D
+    node theta is mapped to e^(i theta) before the product."""
+    x, w = gl_rule(lo, hi, level, depth, even)
+    return _tensor([x], dims, circle), _outer(w, dims)
 
 
 def _grid(axes):
@@ -109,35 +175,42 @@ def _grid(axes):
     return pts.reshape(dims, -1).T
 
 
-def _product(x, w, dims: int):
-    """The tensor product of a 1-D rule (x, w): nodes (len(x)^dims, dims), weights."""
-    pts = _grid(np.broadcast_to(x[:, None], (len(x), dims))[None])
-    wt = w
-    for _ in range(dims - 1):
-        wt = np.multiply.outer(wt, w)
-    return pts, wt.reshape(-1)
-
-
-def _gl_pass(f, lo, hi, level, depth, dims, circle):
-    pts, wt = gl_grid(lo, hi, level, depth, dims, circle)
-    terms = np.asarray(f(pts), dtype=np.float64) * wt
-    # the correctly rounded sum (Shewchuk's exact summation), whatever the order
-    return math.fsum(terms.tolist()), float(np.abs(terms).sum()), len(wt)
+def _gauss_legendre(f, lo, hi, dims, cfg, circle, even):
+    """Tensor Gauss-Legendre at cfg.level and at half the level, in one call to f."""
+    rules = [gl_rule(lo, hi, L, cfg.depth, even) for L in (max(2, cfg.level // 2), cfg.level)]
+    values = np.asarray(f(_tensor([x for x, _ in rules], dims, circle)), dtype=np.float64)
+    split = len(rules[0][0]) ** dims
+    coarse = values[:split] * _outer(rules[0][1], dims)
+    fine = values[split:] * _outer(rules[1][1], dims)
+    # the correctly rounded sums (Shewchuk's exact summation), whatever the order
+    total = math.fsum(fine.tolist())
+    delta = abs(total - math.fsum(coarse.tolist()))
+    # the rounding floor counts the full tensor grid, (level 2^depth)^dims nodes, folded or not
+    floor = math.log2((cfg.level * 2**cfg.depth) ** dims) * np.finfo(float).eps * np.abs(fine).sum()
+    return total, max(delta, floor), len(values)
 
 
 def integrate_box(
-    f: Callable, lo: float, hi: float, dims: int, cfg: QuadratureConfig, circle: bool = False
+    f: Callable,
+    lo: float,
+    hi: float,
+    dims: int,
+    cfg: QuadratureConfig,
+    circle: bool = False,
+    even: bool = False,
 ) -> Tuple[float, float, int]:
     """Integrate f over [lo, hi]^dims with the configured rule.
 
     With ``circle`` f is handed the unit-circle coordinates e^(i theta) of the
-    nodes theta instead of the nodes themselves.
+    nodes theta instead of the nodes themselves. With ``even`` f must be even
+    in every coordinate, and tensor Gauss-Legendre evaluates it only at the
+    nodes with every coordinate >= 0 (``gl_rule``); the adaptive rule, which
+    has no fixed mirror-symmetric node set, refuses it with ``ValueError``.
     """
     if cfg.rule == "gauss_legendre_tensor":
-        coarse, _, n1 = _gl_pass(f, lo, hi, max(2, cfg.level // 2), cfg.depth, dims, circle)
-        fine, mass, n2 = _gl_pass(f, lo, hi, cfg.level, cfg.depth, dims, circle)
-        floor = math.log2(n2) * np.finfo(float).eps * mass
-        return fine, max(abs(fine - coarse), floor), n1 + n2
+        return _gauss_legendre(f, lo, hi, dims, cfg, circle, even)
+    if even:
+        raise ValueError(f"even=True folds tensor Gauss-Legendre only, not {cfg.rule}")
     if cfg.rule == "adaptive_gk":
         return _adaptive(f, lo, hi, dims, cfg, circle)
     raise ValueError(cfg.rule)
@@ -208,10 +281,9 @@ def _gk_regions(f, centers, half, x, wk, wg, circle):
 def _adaptive(f, lo, hi, dims, cfg, circle):
     tol = 10.0 ** (-min(cfg.prec, 12))
     x, wk, wg = gk21()
-    wk = _product(x, wk, dims)[1]
-    wg = _product(x, wg, dims)[1]
+    wk, wg = _outer(wk, dims), _outer(wg, dims)
     # the 2^dims children of a cube: their centers' offsets in half-widths
-    corners = _product(np.array([-0.5, 0.5]), np.ones(2), dims)[0]
+    corners = _tensor([np.array([-0.5, 0.5])], dims, False)
 
     centers = np.full((1, dims), 0.5 * (lo + hi))
     half = np.array([0.5 * (hi - lo)])

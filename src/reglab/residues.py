@@ -239,15 +239,16 @@ _SUMS_TO_ZERO = ("trivial", "exact_cancellation", "coefficients of this pair sum
 _NONTRIVIAL = ("nontrivial", None, None)
 
 
-def _decide(f: FactoredElement, labels, basis, divisor: DivisorData):
-    """One term {f}_2 (x) g ^ h along the component.
+def _decide(f: FactoredElement, labels, basis, divisor: DivisorData, restrict):
+    """One term {f}_2 (x) g ^ h along the component; ``restrict`` is
+    ``_restrict_factored`` or a memo of it.
 
     Returns ((status, reason, why), None) when the term alone settles its
     status, else (None, (sign, a, t)): the term is sign * {a}_2 (x) t, with
     {f(p)}_2 taken modulo inversion ({1/a}_2 = -{a}_2) to the one of f(p)
     and 1/f(p) whose string is smaller.
     """
-    order, fval = _restrict_factored(f, divisor)
+    order, fval = restrict(f, divisor)
     if order is UNDECIDABLE:
         return ("undecidable", None, "order of f along the component is not determined"), None
     if order != 0:
@@ -270,12 +271,17 @@ def _decide(f: FactoredElement, labels, basis, divisor: DivisorData):
     return None, (1, fval, t)
 
 
-def residue_43(xi: B2WedgeElement, divisor: DivisorData) -> B2Residue:
-    """Residue of a B2-wedge element (wedge degree 2) along one component."""
+def residue_43(xi: B2WedgeElement, divisor: DivisorData, restrict=None) -> B2Residue:
+    """Residue of a B2-wedge element (wedge degree 2) along one component.
+
+    ``restrict`` stands in for ``_restrict_factored``, which it must equal.
+    """
     if xi.degree != 2:
         raise ValueError("residue_43 needs wedge degree 2")
+    restrict = restrict or _restrict_factored
     decided = [
-        (c, f, labels, *_decide(f, labels, xi.basis, divisor)) for c, f, labels in xi.terms_list()
+        (c, f, labels, *_decide(f, labels, xi.basis, divisor, restrict))
+        for c, f, labels in xi.terms_list()
     ]
     sums: Dict[tuple, Fraction] = {}
     for c, _, _, _, pair in decided:
@@ -300,10 +306,23 @@ def residue_43(xi: B2WedgeElement, divisor: DivisorData) -> B2Residue:
 
 
 def certify_all_residues(xi: B2WedgeElement, divisor_list: List[DivisorData]) -> dict:
-    """Per-divisor triviality certificates plus an overall verdict."""
+    """Per-divisor triviality certificates plus an overall verdict.
+
+    A restriction depends only on the term f and the records of its factors, and
+    divisors share their records, so each distinct (f, records) is restricted once:
+    the 144 (term, divisor) pairs of the flagship read 18.
+    """
+    restricted: Dict[tuple, Tuple[object, object]] = {}
+
+    def restrict(f: FactoredElement, divisor: DivisorData):
+        key = (f, *(divisor.record_for(f.basis.names[i]) for i in f.exps))
+        if key not in restricted:
+            restricted[key] = _restrict_factored(f, divisor)
+        return restricted[key]
+
     report = {"divisors": [], "overall": "trivial"}
     for d in divisor_list:
-        res = residue_43(xi, d)
+        res = residue_43(xi, d, restrict)
         if res.undecidable:
             verdict = "undecidable"
         elif res.terms:

@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from reglab import lfunctions
 from reglab.lfunctions import (
     CHI_M3,
     CHI_M4,
@@ -23,6 +24,7 @@ from reglab.lfunctions import (
     lvalue,
     zeta_prime_minus2,
 )
+from reglab.numerics import HPReal
 
 
 def test_kronecker_basic():
@@ -74,6 +76,20 @@ def test_dirichlet_L_keeps_its_digits_at_large_s(s):
     # L(chi_-3, s) -> 1; without guard bits for the size of s the error grows
     # like s 2^-wp: 8.3e-13 at s = 1e12, and 1e-7 at s = 1e17
     assert abs(dirichlet_L(CHI_M3, s, 15).mpf() - 1) < 1e-15
+
+
+@pytest.mark.parametrize("s", [100, 200, 1e6])
+@pytest.mark.parametrize("chi", [CHI_M3, CHI_M4])
+def test_dirichlet_series_route_agrees_with_hurwitz_route(chi, s, monkeypatch):
+    # above s = wp the series itself is summed; the Hurwitz-zeta sum at the same
+    # working precision agrees to the digits asked for
+    prec, wp = 15, 90
+    with mpmath.mp.workprec(wp):
+        direct = lfunctions._dirichlet_series(chi, mpmath.mpf(s), wp)
+        hurwitz = lfunctions._hurwitz_sum(chi, mpmath.mpf(s))
+    assert abs(direct - hurwitz) < mpmath.mpf(10) ** -prec
+    monkeypatch.setattr(lfunctions, "_hurwitz_sum", None)  # the route is not taken
+    assert dirichlet_L_continued(chi, s, prec).mpf() == HPReal(direct, prec).mpf()
 
 
 @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])

@@ -17,6 +17,7 @@ from reglab.quadrature import (
     deninger_gamma_check,
     engine,
     integrate_box,
+    mahler,
     mahler_measure,
     regulator_boundary_integral,
     univariate_mahler,
@@ -474,7 +475,7 @@ def test_boundary_integral_n4_flagship_quick():
 def test_boundary_integral_n4_level40_pinned():
     # the value verify-main reports at --level 40
     res = regulator_boundary_integral(_xi(4), QuadratureConfig(level=40))
-    assert res.evaluations == 2000
+    assert res.evaluations == 500  # the folded rule: 20^2 + 10^2 nodes with u_j >= 0
     assert abs(float(res.value) - 0.6041658311024739) < 1e-13
 
 
@@ -500,11 +501,8 @@ def test_boundary_integrand_is_even_in_every_coordinate(n, monkeypatch):
         assert np.array_equal(f(mirrored), values), axis
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_gl_total_is_the_half_box_sum_of_the_even_boundary_integrand(n, monkeypatch):
-    # the tensor GL total is the correctly rounded sum of its terms, so on an integrand
-    # even in every u_j it equals, bit for bit, the sum over the nodes with every u_j > 0
-    # with 2^dims times their weights
+def _boundary_integrand(n, monkeypatch):
+    """The integrand regulator_boundary_integral hands the rule, for n = 3 or 4."""
     seen = []
     engine_box = boundary.integrate_box
 
@@ -515,12 +513,74 @@ def test_gl_total_is_the_half_box_sum_of_the_even_boundary_integrand(n, monkeypa
     monkeypatch.setattr(boundary, "integrate_box", capturing)
     regulator_boundary_integral(_xi(n), QuadratureConfig(level=4))
     (f,) = seen
+    return f
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_gl_total_is_the_half_box_sum_of_the_even_boundary_integrand(n, monkeypatch):
+    # the tensor GL total is the correctly rounded sum of its terms, so on an integrand
+    # even in every u_j the rule folded onto the nodes with u_j >= 0 gives, bit for bit,
+    # the total and the error estimate of the full box, at 1/2^dims of the evaluations
+    f = _boundary_integrand(n, monkeypatch)
     dims = n - 2
-    total, _, count = engine._gl_pass(f, -math.pi / 2, math.pi / 2, 40, 0, dims, False)
-    pts, wt = engine.gl_grid(-math.pi / 2, math.pi / 2, 40, 0, dims)
-    half = (pts > 0).all(axis=1)
-    assert (count, np.count_nonzero(half)) == (40**dims, 20**dims)
-    assert total == math.fsum((f(pts[half]) * (wt[half] * 2**dims)).tolist())
+    box = (-math.pi / 2, math.pi / 2)
+    for level in (40, 41):
+        sums = []
+        for lev in (level // 2, level):
+            pts, wt = engine.gl_grid(*box, lev, 0, dims)
+            terms = f(pts) * wt
+            sums.append(math.fsum(terms.tolist()))
+        floor = math.log2(len(wt)) * np.finfo(float).eps * np.abs(terms).sum()
+        full = (sums[1], max(abs(sums[1] - sums[0]), floor))
+        value, err, evals = integrate_box(f, *box, dims, QuadratureConfig(level=level), even=True)
+        assert (value, err) == full, level
+        # ceil(L/2) folded nodes per axis at level L, an odd level's node at 0 among them
+        assert evals == ((level + 1) // 2) ** dims + ((level // 2 + 1) // 2) ** dims
+
+
+def test_even_refuses_a_rule_that_is_not_mirror_symmetric():
+    f = lambda p: np.cos(p[:, 0])
+    cfg = QuadratureConfig(level=8)
+    with pytest.raises(ValueError, match="even"):
+        integrate_box(f, -1.0, 1.0, 1, QuadratureConfig(level=8, depth=1), even=True)
+    with pytest.raises(ValueError, match="even"):
+        integrate_box(f, -1.0, 2.0, 1, cfg, even=True)
+    with pytest.raises(ValueError, match="even"):
+        integrate_box(f, 0.0, 1.0, 1, cfg, even=True)
+    with pytest.raises(ValueError, match="even"):
+        integrate_box(f, -1.0, 1.0, 1, QuadratureConfig(rule="adaptive_gk"), even=True)
+    # the symmetric depth-0 rule folds, and integrates cos to 2 sin 1
+    value, _, evals = integrate_box(f, -1.0, 1.0, 1, cfg, even=True)
+    assert abs(value - 2 * math.sin(1)) < 1e-15 and evals == 4 + 2
+
+
+def _counting_integrand(monkeypatch, module):
+    """Record the rows of each call to the integrands that ``module`` hands the rule."""
+    calls = []
+    engine_box = module.integrate_box
+
+    def counted(f, *args, **kwargs):
+        def g(points):
+            calls.append(len(points))
+            return f(points)
+
+        return engine_box(g, *args, **kwargs)
+
+    monkeypatch.setattr(module, "integrate_box", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, rows", [(3, 30), (4, 500)])
+def test_boundary_rule_calls_its_integrand_once_on_the_folded_nodes(n, rows, monkeypatch):
+    calls = _counting_integrand(monkeypatch, boundary)
+    res = regulator_boundary_integral(_xi(n), QuadratureConfig(level=40))
+    assert calls == [rows] and res.evaluations == rows
+
+
+def test_flagship_kink_rule_calls_its_integrand_once(monkeypatch):
+    calls = _counting_integrand(monkeypatch, mahler)
+    res = mahler_measure(parse_poly(FLAGSHIP, list("xyzt")), QuadratureConfig(level=40))
+    assert calls == [40**2 + 20**2] and res.evaluations == 2000
 
 
 def test_boundary_integral_zero_element():

@@ -513,6 +513,28 @@ def test_shipped_report_pinned():
     assert hashlib.sha256(blob).hexdigest() == SHIPPED_REPORT_SHA256
 
 
+def test_certificates_restrict_each_term_and_records_once(monkeypatch):
+    # the 3 terms along the 48 shipped divisors share 18 (term, records) tuples; the
+    # report equals the one residue_43 gives divisor by divisor, unmemoised
+    import reglab.residues as residues
+
+    calls = []
+
+    def counted(f, divisor):
+        calls.append(f)
+        return _restrict_factored(f, divisor)
+
+    xi, divisors = _xi(), _divisors()
+    monkeypatch.setattr(residues, "_restrict_factored", counted)
+    report = certify_all_residues(xi, divisors)
+    assert (len(divisors), len(xi.terms_list()), len(calls)) == (48, 3, 18)
+    monkeypatch.undo()
+    for d, cert in zip(divisors, report["divisors"]):
+        res = residue_43(xi, d)
+        assert (cert["divisor"], cert["terms"]) == (d.name, res.trace)
+        assert cert["verdict"] == "trivial" and not res.terms and not res.undecidable
+
+
 # (records of x, y, z along one divisor, the residue the document prints)
 CONTROL_CASES = [
     (
