@@ -15,8 +15,14 @@ standard split integral
               + eps (sqrt(N)/2pi n)^(k-s) Gamma(k-s, 2pi n/(A sqrt(N))) ],
 
 valid for any split parameter A > 0 (independence of A is a self-check).
-The trivial zero at s = -1 comes from the Gamma factor, giving
-L'(f, -1) = -(sqrt(N)/2pi) Lambda(-1).
+Each term is computed only to the final absolute error (Dokchitser,
+"Computing special values of motivic L-functions", Experiment. Math. 2004):
+term n runs at as many bits as a proven bound on its size asks for
+(``_dropped_bits``). The trivial zero at s = -1 comes from the Gamma factor,
+giving L'(f, -1) = -(sqrt(N)/2pi) Lambda(-1).
+
+Dirichlet L-values come from the Hurwitz-zeta decomposition, or, once s
+exceeds the working precision in bits, from the Dirichlet series itself.
 """
 
 from __future__ import annotations
@@ -119,7 +125,7 @@ def _dirichlet_series(chi: DirichletChar, s, wp: int):
 
     Since s > wp >= 53, n0 <= 3 < s - 1, and the terms left out sum to at most
     n0^-s (1 + n0 / (s - 1)) < 2^-wp, a relative error since L(chi, s) is
-    within 2^-wp of 1.
+    within about 2^-wp of 1.
     """
     total = mpmath.mpf(0)
     n = 1
@@ -285,12 +291,15 @@ def _dropped_bits(an: int, y: float, s: float, k: int, A: float, log2_first: flo
     |term| <= B = (2 |a_n| / y) (A^(s-1) e^(-x1) + A^(s+1-k) e^(-x2)), and the
     term runs at wp - d bits, d = floor(log2(|first term| / B)) - 10, or at wp
     when d < 0 or an x is below its threshold (for large |s| or |k - s| the
-    terms do not decay like e^(-x) at first). Its roundings, amplified by about
-    x + |s| < 2^10 up to a few hundred digits, then leave an error below
-    |first term| 2^-wp, and the 30 guard bits of wp cover the sum of these.
+    terms do not decay like e^(-x) at first). At p >= 53 bits the term's
+    roundings move it by about (x + |s|) 2^-p of its size; while
+    x + |s| < 2^10, up to a few hundred digits, that is below
+    |first term| 2^-wp, and the 30 guard bits of wp absorb the sum of the M
+    terms' errors.
     """
     x1, x2 = y * A, y / A
-    if not (x1 >= 2 * max(1.0, s - 1) and x2 >= 2 * max(1.0, k - s - 1) and log2_first > -math.inf):
+    decaying = x1 >= 2 * max(1.0, s - 1) and x2 >= 2 * max(1.0, k - s - 1)
+    if not decaying or log2_first == -math.inf:
         return 0
     logA = math.log(A)
     e1, e2 = (s - 1) * logA - x1, (s + 1 - k) * logA - x2
@@ -337,7 +346,7 @@ def completed_lambda(f: NewformSpec, s, prec: int = 15, A=1) -> HPReal:
             if a[n] == 0:
                 continue
             d = _dropped_bits(a[n], y * n, float(s), k, float(A), log2_first)
-            # at 53 bits or more a rounding moves the term by about (x + |s|) 2^-bits
+            # below 53 bits a rounded x could move e^(-x) by more than its bound allows
             with mp.workprec(max(53, wp - d)):
                 t = term(n)
             total += t

@@ -155,13 +155,6 @@ def _tensor(axes, dims: int, circle: bool) -> np.ndarray:
     return pts.T
 
 
-def gl_grid(lo, hi, level: int, depth: int, dims: int, circle: bool = False, even: bool = False):
-    """Tensor nodes/weights of ``gl_rule`` on [lo,hi]^dims; with ``circle`` each 1-D
-    node theta is mapped to e^(i theta) before the product."""
-    x, w = gl_rule(lo, hi, level, depth, even)
-    return _tensor([x], dims, circle), _outer(w, dims)
-
-
 def _grid(axes):
     """The tensor grids of R regions from their nodes per axis, axes (R, n, dims).
 

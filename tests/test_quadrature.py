@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import os
 import warnings
@@ -479,28 +480,6 @@ def test_boundary_integral_n4_level40_pinned():
     assert abs(float(res.value) - 0.6041658311024739) < 1e-13
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_boundary_integrand_is_even_in_every_coordinate(n, monkeypatch):
-    # u_j -> -u_j flips theta_j and leaves the kink and the sheet difference as they are,
-    # so the integrand takes bit-identical values at each pair of mirror nodes
-    seen = []
-    engine = boundary.integrate_box
-
-    def capturing(f, *args, **kwargs):
-        seen.append(f)
-        return engine(f, *args, **kwargs)
-
-    monkeypatch.setattr(boundary, "integrate_box", capturing)
-    regulator_boundary_integral(_xi(n), QuadratureConfig(level=4))
-    (f,) = seen
-    u = np.random.default_rng(n).uniform(-math.pi / 2, math.pi / 2, size=(2000, n - 2))
-    values = f(u)
-    for axis in range(n - 2):
-        mirrored = u.copy()
-        mirrored[:, axis] *= -1
-        assert np.array_equal(f(mirrored), values), axis
-
-
 def _boundary_integrand(n, monkeypatch):
     """The integrand regulator_boundary_integral hands the rule, for n = 3 or 4."""
     seen = []
@@ -517,6 +496,19 @@ def _boundary_integrand(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [3, 4])
+def test_boundary_integrand_is_even_in_every_coordinate(n, monkeypatch):
+    # u_j -> -u_j flips theta_j and leaves the kink and the sheet difference as they are,
+    # so the integrand takes bit-identical values at each pair of mirror nodes
+    f = _boundary_integrand(n, monkeypatch)
+    u = np.random.default_rng(n).uniform(-math.pi / 2, math.pi / 2, size=(2000, n - 2))
+    values = f(u)
+    for axis in range(n - 2):
+        mirrored = u.copy()
+        mirrored[:, axis] *= -1
+        assert np.array_equal(f(mirrored), values), axis
+
+
+@pytest.mark.parametrize("n", [3, 4])
 def test_gl_total_is_the_half_box_sum_of_the_even_boundary_integrand(n, monkeypatch):
     # the tensor GL total is the correctly rounded sum of its terms, so on an integrand
     # even in every u_j the rule folded onto the nodes with u_j >= 0 gives, bit for bit,
@@ -527,7 +519,9 @@ def test_gl_total_is_the_half_box_sum_of_the_even_boundary_integrand(n, monkeypa
     for level in (40, 41):
         sums = []
         for lev in (level // 2, level):
-            pts, wt = engine.gl_grid(*box, lev, 0, dims)
+            x, w = engine.gl_rule(*box, lev, 0)
+            pts = np.array(list(itertools.product(x, repeat=dims)))
+            wt = np.array([math.prod(c) for c in itertools.product(w, repeat=dims)])
             terms = f(pts) * wt
             sums.append(math.fsum(terms.tolist()))
         floor = math.log2(len(wt)) * np.finfo(float).eps * np.abs(terms).sum()
@@ -540,9 +534,9 @@ def test_gl_total_is_the_half_box_sum_of_the_even_boundary_integrand(n, monkeypa
 
 def test_even_refuses_a_rule_that_is_not_mirror_symmetric():
     f = lambda p: np.cos(p[:, 0])
-    cfg = QuadratureConfig(level=8)
     with pytest.raises(ValueError, match="even"):
         integrate_box(f, -1.0, 1.0, 1, QuadratureConfig(level=8, depth=1), even=True)
+    cfg = QuadratureConfig(level=8)
     with pytest.raises(ValueError, match="even"):
         integrate_box(f, -1.0, 2.0, 1, cfg, even=True)
     with pytest.raises(ValueError, match="even"):

@@ -10,6 +10,7 @@ import pytest
 import sympy
 from sympy import ZZ, field
 
+from reglab import residues
 from reglab.k3 import data_dir
 from reglab.residues import (
     INFINITY,
@@ -516,8 +517,6 @@ def test_shipped_report_pinned():
 def test_certificates_restrict_each_term_and_records_once(monkeypatch):
     # the 3 terms along the 48 shipped divisors share 18 (term, records) tuples; the
     # report equals the one residue_43 gives divisor by divisor, unmemoised
-    import reglab.residues as residues
-
     calls = []
 
     def counted(f, divisor):
