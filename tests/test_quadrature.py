@@ -96,6 +96,36 @@ def test_circle_hands_the_integrand_unit_circle_coordinates(cfg):
     assert np.abs(np.abs(x) - 1).max() <= 2 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("circle", [False, True], ids=["angles", "circle"])
+@pytest.mark.parametrize("depth, even", [(0, False), (2, False), (0, True)])
+@pytest.mark.parametrize("level", [7, 8])
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_gl_hands_the_integrand_the_coarse_then_the_fine_tensor_grid(dims, level, depth, even, circle):
+    # one call: the grid at half the level, then the grid at the level, each the tensor
+    # product of gl_rule's 1-D nodes (mapped to e^(i theta) with circle) with the first
+    # axis slowest, bit for bit, and each column contiguous in memory
+    seen = []
+
+    def f(pts):
+        seen.append(pts)
+        return np.zeros(len(pts))
+
+    box = (-math.pi, math.pi) if even else (-1.0, 2.0)
+    integrate_box(f, *box, dims, QuadratureConfig(level=level, depth=depth), circle, even)
+    grids = []
+    for lev in (max(2, level // 2), level):
+        x, _ = engine.gl_rule(*box, lev, depth, even)
+        if circle:
+            x = np.exp(1j * x)
+        mesh = np.meshgrid(*[x] * dims, indexing="ij")
+        grids.append(np.stack([axis.ravel() for axis in mesh], axis=1))
+    want = np.concatenate(grids)
+    (pts,) = seen
+    assert pts.shape == want.shape and pts.dtype == want.dtype
+    assert np.ascontiguousarray(pts).tobytes() == want.tobytes()
+    assert all(pts[:, j].flags.c_contiguous for j in range(dims))
+
+
 def _slices_by_monomial(slices, theta):
     """The coefficient slices at x_j = e^(i theta_j), one exp(i e theta_j) per factor."""
     C = np.zeros((len(theta), len(slices)), dtype=np.complex128)
