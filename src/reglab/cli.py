@@ -4,7 +4,7 @@ Each subcommand computes its result document and returns it with the input
 files it read and its exit code; ``main`` alone adds the manifest, serializes
 the document and writes it to stdout. Every run that reaches a verdict,
 an abort of ``verify-main`` included, writes exactly one JSON document with its
-manifest (command, config, library versions, seed, input hashes), so outputs
+manifest (command, config, library versions, input hashes), so outputs
 are reproducible byte-for-byte from the manifest alone. Non-finite numbers are
 never written. Diagnostics and the wall time go to stderr.
 
@@ -83,7 +83,6 @@ def _manifest(args, inputs):
             "sympy": sympy.__version__,
             "mpmath": mpmath.__version__,
         },
-        "seed": getattr(args, "seed", None),
         "input_hashes": {os.path.basename(p): _hash_file(p) for p in inputs},
     }
 

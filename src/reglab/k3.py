@@ -177,10 +177,6 @@ def transcendental_det(fibers: List[FiberData], torsion_order: int) -> Fraction:
     return d
 
 
-class ExcludedDiscriminantError(ValueError):
-    pass
-
-
 def _imaginary_quadratic_field(d: int) -> Tuple[int, int]:
     """(squarefree d, fundamental discriminant d_K of Q(sqrt(-d)))."""
     if d <= 0:
@@ -194,9 +190,7 @@ def _cm_level(d0: int, dK: int) -> int:
     K = Q(sqrt(-d0)) (Schuett, "CM newforms with rational coefficients", 2009);
     d_K = -3, -4 are excluded."""
     if dK in (-3, -4):
-        raise ExcludedDiscriminantError(
-            f"d_K = {dK} is excluded (extra units in Q(sqrt({-d0})))"
-        )
+        raise ValueError(f"d_K = {dK} is excluded (extra units in Q(sqrt({-d0})))")
     return -dK
 
 

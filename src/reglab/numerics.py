@@ -59,7 +59,9 @@ class HPReal:
     """An immutable arbitrary-precision real with explicit decimal precision.
 
     The value is stored as an mpmath float rounded to ``prec`` digits (plus
-    guard bits); ``mpf()`` returns it for arithmetic.
+    guard bits); ``mpf()`` returns it for arithmetic. ``value`` is an mpf, or
+    anything ``mpmath.mpf`` reads: a float, an int or a string such as "1e-5"
+    or "1/3".
     """
 
     __slots__ = ("_v", "prec")
@@ -68,13 +70,8 @@ class HPReal:
         if prec < 1:
             raise ValueError("precision must be >= 1 digit")
         self.prec = int(prec)
-        if isinstance(value, HPReal):
-            self._v = value._v
-        elif isinstance(value, mpmath.mpf):  # one rounding, without a precision context
+        if isinstance(value, mpmath.mpf):  # one rounding, without a precision context
             self._v = mp.make_mpf(mpf_pos(value._mpf_, _bits(self.prec), round_nearest))
-        elif isinstance(value, Fraction):
-            with mp.workprec(_bits(self.prec)):
-                self._v = mpmath.mpf(value.numerator) / value.denominator
         else:
             with mp.workprec(_bits(self.prec)):
                 self._v = mpmath.mpf(value)

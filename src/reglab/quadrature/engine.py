@@ -90,10 +90,6 @@ def make_result(value: float, err: float, evals: int, cfg: QuadratureConfig) -> 
     return QuadratureResult(HPReal(value, cfg.prec), HPReal(abs(err), cfg.prec), evals)
 
 
-def _panels(lo: float, hi: float, depth: int) -> np.ndarray:
-    return np.linspace(lo, hi, 2**depth + 1)
-
-
 @functools.lru_cache(maxsize=None)
 def _legendre(level: int):
     """The Gauss-Legendre nodes and weights on [-1, 1], computed once per level and
@@ -116,7 +112,7 @@ def gl_rule(lo, hi, level: int, depth: int, even: bool = False):
     if even and (depth or lo != -hi):
         raise ValueError("even=True folds only a depth-0 rule on a box [-h, h]")
     x, w = _legendre(level)
-    edges = _panels(lo, hi, depth)
+    edges = np.linspace(lo, hi, 2**depth + 1)
     nodes = np.concatenate([0.5 * (b - a) * x + 0.5 * (a + b) for a, b in zip(edges, edges[1:])])
     weights = np.concatenate([0.5 * (b - a) * w for a, b in zip(edges, edges[1:])])
     if even:
@@ -135,31 +131,13 @@ def _outer(w, dims: int) -> np.ndarray:
     return wt.reshape(-1)
 
 
-def _tensor(axes, dims: int, circle: bool) -> np.ndarray:
-    """The tensor grids of several sets of 1-D nodes, stacked into one batch.
-
-    Returns the points (sum of len(x)^dims, dims), grid after grid, each with
-    its first axis slowest; each column is contiguous in memory. With
-    ``circle`` each 1-D node theta is mapped to e^(i theta) before the product.
-    """
-    sizes = [len(x) ** dims for x in axes]
-    pts = np.empty((dims, sum(sizes)), dtype=np.complex128 if circle else np.float64)
-    start = 0
-    for x, size in zip(axes, sizes):
-        n = len(x)
-        if circle:
-            x = np.exp(1j * x)
-        for j in range(dims):
-            pts[j, start : start + size] = np.tile(np.repeat(x, n ** (dims - 1 - j)), n**j)
-        start += size
-    return pts.T
-
-
 def _grid(axes):
     """The tensor grids of R regions from their nodes per axis, axes (R, n, dims).
 
     Returns points (R n^dims, dims), region by region; within a region the
-    first axis varies slowest. Each column is contiguous in memory.
+    first axis varies slowest. Each column is contiguous in memory. Every grid
+    is built here: the Gauss-Legendre grids (R = 1), the adaptive rule's
+    regions and the offsets of a cube's 2^dims children.
     """
     count, n, dims = axes.shape
     pts = np.empty((dims, count) + (n,) * dims, dtype=axes.dtype)
@@ -171,7 +149,10 @@ def _grid(axes):
 def _gauss_legendre(f, lo, hi, dims, cfg, circle, even):
     """Tensor Gauss-Legendre at cfg.level and at half the level, in one call to f."""
     rules = [gl_rule(lo, hi, L, cfg.depth, even) for L in (max(2, cfg.level // 2), cfg.level)]
-    values = np.asarray(f(_tensor([x for x, _ in rules], dims, circle)), dtype=np.float64)
+    axes = [np.exp(1j * x) if circle else x for x, _ in rules]
+    grids = [_grid(np.repeat(x[None, :, None], dims, axis=2)) for x in axes]
+    # one batch, each column contiguous: the transposed grids joined, then transposed back
+    values = np.asarray(f(np.concatenate([g.T for g in grids], axis=1).T), dtype=np.float64)
     split = len(rules[0][0]) ** dims
     coarse = values[:split] * _outer(rules[0][1], dims)
     fine = values[split:] * _outer(rules[1][1], dims)
@@ -204,9 +185,7 @@ def integrate_box(
         return _gauss_legendre(f, lo, hi, dims, cfg, circle, even)
     if even:
         raise ValueError(f"even=True folds tensor Gauss-Legendre only, not {cfg.rule}")
-    if cfg.rule == "adaptive_gk":
-        return _adaptive(f, lo, hi, dims, cfg, circle)
-    raise ValueError(cfg.rule)
+    return _adaptive(f, lo, hi, dims, cfg, circle)
 
 
 # QUADPACK qk21: the positive Kronrod-21 nodes, largest first (the last is 0),
@@ -276,7 +255,7 @@ def _adaptive(f, lo, hi, dims, cfg, circle):
     x, wk, wg = gk21()
     wk, wg = _outer(wk, dims), _outer(wg, dims)
     # the 2^dims children of a cube: their centers' offsets in half-widths
-    corners = _tensor([np.array([-0.5, 0.5])], dims, False)
+    corners = _grid(np.full((1, 2, dims), [[-0.5], [0.5]]))
 
     centers = np.full((1, dims), 0.5 * (lo + hi))
     half = np.array([0.5 * (hi - lo)])

@@ -30,6 +30,7 @@ is not s is refused too.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,7 +187,18 @@ def _restrict_factored(f: FactoredElement, divisor: DivisorData) -> Tuple[object
     None. When the known orders sum to 0 but a leading coefficient is not
     recorded, f(p) is finite and nonzero but unknown: (0, None).
     """
-    factors = [(divisor.record_for(f.basis.names[i]), e) for i, e in f.exps.items()]
+    factors = tuple((divisor.record_for(f.basis.names[i]), e) for i, e in f.exps.items())
+    return _restrict(f.const, factors)
+
+
+@functools.lru_cache(maxsize=None)
+def _restrict(const: Fraction, factors: Tuple[Tuple[FunctionRecord, int], ...]):
+    """``_restrict_factored`` of const * prod f_i^e_i, from the pairs (record of f_i, e_i).
+
+    Every argument is immutable and divisors share their records, so the cache
+    computes each distinct (const, factors) once: the flagship's 144 (term, divisor)
+    pairs, terms -1/x, -1/y and -1/z, read 6.
+    """
     known = sum(rec.order * e for rec, e in factors if isinstance(rec.order, int))
     unknown = [_sign(rec.order) * e for rec, e in factors if isinstance(rec.order, str)]
     if unknown:
@@ -201,7 +213,7 @@ def _restrict_factored(f: FactoredElement, divisor: DivisorData) -> Tuple[object
         return (UNKNOWN_POSITIVE if sigma > 0 else UNKNOWN_NEGATIVE), None
     if known:
         return known, None
-    val = QS(f.const)
+    val = QS(const)
     for rec, e in factors:
         if not _leading_known(rec):
             return 0, None
@@ -239,16 +251,15 @@ _SUMS_TO_ZERO = ("trivial", "exact_cancellation", "coefficients of this pair sum
 _NONTRIVIAL = ("nontrivial", None, None)
 
 
-def _decide(f: FactoredElement, labels, basis, divisor: DivisorData, restrict):
-    """One term {f}_2 (x) g ^ h along the component; ``restrict`` is
-    ``_restrict_factored`` or a memo of it.
+def _decide(f: FactoredElement, labels, basis, divisor: DivisorData):
+    """One term {f}_2 (x) g ^ h along the component.
 
     Returns ((status, reason, why), None) when the term alone settles its
     status, else (None, (sign, a, t)): the term is sign * {a}_2 (x) t, with
     {f(p)}_2 taken modulo inversion ({1/a}_2 = -{a}_2) to the one of f(p)
     and 1/f(p) whose string is smaller.
     """
-    order, fval = restrict(f, divisor)
+    order, fval = _restrict_factored(f, divisor)
     if order is UNDECIDABLE:
         return ("undecidable", None, "order of f along the component is not determined"), None
     if order != 0:
@@ -271,16 +282,12 @@ def _decide(f: FactoredElement, labels, basis, divisor: DivisorData, restrict):
     return None, (1, fval, t)
 
 
-def residue_43(xi: B2WedgeElement, divisor: DivisorData, restrict=None) -> B2Residue:
-    """Residue of a B2-wedge element (wedge degree 2) along one component.
-
-    ``restrict`` stands in for ``_restrict_factored``, which it must equal.
-    """
+def residue_43(xi: B2WedgeElement, divisor: DivisorData) -> B2Residue:
+    """Residue of a B2-wedge element (wedge degree 2) along one component."""
     if xi.degree != 2:
         raise ValueError("residue_43 needs wedge degree 2")
-    restrict = restrict or _restrict_factored
     decided = [
-        (c, f, labels, *_decide(f, labels, xi.basis, divisor, restrict))
+        (c, f, labels, *_decide(f, labels, xi.basis, divisor))
         for c, f, labels in xi.terms_list()
     ]
     sums: Dict[tuple, Fraction] = {}
@@ -306,23 +313,10 @@ def residue_43(xi: B2WedgeElement, divisor: DivisorData, restrict=None) -> B2Res
 
 
 def certify_all_residues(xi: B2WedgeElement, divisor_list: List[DivisorData]) -> dict:
-    """Per-divisor triviality certificates plus an overall verdict.
-
-    A restriction depends only on the term f and the records of its factors, and
-    divisors share their records, so each distinct (f, records) is restricted once:
-    the 144 (term, divisor) pairs of the flagship read 18.
-    """
-    restricted: Dict[tuple, Tuple[object, object]] = {}
-
-    def restrict(f: FactoredElement, divisor: DivisorData):
-        key = (f, *(divisor.record_for(f.basis.names[i]) for i in f.exps))
-        if key not in restricted:
-            restricted[key] = _restrict_factored(f, divisor)
-        return restricted[key]
-
+    """Per-divisor triviality certificates plus an overall verdict."""
     report = {"divisors": [], "overall": "trivial"}
     for d in divisor_list:
-        res = residue_43(xi, d, restrict)
+        res = residue_43(xi, d)
         if res.undecidable:
             verdict = "undecidable"
         elif res.terms:

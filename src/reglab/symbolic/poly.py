@@ -36,8 +36,12 @@ class ParseError(ValueError):
 
 
 def poly_ring(variables):
-    """The ring QQ[variables], variables in the given order."""
-    return ring(list(variables), QQ)[0]
+    """The ring QQ[variables], variables in the given order; a repeated name is
+    refused with ``ValueError``."""
+    variables = list(variables)
+    if len(set(variables)) < len(variables):
+        raise ValueError(f"repeated variable name in {variables}")
+    return ring(variables, QQ)[0]
 
 
 # The field QQ(s), built as the fraction field of ZZ[s], which is the same field: its
@@ -210,7 +214,11 @@ class _Parser:
         return tok
 
     def parse(self):
-        e = self.expr()
+        try:
+            e = self.expr()
+        except RecursionError:
+            # each '(' and unary '-' is a level of recursion
+            raise ParseError("expression nested too deeply", self._peek()[2]) from None
         kind, val, pos = self._peek()
         if kind != "eof":
             raise ParseError(f"unexpected token {val!r}", pos)

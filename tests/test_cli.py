@@ -542,6 +542,9 @@ def test_verify_main_abort_documents_carry_manifest(capsys, monkeypatch, corrupt
         # a non-finite s
         ["dirichlet", "--d", "-3", "--s", "inf"],
         ["lvalue", "--s", "nan"],
+        # a variable named twice; parentheses nested deeper than the parser recurses
+        ["mahler", "--poly", "x", "--vars", "x,x"],
+        ["mahler", "--vars", "x", "--poly", "(" * 400 + "1+x" + ")" * 400],
     ],
 )
 def test_bad_input_exits_2_without_a_document(capsys, argv):

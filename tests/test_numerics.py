@@ -66,7 +66,7 @@ def test_to_decimal_parses_back_within_half_a_unit(value, prec):
 
 
 def test_hpreal_carries_value_and_precision():
-    x = HPReal(Fraction(1, 3), 30)
+    x = HPReal("1/3", 30)
     assert x.prec == 30
     with mpmath.mp.workprec(200):
         assert abs(3 * x.mpf() - 1) < 1e-30

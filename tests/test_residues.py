@@ -21,6 +21,7 @@ from reglab.residues import (
     DivisorData,
     FunctionRecord,
     B2Residue,
+    _restrict,
     _restrict_factored,
     certify_all_residues,
     load_divisors,
@@ -514,21 +515,20 @@ def test_shipped_report_pinned():
     assert hashlib.sha256(blob).hexdigest() == SHIPPED_REPORT_SHA256
 
 
-def test_certificates_restrict_each_term_and_records_once(monkeypatch):
-    # the 3 terms along the 48 shipped divisors share 18 (term, records) tuples; the
-    # report equals the one residue_43 gives divisor by divisor, unmemoised
-    calls = []
-
-    def counted(f, divisor):
-        calls.append(f)
-        return _restrict_factored(f, divisor)
-
+def test_certificates_restrict_each_term_and_records_once():
+    # the 3 terms -1/x, -1/y, -1/z along the 48 shipped divisors are 18 (term, records)
+    # pairs, but only 6 (const, (record, exponent) pairs) keys: the terms share their
+    # constant and exponent, and x, y and z share records along many divisors. The
+    # report equals the one residue_43 gives divisor by divisor, from an empty cache
     xi, divisors = _xi(), _divisors()
-    monkeypatch.setattr(residues, "_restrict_factored", counted)
+    terms = [f for _, f, _ in xi.terms_list()]
+    pairs = {(f, *(d.record_for(f.basis.names[i]) for i in f.exps)) for f in terms for d in divisors}
+    _restrict.cache_clear()
     report = certify_all_residues(xi, divisors)
-    assert (len(divisors), len(xi.terms_list()), len(calls)) == (48, 3, 18)
-    monkeypatch.undo()
+    assert (len(divisors), len(terms), len(pairs)) == (48, 3, 18)
+    assert _restrict.cache_info().misses == 6
     for d, cert in zip(divisors, report["divisors"]):
+        _restrict.cache_clear()
         res = residue_43(xi, d)
         assert (cert["divisor"], cert["terms"]) == (d.name, res.trace)
         assert cert["verdict"] == "trivial" and not res.terms and not res.undecidable

@@ -55,6 +55,21 @@ def test_parse_errors():
         parse_poly("x/y", ["x", "y"])  # not exact
 
 
+@pytest.mark.parametrize("depth", [400, 5000])
+def test_deep_nesting_is_a_parse_error(depth):
+    # past the interpreter's recursion limit both entry points refuse with ParseError
+    for text in ("(" * depth + "1+s" + ")" * depth, "-" * (3 * depth) + "s"):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_poly(text, ["s"])
+        with pytest.raises(ParseError, match="nested too deeply"):
+            rational_function(text)
+
+
+def test_poly_ring_refuses_a_repeated_name():
+    with pytest.raises(ValueError, match="repeated"):
+        poly_ring(["x", "y", "x"])
+
+
 _TOKENS = ["x", "y", "s", "0", "1", "2", "+", "-", "*", "/", "^", "^-", "(", ")", ".", " "]
 
 
