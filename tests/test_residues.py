@@ -522,7 +522,8 @@ def test_certificates_restrict_each_term_and_records_once():
     # report equals the one residue_43 gives divisor by divisor, from an empty cache
     xi, divisors = _xi(), _divisors()
     terms = [f for _, f, _ in xi.terms_list()]
-    pairs = {(f, *(d.record_for(f.basis.names[i]) for i in f.exps)) for f in terms for d in divisors}
+    records = lambda f, d: tuple(d.record_for(f.basis.names[i]) for i in f.exps)
+    pairs = {(f, records(f, d)) for f in terms for d in divisors}
     _restrict.cache_clear()
     report = certify_all_residues(xi, divisors)
     assert (len(divisors), len(terms), len(pairs)) == (48, 3, 18)
