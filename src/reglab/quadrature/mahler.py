@@ -18,19 +18,28 @@ index array.
 
 m(p) = log|lead(p)| + sum over roots of log max(1, |root|);
 m(P) = (2*pi)^-(n-1) times the integral over the torus of the inner measure
-in the last variable.
+in the last variable. P has rational coefficients, so its coefficients in
+the last variable at -theta are the conjugates of those at theta, and the
+inner measure is the same there (Boyd, "Mahler's measure and special values
+of L-functions", Experiment. Math. 1998, reduces the torus the same way).
+Every torus integral therefore runs over half the torus
+(``integrate_box(..., central=True)``): each value is computed once, at
+half the evaluations of the full torus.
 
 For P = (1+x_1)...(1+x_k) + t with k = 2 or 3 and t the last variable (the
 flagship polynomial and its n = 3 analogue), recognised from its exact
 terms, Jensen's formula gives the integral of log+ prod 2cos(theta_i/2)
 over [0, pi]^k, whose kink on prod 2cos(theta_i/2) = 1 is the boundary of
 the Deninger chain. That integral is taken over the region inside the kink
-instead: the outer k - 1 axes through ``boundary.kink_chart``, the chart the
-boundary integral also runs over, and the innermost axis in closed form with
-Clausen's function, so the rule sees an integrand without a kink on
-[0, pi/2]^(k-1). Every other polynomial, including this one written with t
-not last, takes the torus integral, after its content in the last variable
-is split off exactly.
+instead: the outer k - 1 axes through the chart of ``boundary.kink_chart``,
+which the boundary integral also runs over, and the innermost axis in closed
+form with Clausen's function, so the rule sees an integrand without a kink on
+[0, pi/2]^(k-1). The direct rule needs only the chart's values and the
+diagonal of its triangular Jacobian, so ``_chart`` takes them from real
+closed forms without jets, bit for bit the values of ``kink_chart``'s jets;
+the two oracles' integrands stay separate code. Every other polynomial,
+including this one written with t not last, takes the torus integral, after
+its content in the last variable is split off exactly.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ from .. import kernels
 from ..forms import Jet, eta_eval
 from ..numerics import HPReal, NumericalFailure, _bits
 from ..symbolic import poly_ring, split_laurent
-from .boundary import kink_chart
+from .boundary import _ACOS_MAX
 from .engine import QuadratureConfig, QuadratureResult, integrate_box, make_result
 
 
@@ -256,17 +265,33 @@ def _is_kink_product(P) -> bool:
     return dict(P) == want
 
 
+def _chart(u: np.ndarray):
+    """The Jacobian, c and V of ``boundary.kink_chart`` at points u (N, m), without jets.
+
+    Real closed forms, in ``kink_chart``'s operation order, so the values are
+    its jets' values bit for bit: theta_j = theta_j* sin(u_j) with
+    theta_j* = 2 arccos(1 / (2^(m+1-j) c_(j-1))), c_j = c_(j-1) 2cos(theta_j/2),
+    V = 2 arccos(1/(2c)), and the Jacobian prod_j theta_j* cos(u_j), the
+    diagonal of its triangular derivative.
+    """
+    m = u.shape[1]
+    c, jac = np.ones(len(u)), 1
+    for j in range(m):
+        top = 2.0 * np.arccos(np.clip(1.0 / (2.0 ** (m + 1 - j) * c), -1.0, _ACOS_MAX))
+        jac = jac * (top * np.cos(u[:, j]))
+        c = c * (2.0 * np.cos(top * np.sin(u[:, j]) * 0.5))
+    return jac, c, 2.0 * np.arccos(np.clip(0.5 * (1.0 / c), -1.0, _ACOS_MAX))
+
+
 def _kink_chart(points: np.ndarray) -> np.ndarray:
     """Integrand on [0, pi/2]^(k-1) whose integral is pi^k m((1+x_1)...(1+x_k) + t).
 
-    The outer axes are ``boundary.kink_chart``, weighted by its Jacobian; the
-    innermost axis is the closed form
-    int_0^V log(c 2cos(v/2)) dv = V log c + Cl2(pi - V), with
+    The outer axes are the chart of ``boundary.kink_chart``, taken by
+    ``_chart`` and weighted by its Jacobian; the innermost axis is the closed
+    form int_0^V log(c 2cos(v/2)) dv = V log c + Cl2(pi - V), with
     Cl2(pi - V) = D(-e^(-iV)) because D(e^(i theta)) = Cl2(theta).
     """
-    thetas, c, V = kink_chart(points)
-    jac = math.prod(theta.grad[:, j].real for j, theta in enumerate(thetas))
-    c, V = c.val.real, V.val.real
+    jac, c, V = _chart(points)
     clausen = kernels.bloch_wigner(-np.exp(-1j * V))  # Cl2(pi - V) = D(-e^(-iV))
     return jac * (V * np.log(c) + clausen)
 
@@ -337,7 +362,11 @@ def _measure(P, cfg: QuadratureConfig) -> QuadratureResult:
         return _inner_mahler_batch(_eval_slices(slices, xs))
 
     dims = nv - 1
-    value, err, evals = integrate_box(f, -math.pi, math.pi, dims, cfg, circle=True)
+    # P has rational coefficients, so f(-theta) = f(theta): the roots at -theta are the
+    # conjugates of those at theta
+    value, err, evals = integrate_box(
+        f, -math.pi, math.pi, dims, cfg, circle=True, central=True
+    )
     scale = (2 * math.pi) ** dims
     return make_result(value / scale, err / scale, evals, cfg)
 
@@ -361,7 +390,9 @@ def deninger_gamma_check(P, cfg: QuadratureConfig | None = None) -> QuadratureRe
     dims = nv - 1
     slices, degree = _coeff_table(P)
     # m of the leading coefficient (a polynomial in the other variables), its
-    # content not split off: for n = 3 it is then taken on the chain's grid
+    # content not split off: for n = 3 it is then taken on the chain's Gauss-Legendre
+    # grid, centrally folded onto its second half like every torus integral; the
+    # Gamma-chain integral below runs on the whole grid
     t = P.ring.gens[-1]
     m_lead = float(_measure(P.coeff_wrt(t, P.degree(t)).drop(t), cfg).value)
 

@@ -433,9 +433,13 @@ def test_non_finite_value_is_a_numeric_failure(capsys, monkeypatch):
 
 
 def test_rule_node_on_the_zero_set_is_a_numeric_failure(capsys):
-    # GK21 puts a node at x = y = 1, where both coefficients in z vanish; the
-    # polynomial is valid input
-    code, out, err = run(capsys, "mahler", "--poly", "(x-1)+(y-1)*z")
+    # four variables take tensor Gauss-Legendre, whose odd level keeps the centre
+    # node x = y = z = 1 in the central fold; every coefficient in t vanishes
+    # there, and the polynomial is valid input
+    code, out, err = run(
+        capsys, "mahler", "--poly", "(x-1)+(y-1)*t+(z-1)*t^2", "--vars", "x,y,z,t",
+        "--level", "9",
+    )
     assert code == 3
     assert out == ""
     assert "numeric failure: P vanishes identically" in err

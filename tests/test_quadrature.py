@@ -126,6 +126,81 @@ def test_gl_hands_the_integrand_the_coarse_then_the_fine_tensor_grid(dims, level
     assert all(pts[:, j].flags.c_contiguous for j in range(dims))
 
 
+def _jensen(poly, variables):
+    """The inner Jensen integrand the torus rule of mahler_measure integrates for P."""
+    slices, _ = _coeff_table(parse_poly(poly, list(variables)))
+    return lambda xs: _inner_mahler_batch(_eval_slices(slices, xs))
+
+
+@pytest.mark.parametrize(
+    "poly, variables, ulps",
+    [
+        ("1+x+y+z", "xyz", 0),
+        ("(x-1)+(y-1)*z", "xyz", 0),
+        ("x + x^-1 + 1 + (y + y^-1)*z", "xyz", 0),  # Laurent, degree 1 in z
+        ("x + x^-1 + y + y^-1 + 1", "xy", 4),
+        ("(2+x)*z^2+y*z+1", "xyz", 4),
+        ("1+x+x*z^2+y^2*z^3", "xyz", 4),
+    ],
+)
+def test_jensen_batch_is_symmetric_at_mirrored_torus_nodes(poly, variables, ulps):
+    # P has rational coefficients, so its coefficients in the last variable at -theta
+    # are the conjugates of those at theta: the closed forms of degree <= 1 agree bit
+    # for bit, the companion eigenvalues of higher degree within a few ulps
+    f = _jensen(poly, variables)
+    theta = np.random.default_rng(7).uniform(-math.pi, math.pi, (4000, len(variables) - 1))
+    here, mirror = f(np.exp(1j * theta)), f(np.exp(1j * -theta))
+    if ulps:
+        assert np.all(np.abs(here - mirror) <= ulps * np.spacing(np.abs(here)))
+    else:
+        assert np.array_equal(here, mirror)
+
+
+@pytest.mark.parametrize("level", [11, 12])
+@pytest.mark.parametrize(
+    "poly, variables, depth",
+    [("1+x+y+z", "xyz", 0), ("1+x+y+z", "xyz", 2), ("1+x+y+z+t", "xyzt", 0)],
+)
+def test_gl_central_fold_total_is_the_full_grid_sum(poly, variables, depth, level):
+    # the folded rule hands f the second half of each flattened grid, coarse then
+    # fine, and weights it doubled (the centre node of an odd level once); on the
+    # bitwise symmetric Jensen batch of a degree-1 P its total equals the full
+    # grid's correctly rounded sum bit for bit
+    f = _jensen(poly, variables)
+    dims = len(variables) - 1
+    seen = []
+
+    def g(xs):
+        seen.append(xs)
+        return f(xs)
+
+    cfg = QuadratureConfig(level=level, depth=depth)
+    value, _, evals = integrate_box(g, -math.pi, math.pi, dims, cfg, circle=True, central=True)
+    halves = []
+    for lev in (level // 2, level):
+        x, w = engine.gl_rule(-math.pi, math.pi, lev, depth)
+        pts = np.array(list(itertools.product(np.exp(1j * x), repeat=dims)))
+        wt = np.array([math.prod(c) for c in itertools.product(w, repeat=dims)])
+        total = math.fsum((f(pts) * wt).tolist())
+        halves.append(pts[len(pts) // 2 :])
+    assert value == total
+    (pts,) = seen
+    assert np.array_equal(pts, np.concatenate(halves))
+    assert evals == len(pts) and all(pts[:, j].flags.c_contiguous for j in range(dims))
+
+
+def test_central_fold_refuses_a_box_off_centre_and_a_second_fold():
+    f = lambda p: np.cos(p[:, 0])
+    for cfg in (QuadratureConfig(level=8), QuadratureConfig(rule="adaptive_gk")):
+        with pytest.raises(ValueError, match="central"):
+            integrate_box(f, 0.0, 1.0, 1, cfg, central=True)
+        with pytest.raises(ValueError, match="central"):
+            integrate_box(f, -1.0, 1.0, 1, cfg, even=True, central=True)
+        # the half box integrates cos over [-1, 1] to 2 sin 1
+        value, _, _ = integrate_box(f, -1.0, 1.0, 1, cfg, central=True)
+        assert abs(value - 2 * math.sin(1)) < 1e-12
+
+
 def _slices_by_monomial(slices, theta):
     """The coefficient slices at x_j = e^(i theta_j), one exp(i e theta_j) per factor."""
     C = np.zeros((len(theta), len(slices)), dtype=np.complex128)
@@ -176,8 +251,8 @@ def _within_ulps(got, want, ulps=2):
 @pytest.mark.parametrize(
     "poly, variables, prec, evaluations, value, error",
     [
-        ("1+x+y+z", "xyz", 8, 1_956_717, 0.42627839777667387, 3.1371144231005033e-09),
-        ("1+x+y", "xy", 12, 1_407, 0.3230659472194979, 3.8293081310895304e-13),
+        ("1+x+y+z", "xyz", 8, 979_902, 0.42627839777934173, 3.129080732655075e-09),
+        ("1+x+y", "xy", 12, 693, 0.3230659472194979, 3.8290129639302144e-13),
     ],
 )
 def test_adaptive_rule_pinned_on_smith_cases(poly, variables, prec, evaluations, value, error):
@@ -265,6 +340,34 @@ def test_adaptive_error_estimate_bounds_true_error(poly, prec):
     variables, want = {"1+x+y": ("xy", SMITH2), "1+x+y+z": ("xyz", SMITH3)}[poly]
     P = parse_poly(poly, list(variables))
     res = mahler_measure(P, QuadratureConfig(rule="adaptive_gk", prec=prec))
+    assert float(res.error_estimate) >= abs(float(res.value) - want)
+
+
+# (poly, level) at which the tensor rule's half-level delta, a heuristic, misses
+# the truth on the kinked Jensen integrands of the Smith cases
+_GL_SMITH_MISSES = {
+    ("1+x+y", L) for L in (15, 18, 36, 41, 45, 58)
+} | {("1+x+y+z", L) for L in (11, 13, 43)}
+
+
+@pytest.mark.parametrize(
+    "poly, level",
+    [
+        pytest.param(
+            poly,
+            level,
+            marks=[pytest.mark.xfail(strict=True, reason="the half-level delta misses")]
+            if (poly, level) in _GL_SMITH_MISSES
+            else [],
+        )
+        for poly in ("1+x+y", "1+x+y+z")
+        for level in range(8, 65)
+    ],
+)
+def test_gl_error_estimate_bounds_true_error_on_smith_cases(poly, level):
+    # the adaptive rule's half of this gate is test_adaptive_error_estimate_bounds_true_error
+    variables, want = {"1+x+y": ("xy", SMITH2), "1+x+y+z": ("xyz", SMITH3)}[poly]
+    res = mahler_measure(parse_poly(poly, list(variables)), QuadratureConfig(level=level))
     assert float(res.error_estimate) >= abs(float(res.value) - want)
 
 
@@ -443,7 +546,7 @@ def test_kink_chart_matches_generic_path_flagship():
     chart = mahler_measure(parse_poly(FLAGSHIP, list("xyzt")), cfg)
     generic = mahler_measure(parse_poly(FLAGSHIP, list("txyz")), cfg)
     assert chart.evaluations == 80**2 + 40**2
-    assert generic.evaluations == 80**3 + 40**3
+    assert generic.evaluations == (80**3 + 40**3) // 2  # the central fold's half grids
     assert abs(float(chart.value) - float(generic.value)) <= float(generic.error_estimate)
 
 
@@ -465,10 +568,25 @@ def test_kink_chart_matches_generic_path_n3():
     ],
 )
 def test_kink_chart_recogniser(poly, variables, chart):
-    # a 1-D rule fewer on the chart: evaluations tell the two paths apart
+    # a 1-D rule fewer on the chart, and the torus rule centrally folded onto half
+    # its grid: evaluations tell the two paths apart
     dims = len(variables) - 1 - chart
     res = mahler_measure(parse_poly(poly, list(variables)), QuadratureConfig(level=8))
-    assert res.evaluations == 8**dims + 4**dims
+    assert res.evaluations == (8**dims + 4**dims) // (1 if chart else 2)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_direct_chart_takes_the_boundary_chart_jets_values(n):
+    # the jet-free chart of the direct rule gives c, V and the Jacobian, the product of
+    # the diagonal gradients d theta_j / d u_j, of boundary.kink_chart bit for bit
+    rng = np.random.default_rng(n)
+    u = np.vstack([rng.uniform(-math.pi / 2, math.pi / 2, (2000, n - 2)),
+                   np.full((3, n - 2), [[0.0], [math.pi / 2], [-math.pi / 2]])])
+    thetas, c, V = boundary.kink_chart(u)
+    jac = math.prod(theta.grad[:, j].real for j, theta in enumerate(thetas))
+    got = mahler._chart(u)
+    for a, b in zip(got, (jac, c.val.real, V.val.real)):
+        assert np.array_equal(a, b)
 
 
 def _xi(n):
@@ -767,14 +885,29 @@ def test_polynomial_vanishing_at_a_node_raises(poly):
     assert math.isfinite(float(_measure(P, QuadratureConfig(level=32)).value))
 
 
-def test_polynomial_without_content_vanishing_at_a_node_raises():
-    # the odd rule and GK21 have a node at x = y = 1, where both coefficients in
-    # z vanish; P has no content in z to split off
+def test_polynomial_without_content_vanishing_at_a_node_raises(monkeypatch):
+    # the odd rule keeps its centre node x = y = 1 in the central fold, where both
+    # coefficients in z vanish; P has no content in z to split off
     P = parse_poly("(x-1)+(y-1)*z", ["x", "y", "z"])
-    for cfg in (QuadratureConfig(level=33), QuadratureConfig(rule="adaptive_gk")):
-        with pytest.raises(NumericalFailure, match="vanishes identically"):
-            mahler_measure(P, cfg)
+    with pytest.raises(NumericalFailure, match="vanishes identically"):
+        mahler_measure(P, QuadratureConfig(level=33))
     assert math.isfinite(float(mahler_measure(P, QuadratureConfig(level=32)).value))
+    # the adaptive rule's half box [0, pi] x [-pi, pi] puts every theta_j = 0 on a
+    # region's edge, so no node has x_j = 1 (sin theta_j is 0 only at theta_j = 0, +-pi)
+    seen = []
+    engine_box = mahler.integrate_box
+
+    def recording(f, *args, **kwargs):
+        def g(xs):
+            seen.append(xs.imag != 0)
+            return f(xs)
+
+        return engine_box(g, *args, **kwargs)
+
+    monkeypatch.setattr(mahler, "integrate_box", recording)
+    res = mahler_measure(P, QuadratureConfig(rule="adaptive_gk", prec=8))
+    assert all(nonzero.all() for nonzero in seen)
+    assert float(res.error_estimate) >= abs(float(res.value) - SMITH3)
 
 
 @pytest.mark.parametrize(
