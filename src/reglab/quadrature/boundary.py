@@ -25,7 +25,7 @@ difference divided by (2 pi)^(n-1), its sign pinned by agreement with the
 direct Mahler measure. The integrand is even in every u_j (u_j -> -u_j
 flips theta_j, and the kink and the sheet difference stay as they are), so
 the rule evaluates it only at the nodes with every u_j >= 0
-(``integrate_box(..., even=True)``), with the same total bit for bit.
+(``integrate_box(..., fold="even")``), with the same total bit for bit.
 """
 
 from __future__ import annotations
@@ -94,9 +94,8 @@ def regulator_boundary_integral(
 
     The ambient dimension n is xi.degree + 2 (n = 3 or 4); the chart
     is ``kink_chart`` with k = n - 1, the flagship boundary surface (n = 4)
-    or curve (n = 3). The rule is folded onto the nodes with u_j >= 0, so it
-    must be tensor Gauss-Legendre at depth 0 (``ValueError`` otherwise), and
-    ``evaluations`` counts those nodes: 500 for n = 4 at level 40.
+    or curve (n = 3). The rule is folded onto the nodes with u_j >= 0, and
+    ``evaluations`` counts those: 500 for n = 4 at level 40.
     """
     cfg = cfg or QuadratureConfig()
     if xi.is_zero():
@@ -113,6 +112,6 @@ def regulator_boundary_integral(
         dn = rho_of_element_at(xi, xs + [_dexp_i(-V)])
         return (up - dn).imag if n % 2 == 0 else (up - dn).real
 
-    raw, err, evals = integrate_box(f, -math.pi / 2, math.pi / 2, dims, cfg, even=True)
+    raw, err, evals = integrate_box(f, -math.pi / 2, math.pi / 2, dims, cfg, fold="even")
     scale = (2 * math.pi) ** (n - 1)
     return make_result(raw / scale, err / scale, evals, cfg)

@@ -16,25 +16,23 @@ batch, and the values are split afterwards. The Gauss-Legendre nodes and
 weights on [-1, 1] are computed once per level; numpy symmetrises them, so
 the depth-0 nodes on a box [-h, h] are exact mirror images of each other.
 (The panels' nodes on [-pi, pi] are too at depths 1 to 3; from depth 4 the
-panel edges are off by an ulp, and mirror nodes agree to rounding.) Two
-folds, for integrands with a symmetry, evaluate each value once instead of
-at every mirror node:
-
-- ``even=True``, for f even in every coordinate: the 1-D rule on [-h, h] is
-  folded before the tensor product (``gl_rule``): each node u >= 0 stands
-  for itself and its mirror image with twice its weight, so f sees 1/2^dims
-  of the nodes;
-- ``central=True``, for f(-theta) = f(theta), as the torus integrands of a
-  P with rational coefficients satisfy: point N-1-i of a flattened tensor
-  grid of N points is the mirror image of point i, so the rule keeps the
-  second half of each grid with doubled weights, and the centre point of an
-  odd grid once (``_blocks``). The adaptive rule starts from the 2^(dims-1)
-  cubes of side h that cover [0, h] x [-h, h]^(dims-1), with their
-  estimates and errors doubled, and so splits on that half box only.
-
-Since the Gauss-Legendre sums are correctly rounded and doubling a weight
-is exact, a folded total equals the full grid's bit for bit whenever f
-takes bitwise equal values at mirror nodes.
+panel edges are off by an ulp, and mirror nodes agree to rounding.) For an
+integrand with a mirror symmetry on a box [-h, h], ``fold`` evaluates each
+value once per mirror orbit instead of at every node of it: ``"even"`` for f
+even in every coordinate (the boundary integrand), ``"central"`` for
+f(-theta) = f(theta) (the torus integrands of a P with rational
+coefficients). Both rules fold one way. Tensor Gauss-Legendre keeps, of each
+1-D rule, the centre node of an odd rule once and the nodes beyond it with
+doubled weights, and tensors them into the blocks of one orbit each
+(``_blocks``): every axis for ``"even"``, so f sees 1/2^dims of the grid;
+the second half of the flattened grid for ``"central"``. The adaptive rule
+starts from the children of the box that stand for the orbits, the last one
+for ``"even"`` and the second half for ``"central"``, with their estimates
+and errors scaled by the number of children over the number kept, and so
+splits on that part of the box only. Since the Gauss-Legendre sums are
+correctly rounded and doubling a weight is exact, a folded total equals the
+full grid's bit for bit whenever f takes bitwise equal values at mirror
+nodes.
 
 Error estimates are heuristic: the Gauss-Legendre estimate is the delta
 against a half-level run, but no less than the rounding error
@@ -71,6 +69,7 @@ from numpy.polynomial.legendre import leggauss
 from ..numerics import HPReal
 
 RULES = ("gauss_legendre_tensor", "adaptive_gk")
+FOLDS = (None, "even", "central")
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.rule not in RULES:
             raise ValueError(f"unknown rule {self.rule!r}; choose from {RULES}")
-        if self.level < 2:
-            raise ValueError("level must be at least 2")
+        if self.level < 3:
+            raise ValueError("level must be at least 3")
         if self.depth < 0:
             raise ValueError("depth must be nonnegative")
 
@@ -118,26 +117,12 @@ def _legendre(level: int):
     return x, w
 
 
-def gl_rule(lo, hi, level: int, depth: int, even: bool = False):
-    """The 1-D Gauss-Legendre rule on [lo, hi] with 2^depth panels: nodes, weights.
-
-    With ``even`` the rule is folded for an integrand even about 0: only the
-    nodes u >= 0 are kept, each with its weight doubled to stand for its
-    mirror image; the node at 0 of an odd level counts once and keeps its
-    weight. Only a rule that is exactly mirror-symmetric folds, depth 0 on
-    lo = -hi, and any other is refused with ``ValueError``.
-    """
-    if even and (depth or lo != -hi):
-        raise ValueError("even=True folds only a depth-0 rule on a box [-h, h]")
+def gl_rule(lo, hi, level: int, depth: int):
+    """The 1-D Gauss-Legendre rule on [lo, hi] with 2^depth panels: nodes, weights."""
     x, w = _legendre(level)
     edges = np.linspace(lo, hi, 2**depth + 1)
     nodes = np.concatenate([0.5 * (b - a) * x + 0.5 * (a + b) for a, b in zip(edges, edges[1:])])
     weights = np.concatenate([0.5 * (b - a) * w for a, b in zip(edges, edges[1:])])
-    if even:
-        half = level // 2
-        nodes, weights = nodes[half:], 2.0 * weights[half:]
-        if level % 2:
-            weights[0] *= 0.5
     return nodes, weights
 
 
@@ -166,36 +151,36 @@ def _grid(axes, out=None):
     return out.T
 
 
-def _blocks(x, w, dims, central):
+def _blocks(x, w, dims, fold):
     """The tensor blocks of the grid with 1-D nodes x and weights w that f is handed.
 
-    Each block is a list of (nodes, weights) per axis. Without ``central`` it
-    is the whole grid. With it, the second half of the flattened grid,
-    points N//2 .. N-1 of N = n^dims, in that order: the mirror -p of point
-    i is point N-1-i because the nodes are symmetric about 0. Every block
-    but the centre point of an odd n carries one axis of doubled weights,
-    so it stands for itself and its mirror; the centre counts once. For
-    odd n, with m = n//2: the centre, then for j = dims-1 down to 0 the
-    points whose first j coordinates sit at node m and whose coordinate j
-    is beyond it; for even n, the points whose first coordinate is in the
-    upper half.
+    Each block is a list of (nodes, weights) per axis. Without ``fold`` it is
+    the whole grid. A fold is built from two pieces of the 1-D rule, which is
+    symmetric about 0: ``mid``, the centre node of an odd n kept once (empty
+    for even n), and ``upper``, the nodes beyond it with doubled weights.
+    ``"even"`` is one block of mid + upper on every axis. ``"central"`` is
+    the second half of the flattened grid, points N//2 .. N-1 of N = n^dims,
+    in that order: the mirror -p of point i is point N-1-i. These are the
+    centre, mid on every axis, then for j = dims-1 down to 0 the points
+    whose first j coordinates are mid and whose coordinate j is in upper; a
+    block that holds an empty mid is empty.
     """
-    if not central:
+    if fold is None:
         return [[(x, w)] * dims]
     n = len(x)
+    mid = (x[n // 2 : (n + 1) // 2], w[n // 2 : (n + 1) // 2])
     upper = (x[(n + 1) // 2 :], 2.0 * w[(n + 1) // 2 :])
-    if n % 2 == 0:
-        return [[upper] + [(x, w)] * (dims - 1)]
-    mid = (x[n // 2 : n // 2 + 1], w[n // 2 : n // 2 + 1])
+    if fold == "even":
+        return [[tuple(np.concatenate(pair) for pair in zip(mid, upper))] * dims]
     return [[mid] * dims] + [
         [mid] * j + [upper] + [(x, w)] * (dims - 1 - j) for j in reversed(range(dims))
     ]
 
 
-def _gauss_legendre(f, lo, hi, dims, cfg, circle, even, central):
+def _gauss_legendre(f, lo, hi, dims, cfg, circle, fold):
     """Tensor Gauss-Legendre at cfg.level and at half the level, in one call to f."""
-    rules = [gl_rule(lo, hi, L, cfg.depth, even) for L in (max(2, cfg.level // 2), cfg.level)]
-    grids = [_blocks(np.exp(1j * x) if circle else x, w, dims, central) for x, w in rules]
+    rules = [gl_rule(lo, hi, L, cfg.depth) for L in (max(2, cfg.level // 2), cfg.level)]
+    grids = [_blocks(np.exp(1j * x) if circle else x, w, dims, fold) for x, w in rules]
     blocks = grids[0] + grids[1]
     sizes = [math.prod(len(x) for x, _ in block) for block in blocks]
     # both grids written into one (dims, N) block, so each column is contiguous
@@ -223,33 +208,24 @@ def integrate_box(
     dims: int,
     cfg: QuadratureConfig,
     circle: bool = False,
-    even: bool = False,
-    central: bool = False,
+    fold: str | None = None,
 ) -> Tuple[float, float, int]:
     """Integrate f over [lo, hi]^dims with the configured rule.
 
     With ``circle`` f is handed the unit-circle coordinates e^(i theta) of the
-    nodes theta instead of the nodes themselves. With ``even`` f must be even
-    in every coordinate, and tensor Gauss-Legendre evaluates it only at the
-    nodes with every coordinate >= 0 (``gl_rule``); the adaptive rule, which
-    has no fixed mirror-symmetric node set, refuses it with ``ValueError``.
-    With ``central`` f must satisfy f(-theta) = f(theta) on a box [-h, h]
-    (``ValueError`` on any other box), and both rules integrate it over half
-    the box: tensor Gauss-Legendre evaluates the second half of each
-    flattened grid with doubled weights (``_blocks``), and the adaptive rule
-    starts from the 2^(dims-1) cubes of side h that cover
-    [0, h] x [-h, h]^(dims-1), their estimates and errors doubled. At most
-    one fold applies.
+    nodes theta instead of the nodes themselves. ``fold`` states a symmetry
+    of f on a box [-h, h] (``ValueError`` on any other box or fold name):
+    ``"even"``, f even in every coordinate, or ``"central"``,
+    f(-theta) = f(theta). Either rule then evaluates f once per mirror orbit
+    of its nodes (``_blocks`` and the adaptive rule's start).
     """
-    if even and central:
-        raise ValueError("even=True and central=True are two folds; choose one")
-    if central and lo != -hi:
-        raise ValueError("central=True folds only a box [-h, h]")
+    if fold not in FOLDS:
+        raise ValueError(f"unknown fold {fold!r}; choose from {FOLDS}")
+    if fold and lo != -hi:
+        raise ValueError(f"fold={fold!r} folds only a box [-h, h]")
     if cfg.rule == "gauss_legendre_tensor":
-        return _gauss_legendre(f, lo, hi, dims, cfg, circle, even, central)
-    if even:
-        raise ValueError(f"even=True folds tensor Gauss-Legendre only, not {cfg.rule}")
-    return _adaptive(f, lo, hi, dims, cfg, circle, central)
+        return _gauss_legendre(f, lo, hi, dims, cfg, circle, fold)
+    return _adaptive(f, lo, hi, dims, cfg, circle, fold)
 
 
 # QUADPACK qk21: the positive Kronrod-21 nodes, largest first (the last is 0),
@@ -315,7 +291,7 @@ def _gk_regions(f, centers, half, x, wk, wg, circle, scale):
     return k * volume, np.abs(k - g) * volume
 
 
-def _adaptive(f, lo, hi, dims, cfg, circle, central):
+def _adaptive(f, lo, hi, dims, cfg, circle, fold):
     tol = 10.0 ** (-min(cfg.prec, 12))
     x, wk, wg = gk21()
     wk, wg = _outer([wk] * dims), _outer([wg] * dims)
@@ -325,12 +301,13 @@ def _adaptive(f, lo, hi, dims, cfg, circle, central):
     centers = np.full((1, dims), 0.5 * (lo + hi))
     half = np.array([0.5 * (hi - lo)])
     scale = 1.0
-    if central:
-        # the box's children with theta_1 >= 0, the second half of them, each
-        # standing for itself and its mirror image
-        centers = (centers + half * corners)[len(corners) // 2 :]
+    if fold:
+        # the box's children that stand for the mirror orbits: the last one, [0, h]^dims,
+        # for "even"; the second half, theta_1 >= 0, for "central"
+        children = centers + half * corners
+        centers = children[-1:] if fold == "even" else children[len(corners) // 2 :]
         half = np.full(len(centers), half[0] / 2)
-        scale = 2.0
+        scale = len(corners) / len(centers)
     est, err = _gk_regions(f, centers, half, x, wk, wg, circle, scale)
     evals, splits = len(centers) * len(wk), 0
     while True:

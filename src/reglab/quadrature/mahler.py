@@ -23,7 +23,7 @@ the last variable at -theta are the conjugates of those at theta, and the
 inner measure is the same there (Boyd, "Mahler's measure and special values
 of L-functions", Experiment. Math. 1998, reduces the torus the same way).
 Every torus integral therefore runs over half the torus
-(``integrate_box(..., central=True)``): each value is computed once, at
+(``integrate_box(..., fold="central")``): each value is computed once, at
 half the evaluations of the full torus.
 
 For P = (1+x_1)...(1+x_k) + t with k = 2 or 3 and t the last variable (the
@@ -365,7 +365,7 @@ def _measure(P, cfg: QuadratureConfig) -> QuadratureResult:
     # P has rational coefficients, so f(-theta) = f(theta): the roots at -theta are the
     # conjugates of those at theta
     value, err, evals = integrate_box(
-        f, -math.pi, math.pi, dims, cfg, circle=True, central=True
+        f, -math.pi, math.pi, dims, cfg, circle=True, fold="central"
     )
     scale = (2 * math.pi) ** dims
     return make_result(value / scale, err / scale, evals, cfg)

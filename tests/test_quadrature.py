@@ -39,6 +39,9 @@ def test_config_validation():
         QuadratureConfig(rule="nope")
     with pytest.raises(ValueError):
         QuadratureConfig(level=1)
+    with pytest.raises(ValueError, match="level must be at least 3"):
+        # the half-level run would be the level itself, so the estimate a rounding floor
+        QuadratureConfig(level=2)
     with pytest.raises(ValueError):
         QuadratureConfig(depth=-1)
 
@@ -97,28 +100,40 @@ def test_circle_hands_the_integrand_unit_circle_coordinates(cfg):
 
 
 @pytest.mark.parametrize("circle", [False, True], ids=["angles", "circle"])
-@pytest.mark.parametrize("depth, even", [(0, False), (2, False), (0, True)])
+@pytest.mark.parametrize(
+    "depth, fold",
+    # an id names the fold False (none), True ("even") or central
+    [
+        pytest.param(depth, fold, id=f"{depth}-{name}")
+        for fold, name in ((None, False), ("even", True), ("central", "central"))
+        for depth in (0, 2)
+    ],
+)
 @pytest.mark.parametrize("level", [7, 8])
 @pytest.mark.parametrize("dims", [1, 2, 3])
-def test_gl_hands_the_integrand_the_coarse_then_the_fine_tensor_grid(dims, level, depth, even, circle):
+def test_gl_hands_the_integrand_the_coarse_then_the_fine_tensor_grid(dims, level, depth, fold, circle):
     # one call: the grid at half the level, then the grid at the level, each the tensor
     # product of gl_rule's 1-D nodes (mapped to e^(i theta) with circle) with the first
-    # axis slowest, bit for bit, and each column contiguous in memory
+    # axis slowest, bit for bit, and each column contiguous in memory; folded "even" to
+    # the upper half x[n//2:] of every axis, "central" to the second half of the grid
     seen = []
 
     def f(pts):
         seen.append(pts)
         return np.zeros(len(pts))
 
-    box = (-math.pi, math.pi) if even else (-1.0, 2.0)
-    integrate_box(f, *box, dims, QuadratureConfig(level=level, depth=depth), circle, even)
+    box = (-math.pi, math.pi) if fold else (-1.0, 2.0)
+    integrate_box(f, *box, dims, QuadratureConfig(level=level, depth=depth), circle, fold)
     grids = []
     for lev in (max(2, level // 2), level):
-        x, _ = engine.gl_rule(*box, lev, depth, even)
+        x, _ = engine.gl_rule(*box, lev, depth)
+        if fold == "even":
+            x = x[len(x) // 2 :]
         if circle:
             x = np.exp(1j * x)
         mesh = np.meshgrid(*[x] * dims, indexing="ij")
-        grids.append(np.stack([axis.ravel() for axis in mesh], axis=1))
+        grid = np.stack([axis.ravel() for axis in mesh], axis=1)
+        grids.append(grid[len(grid) // 2 :] if fold == "central" else grid)
     want = np.concatenate(grids)
     (pts,) = seen
     assert pts.shape == want.shape and pts.dtype == want.dtype
@@ -175,7 +190,7 @@ def test_gl_central_fold_total_is_the_full_grid_sum(poly, variables, depth, leve
         return f(xs)
 
     cfg = QuadratureConfig(level=level, depth=depth)
-    value, _, evals = integrate_box(g, -math.pi, math.pi, dims, cfg, circle=True, central=True)
+    value, _, evals = integrate_box(g, -math.pi, math.pi, dims, cfg, circle=True, fold="central")
     halves = []
     for lev in (level // 2, level):
         x, w = engine.gl_rule(-math.pi, math.pi, lev, depth)
@@ -189,16 +204,47 @@ def test_gl_central_fold_total_is_the_full_grid_sum(poly, variables, depth, leve
     assert evals == len(pts) and all(pts[:, j].flags.c_contiguous for j in range(dims))
 
 
-def test_central_fold_refuses_a_box_off_centre_and_a_second_fold():
+@pytest.mark.parametrize("rule", engine.RULES)
+@pytest.mark.parametrize("fold", ["even", "central"])
+def test_fold_refuses_a_box_off_centre_and_an_unknown_fold(fold, rule):
     f = lambda p: np.cos(p[:, 0])
-    for cfg in (QuadratureConfig(level=8), QuadratureConfig(rule="adaptive_gk")):
-        with pytest.raises(ValueError, match="central"):
-            integrate_box(f, 0.0, 1.0, 1, cfg, central=True)
-        with pytest.raises(ValueError, match="central"):
-            integrate_box(f, -1.0, 1.0, 1, cfg, even=True, central=True)
-        # the half box integrates cos over [-1, 1] to 2 sin 1
-        value, _, _ = integrate_box(f, -1.0, 1.0, 1, cfg, central=True)
-        assert abs(value - 2 * math.sin(1)) < 1e-12
+    cfg = QuadratureConfig(rule=rule, level=8)
+    for box in ((0.0, 1.0), (-1.0, 2.0)):
+        with pytest.raises(ValueError, match=fold):
+            integrate_box(f, *box, 1, cfg, fold=fold)
+    with pytest.raises(ValueError, match="unknown fold"):
+        integrate_box(f, -1.0, 1.0, 1, cfg, fold=fold.upper())
+    # the folded rule integrates cos over [-1, 1] to 2 sin 1
+    value, _, _ = integrate_box(f, -1.0, 1.0, 1, cfg, fold=fold)
+    assert abs(value - 2 * math.sin(1)) < 1e-12
+
+
+def _even(p):
+    """An integrand even in both coordinates bit for bit: cos(p0) cos(3 p1) + p0^2 p1^2."""
+    return np.cos(p[:, 0]) * np.cos(3 * p[:, 1]) + p[:, 0] ** 2 * p[:, 1] ** 2
+
+
+@pytest.mark.parametrize("level", [7, 8])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_gl_even_fold_of_a_paneled_rule_is_the_full_grid_total(depth, level):
+    # the panels' nodes on [-pi, pi] are exact mirror images at depths 1 to 3, so the
+    # rule folded onto their upper half gives the full grid's total bit for bit, at a
+    # quarter of the evaluations
+    cfg = QuadratureConfig(level=level, depth=depth)
+    value, _, evals = integrate_box(_even, -math.pi, math.pi, 2, cfg)
+    folded, _, folded_evals = integrate_box(_even, -math.pi, math.pi, 2, cfg, fold="even")
+    assert folded == value and 4 * folded_evals == evals
+
+
+@pytest.mark.parametrize("fold", ["even", "central"])
+def test_adaptive_fold_agrees_with_the_unfolded_rule_within_its_estimate(fold):
+    # a peak at the centre makes the adaptive rule split; folded, it splits on the part
+    # of the box that stands for the mirror orbits only
+    f = lambda p: 1 / (0.05 + p[:, 0] ** 2 + p[:, 1] ** 2)
+    cfg = QuadratureConfig(rule="adaptive_gk", prec=8)
+    value, err, evals = integrate_box(f, -1.0, 1.0, 2, cfg)
+    folded, _, folded_evals = integrate_box(f, -1.0, 1.0, 2, cfg, fold=fold)
+    assert abs(folded - value) <= err and folded_evals < evals
 
 
 def _slices_by_monomial(slices, theta):
@@ -614,6 +660,17 @@ def test_n3_oracles_match_brunault():
     assert abs(float(boundary.value) - want) < 1e-13
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_lowest_level_estimate_bounds_the_error_of_both_oracles(n):
+    # at level 3 the half-level run is level 2, a different rule, so the estimate is a
+    # delta and not the rounding floor alone (level 2 would compare the rule with itself)
+    cfg = QuadratureConfig(level=3)
+    want = M_P if n == 4 else -2 * float(lprime_minus1(F15, 20))
+    P = parse_poly(FLAGSHIP if n == 4 else "(1+x)*(1+y)+z", list("xyzt"[:n]))
+    for res in (mahler_measure(P, cfg), regulator_boundary_integral(_xi(n), cfg)):
+        assert abs(float(res.value) - want) <= float(res.error_estimate)
+
+
 def test_boundary_integral_n4_flagship_quick():
     lam = _xi(4)
     cfg = QuadratureConfig(level=24, prec=12)
@@ -674,26 +731,10 @@ def test_gl_total_is_the_half_box_sum_of_the_even_boundary_integrand(n, monkeypa
             sums.append(math.fsum(terms.tolist()))
         floor = math.log2(len(wt)) * np.finfo(float).eps * np.abs(terms).sum()
         full = (sums[1], max(abs(sums[1] - sums[0]), floor))
-        value, err, evals = integrate_box(f, *box, dims, QuadratureConfig(level=level), even=True)
+        value, err, evals = integrate_box(f, *box, dims, QuadratureConfig(level=level), fold="even")
         assert (value, err) == full, level
         # ceil(L/2) folded nodes per axis at level L, an odd level's node at 0 among them
         assert evals == ((level + 1) // 2) ** dims + ((level // 2 + 1) // 2) ** dims
-
-
-def test_even_refuses_a_rule_that_is_not_mirror_symmetric():
-    f = lambda p: np.cos(p[:, 0])
-    with pytest.raises(ValueError, match="even"):
-        integrate_box(f, -1.0, 1.0, 1, QuadratureConfig(level=8, depth=1), even=True)
-    cfg = QuadratureConfig(level=8)
-    with pytest.raises(ValueError, match="even"):
-        integrate_box(f, -1.0, 2.0, 1, cfg, even=True)
-    with pytest.raises(ValueError, match="even"):
-        integrate_box(f, 0.0, 1.0, 1, cfg, even=True)
-    with pytest.raises(ValueError, match="even"):
-        integrate_box(f, -1.0, 1.0, 1, QuadratureConfig(rule="adaptive_gk"), even=True)
-    # the symmetric depth-0 rule folds, and integrates cos to 2 sin 1
-    value, _, evals = integrate_box(f, -1.0, 1.0, 1, cfg, even=True)
-    assert abs(value - 2 * math.sin(1)) < 1e-15 and evals == 4 + 2
 
 
 def _counting_integrand(monkeypatch, module):
