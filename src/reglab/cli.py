@@ -346,8 +346,9 @@ def cmd_verify_main(args):
     }
     diag(f"stage 5: L'(f7,-1) = {float(Lp):.12f}, zeta'(-2) = {float(zp):.12f}")
 
-    # stage 6: residual of the conjectured identity
-    predicted = -6.0 * float(Lp) - 48.0 / 7.0 * float(zp)
+    # stage 6: residual of the identity a m(P) + b L'(f7, -1) + c zeta'(-2) = 0
+    a, b, c = MAIN_RELATION
+    predicted = -(b / a) * float(Lp) - (c / a) * float(zp)
     residual = abs(float(direct.value) - predicted)
     budget = float(direct.error_estimate) + 10 ** (2 - args.prec)
     report["stages"]["residual"] = {

@@ -16,30 +16,28 @@ batch, and the values are split afterwards. The Gauss-Legendre nodes and
 weights on [-1, 1] are computed once per level; numpy symmetrises them, so
 the depth-0 nodes on a box [-h, h] are exact mirror images of each other.
 (The panels' nodes on [-pi, pi] are too at depths 1 to 3; from depth 4 the
-panel edges are off by an ulp, and mirror nodes agree to rounding.) For an
-integrand with a mirror symmetry on a box [-h, h], ``fold`` evaluates each
-value once per mirror orbit instead of at every node of it: ``"even"`` for f
-even in every coordinate (the boundary integrand), ``"central"`` for
+panel edges are off by an ulp, and mirror nodes agree to rounding.)
+
+For an integrand with a mirror symmetry on a box [-h, h], ``fold``
+evaluates it once per mirror orbit of the nodes: ``"even"`` for f even in
+every coordinate (the boundary integrand), ``"central"`` for
 f(-theta) = f(theta) (the torus integrands of a P with rational
-coefficients). Both rules fold one way. Tensor Gauss-Legendre keeps, of each
-1-D rule, the centre node of an odd rule once and the nodes beyond it with
-doubled weights, and tensors them into the blocks of one orbit each
-(``_blocks``): every axis for ``"even"``, so f sees 1/2^dims of the grid;
-the second half of the flattened grid for ``"central"``. The adaptive rule
-starts from the children of the box that stand for the orbits, the last one
-for ``"even"`` and the second half for ``"central"``, with their estimates
-and errors scaled by the number of children over the number kept, and so
-splits on that part of the box only. Since the Gauss-Legendre sums are
-correctly rounded and doubling a weight is exact, a folded total equals the
-full grid's bit for bit whenever f takes bitwise equal values at mirror
-nodes.
+coefficients). Either folds the first k axes onto u_j >= 0, k = dims for
+``"even"`` and k = 1 for ``"central"``. Tensor Gauss-Legendre takes there
+the nodes x[n//2:] of its 1-D rule, an odd n's centre node with its weight
+and the others with doubled weights, so a folded total equals the full
+grid's bit for bit (the sums are correctly rounded and doubling is exact)
+whenever f takes bitwise equal values at mirror nodes; under ``"central"``
+an odd n evaluates the whole plane theta_1 = 0, about 1/n more than the
+orbits. The adaptive rule starts from the last 2^(dims-k) children of the
+box, those with u_1 .. u_k >= 0, scaled by 2^k, and splits on them only.
 
 Error estimates are heuristic: the Gauss-Legendre estimate is the delta
-against a half-level run, but no less than the rounding error
-log2(N) eps sum |f w| of the sum over the N nodes of the full grid (at high
-levels the delta alone can fall below the true error). On kinked integrands
-the delta can miss the truth at any level: tensor Gauss-Legendre on the
-Jensen integrand of 1+x+y misses at 6 of the levels 8 to 64.
+against a half-level run, the adaptive one the summed |K - G| below, each
+no less than the rounding error log2(N) eps sum |f w| over the N nodes of
+the unfolded rule. On kinked integrands the delta can miss the truth at any
+level: tensor Gauss-Legendre on the Jensen integrand of 1+x+y misses at 6
+of the levels 8 to 64.
 
 The adaptive rule is global: it keeps a list of cubic regions, each with its
 GK21 product estimate K and error |K - G|, where G is the Gauss-10 product rule
@@ -139,8 +137,8 @@ def _grid(axes, out=None):
     varies slowest. Each column is contiguous in memory. The points are
     written into ``out``, a C-contiguous (dims, R prod n_j) block or a
     column range of one, when it is given. Every grid is built here: the
-    Gauss-Legendre grids and their folded blocks (R = 1), the adaptive
-    rule's regions and the offsets of a cube's 2^dims children.
+    two Gauss-Legendre grids, folded or not (R = 1), the adaptive rule's
+    regions and the offsets of a cube's 2^dims children.
     """
     dims, count = len(axes), len(axes[0])
     shape = (count,) + tuple(a.shape[1] for a in axes)
@@ -151,53 +149,38 @@ def _grid(axes, out=None):
     return out.T
 
 
-def _blocks(x, w, dims, fold):
-    """The tensor blocks of the grid with 1-D nodes x and weights w that f is handed.
-
-    Each block is a list of (nodes, weights) per axis. Without ``fold`` it is
-    the whole grid. A fold is built from two pieces of the 1-D rule, which is
-    symmetric about 0: ``mid``, the centre node of an odd n kept once (empty
-    for even n), and ``upper``, the nodes beyond it with doubled weights.
-    ``"even"`` is one block of mid + upper on every axis. ``"central"`` is
-    the second half of the flattened grid, points N//2 .. N-1 of N = n^dims,
-    in that order: the mirror -p of point i is point N-1-i. These are the
-    centre, mid on every axis, then for j = dims-1 down to 0 the points
-    whose first j coordinates are mid and whose coordinate j is in upper; a
-    block that holds an empty mid is empty.
-    """
-    if fold is None:
-        return [[(x, w)] * dims]
-    n = len(x)
-    mid = (x[n // 2 : (n + 1) // 2], w[n // 2 : (n + 1) // 2])
-    upper = (x[(n + 1) // 2 :], 2.0 * w[(n + 1) // 2 :])
-    if fold == "even":
-        return [[tuple(np.concatenate(pair) for pair in zip(mid, upper))] * dims]
-    return [[mid] * dims] + [
-        [mid] * j + [upper] + [(x, w)] * (dims - 1 - j) for j in reversed(range(dims))
-    ]
+def _rounding_floor(nodes, mass):
+    """log2(N) eps mass: the rounding error of a sum of N = nodes terms f w with
+    sum |f w| = mass. Both rules count the nodes of the unfolded rule."""
+    return math.log2(nodes) * np.finfo(float).eps * mass
 
 
-def _gauss_legendre(f, lo, hi, dims, cfg, circle, fold):
-    """Tensor Gauss-Legendre at cfg.level and at half the level, in one call to f."""
-    rules = [gl_rule(lo, hi, L, cfg.depth) for L in (max(2, cfg.level // 2), cfg.level)]
-    grids = [_blocks(np.exp(1j * x) if circle else x, w, dims, fold) for x, w in rules]
-    blocks = grids[0] + grids[1]
-    sizes = [math.prod(len(x) for x, _ in block) for block in blocks]
+def _gauss_legendre(f, lo, hi, dims, cfg, circle, k):
+    """Tensor Gauss-Legendre at cfg.level and at half the level, in one call to f,
+    with the first k axes folded onto their nodes x >= 0."""
+    nodes, weights = [], []
+    for level in (max(2, cfg.level // 2), cfg.level):
+        x, w = gl_rule(lo, hi, level, cfg.depth)
+        if circle:
+            x = np.exp(1j * x)
+        n = len(x)
+        # x[n//2:]: the centre node of an odd n keeps its weight, the others stand for two
+        upper = 2.0 * w[n // 2 :]
+        upper[: n % 2] = w[n // 2]
+        nodes.append([x[n // 2 :]] * k + [x] * (dims - k))
+        weights.append(_outer([upper] * k + [w] * (dims - k)))
+    split = len(weights[0])
     # both grids written into one (dims, N) block, so each column is contiguous
-    pts = np.empty((dims, sum(sizes)), dtype=np.complex128 if circle else np.float64)
-    start = 0
-    for block, size in zip(blocks, sizes):
-        _grid([x[None] for x, _ in block], pts[:, start : start + size])
-        start += size
+    pts = np.empty((dims, split + len(weights[1])), dtype=np.complex128 if circle else np.float64)
+    _grid([x[None] for x in nodes[0]], pts[:, :split])
+    _grid([x[None] for x in nodes[1]], pts[:, split:])
     values = np.asarray(f(pts.T), dtype=np.float64)
-    terms = values * np.concatenate([_outer([w for _, w in block]) for block in blocks])
-    split = sum(sizes[: len(grids[0])])
+    terms = values * np.concatenate(weights)
     coarse, fine = terms[:split], terms[split:]
     # the correctly rounded sums (Shewchuk's exact summation), whatever the order
     total = math.fsum(fine.tolist())
     delta = abs(total - math.fsum(coarse.tolist()))
-    # the rounding floor counts the full tensor grid, (level 2^depth)^dims nodes, folded or not
-    floor = math.log2((cfg.level * 2**cfg.depth) ** dims) * np.finfo(float).eps * np.abs(fine).sum()
+    floor = _rounding_floor((cfg.level * 2**cfg.depth) ** dims, np.abs(fine).sum())
     return total, max(delta, floor), len(values)
 
 
@@ -216,16 +199,17 @@ def integrate_box(
     nodes theta instead of the nodes themselves. ``fold`` states a symmetry
     of f on a box [-h, h] (``ValueError`` on any other box or fold name):
     ``"even"``, f even in every coordinate, or ``"central"``,
-    f(-theta) = f(theta). Either rule then evaluates f once per mirror orbit
-    of its nodes (``_blocks`` and the adaptive rule's start).
+    f(-theta) = f(theta). Either rule then folds the first k axes onto
+    u_j >= 0: all of them for ``"even"``, one for ``"central"``.
     """
     if fold not in FOLDS:
         raise ValueError(f"unknown fold {fold!r}; choose from {FOLDS}")
     if fold and lo != -hi:
         raise ValueError(f"fold={fold!r} folds only a box [-h, h]")
+    k = {None: 0, "even": dims, "central": 1}[fold]
     if cfg.rule == "gauss_legendre_tensor":
-        return _gauss_legendre(f, lo, hi, dims, cfg, circle, fold)
-    return _adaptive(f, lo, hi, dims, cfg, circle, fold)
+        return _gauss_legendre(f, lo, hi, dims, cfg, circle, k)
+    return _adaptive(f, lo, hi, dims, cfg, circle, k)
 
 
 # QUADPACK qk21: the positive Kronrod-21 nodes, largest first (the last is 0),
@@ -271,27 +255,26 @@ SPLIT_CAP = 10000
 
 
 def _gk_regions(f, centers, half, x, wk, wg, circle, scale):
-    """K and |K - G| on the cubes centers +- half, times scale, evaluated in chunks of
-    whole regions.
+    """K, |K - G| and sum |f w| (Kronrod weights) on the cubes centers +- half, times
+    scale, as the rows of one (3, regions) array, evaluated in chunks of whole regions.
 
     x holds the 21 Kronrod nodes on [-1, 1]; each region's 21 nodes per axis
     (and, with ``circle``, their e^(i theta)) are taken before the tensor product.
     """
     dims = centers.shape[1]
     per_call = max(1, CHUNK // len(wk))
-    k, g = np.empty(len(centers)), np.empty(len(centers))
+    sums = np.empty((3, len(centers)))
     for i in range(0, len(centers), per_call):
         c, h = centers[i : i + per_call], half[i : i + per_call]
         axes = h[None, :, None] * x + c.T[:, :, None]
         pts = _grid(np.exp(1j * axes) if circle else axes)
         vals = np.asarray(f(pts), dtype=np.float64).reshape(len(c), -1)
-        k[i : i + per_call] = (vals * wk).sum(axis=1)
-        g[i : i + per_call] = (vals * wg).sum(axis=1)
-    volume = scale * half**dims
-    return k * volume, np.abs(k - g) * volume
+        sums[:, i : i + per_call] = (vals * wk).sum(1), (vals * wg).sum(1), np.abs(vals) @ wk
+    sums[1] = np.abs(sums[0] - sums[1])
+    return sums * (scale * half**dims)
 
 
-def _adaptive(f, lo, hi, dims, cfg, circle, fold):
+def _adaptive(f, lo, hi, dims, cfg, circle, k):
     tol = 10.0 ** (-min(cfg.prec, 12))
     x, wk, wg = gk21()
     wk, wg = _outer([wk] * dims), _outer([wg] * dims)
@@ -300,37 +283,33 @@ def _adaptive(f, lo, hi, dims, cfg, circle, fold):
 
     centers = np.full((1, dims), 0.5 * (lo + hi))
     half = np.array([0.5 * (hi - lo)])
-    scale = 1.0
-    if fold:
-        # the box's children that stand for the mirror orbits: the last one, [0, h]^dims,
-        # for "even"; the second half, theta_1 >= 0, for "central"
-        children = centers + half * corners
-        centers = children[-1:] if fold == "even" else children[len(corners) // 2 :]
+    if k:
+        # the last 2^(dims-k) children of the box, those with u_1 .. u_k >= 0
+        centers = (centers + half * corners)[-(2 ** (dims - k)) :]
         half = np.full(len(centers), half[0] / 2)
-        scale = len(corners) / len(centers)
-    est, err = _gk_regions(f, centers, half, x, wk, wg, circle, scale)
+    scale = 2.0**k
+    sums = _gk_regions(f, centers, half, x, wk, wg, circle, scale)
     evals, splits = len(centers) * len(wk), 0
     while True:
-        value, error = float(est.sum()), float(err.sum())
+        value, error = float(sums[0].sum()), float(sums[1].sum())
         target = tol + tol * abs(value)
         if error <= target or splits >= SPLIT_CAP or not math.isfinite(value + error):
             break
-        order = np.argsort(-err, kind="stable")
+        order = np.argsort(-sums[1], kind="stable")
         # split the largest regions until the error left in the others is at most target / 2
-        rest = np.cumsum(err[order][::-1])[::-1]
+        rest = np.cumsum(sums[1][order][::-1])[::-1]
         count = min(int(np.count_nonzero(rest > target / 2)), SPLIT_CAP - splits)
         split, keep = order[:count], order[count:]
         child_centers = (
             centers[split, None, :] + half[split, None, None] * corners
         ).reshape(-1, dims)
         child_half = np.repeat(half[split] / 2, len(corners))
-        child_est, child_err = _gk_regions(
-            f, child_centers, child_half, x, wk, wg, circle, scale
-        )
+        children = _gk_regions(f, child_centers, child_half, x, wk, wg, circle, scale)
         centers = np.concatenate([centers[keep], child_centers])
         half = np.concatenate([half[keep], child_half])
-        est = np.concatenate([est[keep], child_est])
-        err = np.concatenate([err[keep], child_err])
+        sums = np.concatenate([sums[:, keep], children], axis=1)
         evals += len(child_centers) * len(wk)
         splits += count
-    return value, error, evals
+    # the floor enters the reported estimate only, so no split or stop reads it
+    floor = _rounding_floor(scale * len(centers) * len(wk), float(sums[2].sum()))
+    return value, max(error, floor), evals

@@ -22,9 +22,10 @@ in the last variable. P has rational coefficients, so its coefficients in
 the last variable at -theta are the conjugates of those at theta, and the
 inner measure is the same there (Boyd, "Mahler's measure and special values
 of L-functions", Experiment. Math. 1998, reduces the torus the same way).
-Every torus integral therefore runs over half the torus
-(``integrate_box(..., fold="central")``): each value is computed once, at
-half the evaluations of the full torus.
+Every torus integral therefore runs over the half torus theta_1 >= 0
+(``integrate_box(..., fold="central")``): each value is computed about
+once, at about half the evaluations of the full torus (an odd rule takes
+all of the plane theta_1 = 0).
 
 For P = (1+x_1)...(1+x_k) + t with k = 2 or 3 and t the last variable (the
 flagship polynomial and its n = 3 analogue), recognised from its exact
@@ -391,7 +392,7 @@ def deninger_gamma_check(P, cfg: QuadratureConfig | None = None) -> QuadratureRe
     slices, degree = _coeff_table(P)
     # m of the leading coefficient (a polynomial in the other variables), its
     # content not split off: for n = 3 it is then taken on the chain's Gauss-Legendre
-    # grid, centrally folded onto its second half like every torus integral; the
+    # grid, centrally folded onto theta_1 >= 0 like every torus integral; the
     # Gamma-chain integral below runs on the whole grid
     t = P.ring.gens[-1]
     m_lead = float(_measure(P.coeff_wrt(t, P.degree(t)).drop(t), cfg).value)

@@ -34,6 +34,7 @@ COMMANDS = {
     "boundary-integral_n4_level40": ["boundary-integral", "--n", "4", "--level", "40"],
     "deninger-check": ["deninger-check", "--poly", "1+x+y"],
     "mahler": ["mahler", "--poly", "1+x+y+z", "--prec", "6"],
+    "mahler_4var_level9": ["mahler", "--poly", "1+x+y+z+t", "--level", "9"],
     "detect": ["detect", "--values", "phi_values.json", "--prec", "30"],
     "dilog": ["dilog", "--z", "i", "--prec", "60"],
     "lprime-minus1": ["lprime-minus1", "--prec", "30"],

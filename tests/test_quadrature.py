@@ -102,20 +102,16 @@ def test_circle_hands_the_integrand_unit_circle_coordinates(cfg):
 @pytest.mark.parametrize("circle", [False, True], ids=["angles", "circle"])
 @pytest.mark.parametrize(
     "depth, fold",
-    # ids False and True name no fold and "even", the ids these cases are recorded under
-    [
-        pytest.param(depth, fold, id=f"{depth}-{name}")
-        for fold, name in ((None, False), ("even", True), ("central", "central"))
-        for depth in (0, 2)
-    ],
+    [pytest.param(depth, fold, id=f"{depth}-{fold}") for fold in engine.FOLDS for depth in (0, 2)],
 )
 @pytest.mark.parametrize("level", [7, 8])
 @pytest.mark.parametrize("dims", [1, 2, 3])
 def test_gl_hands_the_integrand_the_coarse_then_the_fine_tensor_grid(dims, level, depth, fold, circle):
     # one call: the grid at half the level, then the grid at the level, each the tensor
     # product of gl_rule's 1-D nodes (mapped to e^(i theta) with circle) with the first
-    # axis slowest, bit for bit, and each column contiguous in memory; folded "even" to
-    # the upper half x[n//2:] of every axis, "central" to the second half of the grid
+    # axis slowest, bit for bit, and each column contiguous in memory; a fold keeps the
+    # nodes x[n//2:] on its first k axes, every axis for "even" and the first for
+    # "central", so each grid has ceil(n/2)^k n^(dims-k) points
     seen = []
 
     def f(pts):
@@ -123,22 +119,24 @@ def test_gl_hands_the_integrand_the_coarse_then_the_fine_tensor_grid(dims, level
         return np.zeros(len(pts))
 
     box = (-math.pi, math.pi) if fold else (-1.0, 2.0)
-    integrate_box(f, *box, dims, QuadratureConfig(level=level, depth=depth), circle, fold)
-    grids = []
+    cfg = QuadratureConfig(level=level, depth=depth)
+    _, _, evals = integrate_box(f, *box, dims, cfg, circle, fold)
+    k = {None: 0, "even": dims, "central": 1}[fold]
+    grids, counts = [], []
     for lev in (max(2, level // 2), level):
         x, _ = engine.gl_rule(*box, lev, depth)
-        if fold == "even":
-            x = x[len(x) // 2 :]
         if circle:
             x = np.exp(1j * x)
-        mesh = np.meshgrid(*[x] * dims, indexing="ij")
-        grid = np.stack([axis.ravel() for axis in mesh], axis=1)
-        grids.append(grid[len(grid) // 2 :] if fold == "central" else grid)
+        n = len(x)
+        mesh = np.meshgrid(*[x[n // 2 :]] * k, *[x] * (dims - k), indexing="ij")
+        grids.append(np.stack([axis.ravel() for axis in mesh], axis=1))
+        counts.append(((n + 1) // 2) ** k * n ** (dims - k))
     want = np.concatenate(grids)
     (pts,) = seen
     assert pts.shape == want.shape and pts.dtype == want.dtype
     assert np.ascontiguousarray(pts).tobytes() == want.tobytes()
     assert all(pts[:, j].flags.c_contiguous for j in range(dims))
+    assert evals == sum(counts)
 
 
 def _jensen(poly, variables):
@@ -177,10 +175,10 @@ def test_jensen_batch_is_symmetric_at_mirrored_torus_nodes(poly, variables, ulps
     [("1+x+y+z", "xyz", 0), ("1+x+y+z", "xyz", 2), ("1+x+y+z+t", "xyzt", 0)],
 )
 def test_gl_central_fold_total_is_the_full_grid_sum(poly, variables, depth, level):
-    # the folded rule hands f the second half of each flattened grid, coarse then
-    # fine, and weights it doubled (the centre node of an odd level once); on the
-    # bitwise symmetric Jensen batch of a degree-1 P its total equals the full
-    # grid's correctly rounded sum bit for bit
+    # the folded rule hands f the points with theta_1 >= 0 of each grid, coarse then
+    # fine, with doubled weights off the plane theta_1 = 0; on the bitwise symmetric
+    # Jensen batch of a degree-1 P its total equals the full grid's correctly rounded
+    # sum bit for bit
     f = _jensen(poly, variables)
     dims = len(variables) - 1
     seen = []
@@ -197,7 +195,7 @@ def test_gl_central_fold_total_is_the_full_grid_sum(poly, variables, depth, leve
         pts = np.array(list(itertools.product(np.exp(1j * x), repeat=dims)))
         wt = np.array([math.prod(c) for c in itertools.product(w, repeat=dims)])
         total = math.fsum((f(pts) * wt).tolist())
-        halves.append(pts[len(pts) // 2 :])
+        halves.append(pts[len(x) // 2 * len(x) ** (dims - 1) :])  # theta_1 >= 0
     assert value == total
     (pts,) = seen
     assert np.array_equal(pts, np.concatenate(halves))
@@ -237,6 +235,15 @@ def test_gl_even_fold_of_a_paneled_rule_is_the_full_grid_total(depth, level):
     value, _, evals = integrate_box(_even, -math.pi, math.pi, 2, cfg)
     folded, _, folded_evals = integrate_box(_even, -math.pi, math.pi, 2, cfg, fold="even")
     assert folded == value and 4 * folded_evals == evals
+
+
+@pytest.mark.parametrize("fold", engine.FOLDS)
+def test_adaptive_estimate_bounds_the_error_where_kronrod_and_gauss_agree(fold):
+    # K and G agree to the last bits on this smooth integrand's first regions (unfolded,
+    # |K - G| is 0.0), so only the rounding floor log2(N) eps sum |f w| bounds the error
+    cfg = QuadratureConfig(rule="adaptive_gk", prec=12)
+    value, err, _ = integrate_box(_even, -math.pi, math.pi, 2, cfg, fold=fold)
+    assert err >= abs(value - (2 * math.pi**3 / 3) ** 2)
 
 
 @pytest.mark.parametrize("fold", ["even", "central"])
